@@ -129,7 +129,7 @@ def cmd_verify(args) -> int:
     payload = verdict.to_json_dict()
     payload["grid"] = {"n_t": config.n_t, "n_azimuth": config.n_azimuth,
                        "w_samples": config.w_samples,
-                       "circle_nodes": config.circle_nodes}
+                       "circle_nodes": config.n_azimuth}
     if args.format == "csv":
         from .registration import classifications_to_csv
         _emit(classifications_to_csv(verdict.classifications), args.out)

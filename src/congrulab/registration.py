@@ -106,12 +106,6 @@ def _objective_curve_rotation(F: np.ndarray, G: np.ndarray) -> np.ndarray:
     return float(np.sum(F * F) + np.sum(G * G)) - 2.0 * corr
 
 
-def _objective_curve_flip(Fm: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """obj(s) for half-turns: rings of F mirrored in latitude and azimuth,
-    correlated against G; shift s corresponds to axis azimuth pi*s/n."""
-    return _objective_curve_rotation(Fm, G)
-
-
 def _parabolic_step(curve: np.ndarray, s: int) -> float:
     n = len(curve)
     om, oo, op = curve[(s - 1) % n], curve[s], curve[(s + 1) % n]

@@ -10,11 +10,11 @@ callables that accept arrays of shape ``(..., 4)`` and return shape ``(...)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import EmptyInputError, NonOrthogonalError
+from .errors import CongrulabError, EmptyInputError, NonOrthogonalError
 
 UNIT_TOL = 1e-12
 ORTHO_TOL = 1e-10
@@ -33,13 +33,16 @@ def evaluate_field(f, points):
     """Evaluate a scalar field at an (..., 4) array of points.
 
     Tries a single vectorized call first; falls back to a per-point loop for
-    callables that only accept single vectors.
+    callables that only accept single vectors.  A toolkit error from the
+    vectorized call is a real failure and propagates.
     """
     points = np.asarray(points, dtype=float)
     try:
         vals = np.asarray(f(points), dtype=float)
         if vals.shape == points.shape[:-1]:
             return vals
+    except CongrulabError:
+        raise
     except (TypeError, ValueError):
         pass
     flat = points.reshape(-1, 4)
@@ -138,11 +141,18 @@ def make_frame(pole, normal) -> SphereFrame:
     return SphereFrame(pole=pole, normal=normal, e1=e1, e2=e2)
 
 
+@lru_cache(maxsize=32)
 def gauss_latitude_nodes(n_t: int):
-    """Gauss-Legendre nodes and weights on (-1, 1)."""
+    """Gauss-Legendre nodes and weights on (-1, 1), computed once per n_t.
+
+    The cached arrays are shared by every caller, so they are read-only.
+    """
     if n_t < 1:
         raise ValueError("need at least one latitude node")
-    return np.polynomial.legendre.leggauss(n_t)
+    t, w = np.polynomial.legendre.leggauss(n_t)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
 
 
 @dataclass(frozen=True)

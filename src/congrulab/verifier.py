@@ -16,19 +16,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bodies import (Body4, DiameterSet, PolytopeShape, default_diameter_tol,
-                     diameter_segment, find_diameters)
+from .bodies import (Body4, DiameterSet, PolytopeShape, diameter_segment,
+                     find_diameters)
 from .errors import (CongruenceHypothesisFailed, ConfigInvalidError,
                      DiameterHypothesisFailed, StarShapednessLost)
-from .funk import (GridFunction, compose_with_matrix, even_parts_equal,
-                   parity_decompose, sample_on_sphere)
+from .funk import compose_with_matrix, parity_decompose, sample_on_sphere
 from .orthogonal import pole_reflection
-from .registration import (LABEL_FIX, LABEL_FLIP, LABEL_NONE, Classification,
+from .registration import (LABEL_FLIP, LABEL_NONE, Classification,
                            classify_direction, find_equator_flip_symmetry,
                            pole_rotation_symmetry_defect)
-from .sphere import (directions_orthogonal_to, evaluate_field,
-                     gauss_latitude_nodes, gauss_grid, make_frame,
-                     random_directions, unit)
+from .sphere import (circle_quadrature, directions_orthogonal_to, evaluate_field,
+                     gauss_grid, make_frame, random_directions, unit)
 
 OUTCOME_EQUAL = "equal"
 OUTCOME_REFLECTED = "reflected"
@@ -62,14 +60,16 @@ class VerifyConfig:
 
     ``tol`` is relative to the sup of the data being compared.  The grid is
     n_t Gauss latitudes by n_azimuth uniform azimuths; ``w_samples`` working
-    spheres are classified per decision.
+    spheres are classified per decision.  Every check reads that grid, so the
+    even-part circles have n_azimuth nodes: ``circle_nodes`` is None or
+    n_azimuth, and any other value is rejected.
     """
 
     tol: float = 1e-6
     n_t: int = 64
     n_azimuth: int = 256
     w_samples: int = 200
-    circle_nodes: int = 256
+    circle_nodes: int | None = None
     seed: int = 0
     threads: int | None = None
     snap_tol: float = 1e-2
@@ -85,8 +85,10 @@ class VerifyConfig:
             raise ConfigInvalidError("grid must have n_t >= 2 and even n_azimuth >= 8")
         if self.w_samples < 1:
             raise ConfigInvalidError("w_samples must be positive")
-        if self.circle_nodes < 8 or self.circle_nodes % 2:
-            raise ConfigInvalidError("circle_nodes must be even and >= 8")
+        if self.circle_nodes is not None and self.circle_nodes != self.n_azimuth:
+            raise ConfigInvalidError(
+                "circle_nodes must equal n_azimuth: the even parts are compared "
+                "on the working-sphere grid")
         return self
 
 
@@ -180,7 +182,59 @@ def _sup_on_sample(f, points) -> float:
     return float(np.max(np.abs(evaluate_field(f, points))))
 
 
-def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None) -> Verdict:
+@dataclass(frozen=True)
+class _SphereChecks:
+    """What one working sphere contributes to a decision; holds no grid."""
+
+    sup: float
+    even_direct_dev: float
+    even_transform_dev: float
+    congruence: Classification | None
+    odd: Classification | None
+
+
+def _sample_pair(f, g, pole, w, config: VerifyConfig):
+    grid = gauss_grid(make_frame(pole, w), n_t=config.n_t, n_azimuth=config.n_azimuth)
+    return sample_on_sphere(f, grid), sample_on_sphere(g, grid)
+
+
+def _check_sphere(w, fg, gg, config: VerifyConfig, certify: bool,
+                  odd_sup: float) -> _SphereChecks:
+    """Every per-sphere check, read from one grid of f and one of g.
+
+    With ``certify``, the full restrictions are registered first and the
+    congruence hypothesis fails here when neither family registers.  The
+    even parts are compared by ring sums (the Funk route) and pointwise; the
+    pole reflection is the azimuth half-turn of the grid, so the parity split
+    needs no new samples.  The odd parts are registered unless ``odd_sup``
+    already vanishes at this sphere's data scale, which forces the ``both``
+    branch (the decision scale is at least this sphere's).
+    """
+    frame = fg.grid.frame
+    sup = max(fg.sup, gg.sup)
+    congruence = None
+    if certify:
+        congruence = classify_direction(None, None, frame, config.tol, grids=(fg, gg),
+                                        snap_tol=config.snap_tol)
+        if congruence.label == LABEL_NONE:
+            raise CongruenceHypothesisFailed(w, congruence.witness.residual)
+    fe, fo = fg.parity()
+    ge, go = gg.parity()
+    transform_dev = np.max(np.abs(circle_quadrature(fg.values)
+                                  - circle_quadrature(gg.values)))
+    odd = None
+    if odd_sup > 0.1 * (config.tol * sup):
+        odd = classify_direction(None, None, frame, config.tol, grids=(fo, go),
+                                 snap_tol=config.snap_tol)
+    return _SphereChecks(sup=sup,
+                         even_direct_dev=float(np.max(np.abs(fe.values - ge.values))),
+                         even_transform_dev=float(transform_dev),
+                         congruence=congruence, odd=odd)
+
+
+def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *,
+                               certify_congruence: bool = False,
+                               sampled: dict | None = None) -> Verdict:
     """Decide between f = g and f = g o reflect on S^3 from per-sphere rotations.
 
     Steps: (1) compare even parts (transform route and direct route); (2)
@@ -188,6 +242,13 @@ def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None) -
     and the outcome is ``both``; (3) classify every sampled working sphere
     through the pole by two-family registration; (4) aggregate labels; (5)
     certify the winning relation on an out-of-sample point set.
+
+    f and g are sampled once per working sphere, and every check reads those
+    grids.  ``certify_congruence`` also registers the full restrictions on
+    each sphere, raising CongruenceHypothesisFailed for the first sphere in
+    order where neither family registers; the worst residual is reported as
+    ``congruence_residual``.  ``sampled`` maps sphere indices to (f, g) grid
+    functions already sampled on those spheres' grids; entries are consumed.
     """
     config = (config or VerifyConfig()).validate()
     pole = unit(pole)
@@ -195,33 +256,41 @@ def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None) -
         w_dirs = np.asarray(config.w_directions, dtype=float)
     else:
         w_dirs = directions_orthogonal_to(pole, config.w_samples)
-    t_nodes, _ = gauss_latitude_nodes(config.n_t)
-
-    even = even_parts_equal(f, g, pole, t_nodes, w_dirs,
-                            tol=config.tol * 1.0, circle_nodes=config.circle_nodes)
-    scale = max(even.f_sup, even.g_sup, 1e-300)
-    tol_abs = config.tol * scale
-    # redo the pass/fail at the data scale (even_parts_equal got a unit-scale tol)
-    even_ok = (even.direct_dev <= tol_abs
-               and even.transform_dev <= 2.0 * np.pi * tol_abs)
 
     rng = np.random.default_rng(config.seed + 0x0DD5)
     probes = random_directions(config.out_of_sample, rng)
-
-    report: dict = {
-        "scale": scale,
-        "even_transform_dev": even.transform_dev,
-        "even_direct_dev": even.direct_dev,
-    }
-    if not even_ok:
-        return Verdict(OUTCOME_INCONCLUSIVE,
-                       reason=f"even parts differ (direct dev {even.direct_dev:.3e}, "
-                              f"transform dev {even.transform_dev:.3e})",
-                       report=report, tol=tol_abs)
-
     fp = parity_decompose(f, pole)
     gp = parity_decompose(g, pole)
     odd_sup = max(_sup_on_sample(fp.odd, probes), _sup_on_sample(gp.odd, probes))
+
+    sampled = {} if sampled is None else sampled
+
+    def one(item):
+        i, w = item
+        fg, gg = sampled.pop(i, None) or _sample_pair(f, g, pole, w, config)
+        return _check_sphere(w, fg, gg, config, certify_congruence, odd_sup)
+
+    checks = _map_ordered(one, list(enumerate(w_dirs)), worker_count(config.threads))
+
+    scale = max(1e-300, *(c.sup for c in checks))
+    tol_abs = config.tol * scale
+    direct_dev = max(c.even_direct_dev for c in checks)
+    transform_dev = max(c.even_transform_dev for c in checks)
+    even_ok = direct_dev <= tol_abs and transform_dev <= 2.0 * np.pi * tol_abs
+
+    report: dict = {
+        "scale": scale,
+        "even_transform_dev": transform_dev,
+        "even_direct_dev": direct_dev,
+    }
+    if certify_congruence:
+        report["congruence_residual"] = max(c.congruence.witness.residual
+                                            for c in checks)
+    if not even_ok:
+        return Verdict(OUTCOME_INCONCLUSIVE,
+                       reason=f"even parts differ (direct dev {direct_dev:.3e}, "
+                              f"transform dev {transform_dev:.3e})",
+                       report=report, tol=tol_abs)
     report["odd_sup"] = odd_sup
 
     refl = pole_reflection(pole)
@@ -237,20 +306,7 @@ def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None) -
                        reason="odd parts vanish but a full-function certificate failed",
                        report=report, tol=tol_abs)
 
-    threads = worker_count(config.threads)
-
-    def classify_one(w):
-        # the reflection maps each grid to itself (azimuth half-turn), so the
-        # odd parts come from one sampling pass per function
-        frame = make_frame(pole, w)
-        grid = gauss_grid(frame, n_t=config.n_t, n_azimuth=config.n_azimuth)
-        fo = sample_on_sphere(f, grid).parity()[1]
-        go = sample_on_sphere(g, grid).parity()[1]
-        return classify_direction(fp.odd, gp.odd, frame, config.tol,
-                                  grids=(fo, go), snap_tol=config.snap_tol)
-
-    classifications = _map_ordered(classify_one, list(w_dirs), threads)
-
+    classifications = [c.odd for c in checks]
     outcome, reason = aggregate_labels(classifications, odd_sup, tol_abs)
 
     if outcome == OUTCOME_INCONCLUSIVE and reason == "flip-type registrations present":
@@ -303,9 +359,13 @@ def _assert_pole_diameter(body: Body4, pole, tol: float, who: str) -> DiameterSe
 
 def _admissible_w_sample(pole, diams_k: DiameterSet, diams_l: DiameterSet,
                          config: VerifyConfig):
-    """Working-sphere normals avoiding spheres that contain extra diameters."""
+    """Working-sphere normals avoiding spheres that contain extra diameters.
+
+    Returns (normals, fallback).  When ``diameter_margin`` rejects every
+    sphere of the pool, the unfiltered pool is used and ``fallback`` is True.
+    """
     if config.w_directions is not None:
-        return np.asarray(config.w_directions, dtype=float)
+        return np.asarray(config.w_directions, dtype=float), False
     pool = directions_orthogonal_to(pole, int(config.w_samples * 1.5) + 16)
     extra = [d for d in np.vstack([diams_k.directions, diams_l.directions])
              if abs(float(d @ pole)) < 1.0 - 1e-9]
@@ -315,29 +375,9 @@ def _admissible_w_sample(pole, diams_k: DiameterSet, diams_l: DiameterSet,
             keep.append(w)
         if len(keep) == config.w_samples:
             break
-    return np.asarray(keep if keep else pool[:config.w_samples])
-
-
-def _certify_congruence(f, g, pole, w_dirs, config: VerifyConfig):
-    """Registration of the full restrictions on every sampled sphere.
-
-    Certifies the congruence hypothesis numerically; raises on the first
-    sphere where neither family registers.  Returns the worst residual.
-    """
-    threads = worker_count(config.threads)
-
-    def one(w):
-        c = classify_direction(f, g, make_frame(pole, w), config.tol,
-                               n_t=config.n_t, n_azimuth=config.n_azimuth,
-                               snap_tol=config.snap_tol)
-        return w, c
-
-    worst = 0.0
-    for w, c in _map_ordered(one, list(w_dirs), threads):
-        if c.label == LABEL_NONE:
-            raise CongruenceHypothesisFailed(w, c.witness.residual)
-        worst = max(worst, c.witness.residual)
-    return worst
+    if not keep:
+        return np.asarray(pool[:config.w_samples]), True
+    return np.asarray(keep), False
 
 
 def verify_projection_theorem(K: Body4, L: Body4, pole,
@@ -368,12 +408,10 @@ def verify_projection_theorem(K: Body4, L: Body4, pole,
     Kc = K.translate(-mid_k)
     Lc = L.translate(-mid_l)
 
-    w_dirs = _admissible_w_sample(pole, diams_k, diams_l, config)
-    congruence_residual = _certify_congruence(Kc.support, Lc.support, pole,
-                                              w_dirs, config)
-
+    w_dirs, w_fallback = _admissible_w_sample(pole, diams_k, diams_l, config)
     sub = replace(config, w_directions=tuple(map(tuple, w_dirs)))
-    verdict = decide_functional_equation(Kc.support, Lc.support, pole, sub)
+    verdict = decide_functional_equation(Kc.support, Lc.support, pole, sub,
+                                         certify_congruence=True)
 
     refl = pole_reflection(pole)
     report = dict(verdict.report)
@@ -384,8 +422,8 @@ def verify_projection_theorem(K: Body4, L: Body4, pole,
         "width_at_pole_K": float(K.width(pole)),
         "width_at_pole_L": float(L.width(pole)),
         "width_match_dev": abs(float(K.width(pole)) - float(L.width(pole))),
-        "congruence_residual": congruence_residual,
         "w_sample_size": len(w_dirs),
+        "w_sample_fallback": w_fallback,
     })
 
     translation = None
@@ -429,6 +467,38 @@ def _ground_projection_report(Kc: Body4, Lc: Body4, pole, config: VerifyConfig) 
         "ground_congruent": match is not None,
         "rigid_motion_free": len(syms) == 0,
     }
+
+
+def _choose_alignment(K: Body4, L: Body4, alignments, pole, probe_ws,
+                      config: VerifyConfig):
+    """The translate L + a that registers best against K on the probe spheres.
+
+    Returns (residual, a, L + a, sampled), where ``sampled`` maps each probe
+    index to its (K, L + a) grids.  The probe spheres are the first working
+    spheres, so the decision reuses those grids instead of sampling again.
+    Ties keep the first alignment.
+    """
+    grids = [gauss_grid(make_frame(pole, w), n_t=config.n_t, n_azimuth=config.n_azimuth)
+             for w in probe_ws]
+    k_probes = [sample_on_sphere(K.radial, grid) for grid in grids]
+    best = None
+    for a in alignments:
+        La = L.translate(a)
+        if not La.contains_origin_interior():
+            continue
+        l_probes = [sample_on_sphere(La.radial, grid) for grid in grids]
+        worst = 0.0
+        for kg, lg in zip(k_probes, l_probes):
+            c = classify_direction(None, None, kg.grid.frame, config.tol,
+                                   grids=(kg, lg))
+            worst = max(worst, c.witness.residual)
+        if best is None or worst < best[0]:
+            best = (worst, a, La, dict(enumerate(zip(k_probes, l_probes))))
+    if best is None:
+        raise StarShapednessLost(
+            "no diameter alignment keeps the origin interior; the mixed "
+            "alignment case contradicts the congruence hypotheses")
+    return best
 
 
 def verify_section_theorem(K: Body4, L: Body4, pole,
@@ -475,56 +545,30 @@ def verify_section_theorem(K: Body4, L: Body4, pole,
     a_direct = (float(K.radial(pole)) - float(L.radial(pole))) * pole
     a_reverse = (float(K.radial(-pole)) - float(L.radial(pole))) * pole
 
-    w_dirs = _admissible_w_sample(pole, diams_k, diams_l, config)
-    probe_ws = w_dirs[: min(6, len(w_dirs))]
-
-    def alignment_residual(a):
-        La = L.translate(a)
-        if not La.contains_origin_interior():
-            return np.inf, La
-        worst = 0.0
-        for w in probe_ws:
-            c = classify_direction(K.radial, La.radial, make_frame(pole, w),
-                                   config.tol, n_t=config.n_t,
-                                   n_azimuth=config.n_azimuth)
-            worst = max(worst, c.witness.residual)
-        return worst, La
-
-    res_direct, L_direct = alignment_residual(a_direct)
-    res_reverse, L_reverse = alignment_residual(a_reverse)
-    if not np.isfinite(res_direct) and not np.isfinite(res_reverse):
-        raise StarShapednessLost(
-            "no diameter alignment keeps the origin interior; the mixed "
-            "alignment case contradicts the congruence hypotheses")
-    if res_direct <= res_reverse:
-        a, La, align_res = a_direct, L_direct, res_direct
-    else:
-        a, La, align_res = a_reverse, L_reverse, res_reverse
-
-    congruence_residual = _certify_congruence(K.radial, La.radial, pole,
-                                              w_dirs, config)
-
+    w_dirs, w_fallback = _admissible_w_sample(pole, diams_k, diams_l, config)
+    align_res, a, La, sampled = _choose_alignment(K, L, (a_direct, a_reverse),
+                                                  pole, w_dirs[:6], config)
     sub = replace(config, w_directions=tuple(map(tuple, w_dirs)))
-    verdict = decide_functional_equation(K.radial, La.radial, pole, sub)
+    verdict = decide_functional_equation(K.radial, La.radial, pole, sub,
+                                         certify_congruence=True, sampled=sampled)
 
     report = dict(verdict.report)
     report.update({
         "diameter_length": diams_k.length,
         "alignment": [float(x) for x in a],
         "alignment_residual": align_res,
-        "congruence_residual": congruence_residual,
         "axis_deviation_K": dev_k,
         "axis_deviation_L": dev_l,
         "axis_chord_K": [float(K.radial(pole)), float(K.radial(-pole))],
         "axis_chord_L": [float(L.radial(pole)), float(L.radial(-pole))],
         "w_sample_size": len(w_dirs),
+        "w_sample_fallback": w_fallback,
     })
 
     # K = La  =>  L = K - a;  K = reflect(La)  =>  L = reflect(K) - a
+    # (a is parallel to the pole, so the reflection fixes it)
     translation = None
-    if verdict.outcome in (OUTCOME_EQUAL, OUTCOME_BOTH):
-        translation = -a
-    elif verdict.outcome == OUTCOME_REFLECTED:
+    if verdict.outcome in (OUTCOME_EQUAL, OUTCOME_BOTH, OUTCOME_REFLECTED):
         translation = -a
 
     return Verdict(verdict.outcome, reason=verdict.reason, translation=translation,

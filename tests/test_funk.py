@@ -116,6 +116,22 @@ def test_scalar_only_callable_fallback():
     assert np.max(np.abs(gf.values - 1.0)) < 1e-12
 
 
+def test_library_error_from_batched_call_is_not_retried():
+    fr = random_frame(RNG)
+    grid = gauss_grid(fr, 4, 8)
+
+    def f(p):
+        p = np.asarray(p)
+        if p.ndim > 1:
+            raise NonOrthogonalError("batched input rejected")
+        return float(np.dot(p, p))
+
+    # per point the field succeeds; the batched failure must still surface
+    assert f(grid.points[0, 0]) == pytest.approx(1.0)
+    with pytest.raises(NonOrthogonalError):
+        sample_on_sphere(f, grid)
+
+
 # -- funk transform -----------------------------------------------------------------
 
 

@@ -141,6 +141,15 @@ def test_gauss_nodes_integrate_polynomials():
         assert abs(val - expect) < 1e-13
 
 
+def test_gauss_nodes_cached_read_only():
+    t1, w1 = gauss_latitude_nodes(16)
+    t2, w2 = gauss_latitude_nodes(16)
+    assert t1 is t2 and w1 is w2
+    assert not t1.flags.writeable and not w1.flags.writeable
+    with pytest.raises(ValueError):
+        t1[0] = 0.0
+
+
 def test_gauss_grid_defaults_symmetric():
     fr = random_frame(RNG)
     grid = gauss_grid(fr, 64, 256)

@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from congrulab.bodies import ball, cube, ellipsoid, polytope
 from congrulab.errors import (CongruenceHypothesisFailed, ConfigInvalidError,
                               DegenerateBodyError, DiameterHypothesisFailed)
-from congrulab.funk import compose_with_matrix
+from congrulab.funk import compose_with_matrix, even_parts_equal
 from congrulab.orthogonal import pole_reflection
 from congrulab.registration import Classification
-from congrulab.sphere import complement_basis, random_directions, unit
+from congrulab.sphere import (complement_basis, directions_orthogonal_to,
+                              gauss_latitude_nodes, random_directions, unit)
 from congrulab.verifier import (OUTCOME_BOTH, OUTCOME_EQUAL,
                                 OUTCOME_INCONCLUSIVE, OUTCOME_REFLECTED,
                                 OUTCOME_ZERO_ODD, Verdict, VerifyConfig,
@@ -95,6 +98,55 @@ def test_decide_config_invalid():
                                    POLE, VerifyConfig(tol=-1))
     with pytest.raises(ConfigInvalidError):
         VerifyConfig(n_azimuth=13).validate()
+    # the even parts are compared on the working-sphere grid itself
+    VerifyConfig(n_azimuth=128, circle_nodes=128).validate()
+    with pytest.raises(ConfigInvalidError):
+        VerifyConfig(n_azimuth=128, circle_nodes=128 + 2).validate()
+
+
+def _counting(field):
+    """The field, recording the batch shape of every evaluation."""
+    shapes = []
+
+    def counted(x):
+        x = np.asarray(x, dtype=float)
+        shapes.append(x.shape[:-1])
+        return field(x)
+
+    return counted, shapes
+
+
+def test_decide_samples_each_field_once_per_sphere():
+    base = band_limited_field(97)
+    f, f_shapes = _counting(base)
+    g, g_shapes = _counting(base)
+    cfg = FIELD_CFG
+    v = decide_functional_equation(f, g, POLE, cfg)
+    assert v.outcome == OUTCOME_EQUAL
+    grid_shape = (cfg.n_t, cfg.n_azimuth)
+    for shapes in (f_shapes, g_shapes):
+        grid_points = sum(int(np.prod(s)) for s in shapes if s == grid_shape)
+        assert grid_points == cfg.w_samples * cfg.n_t * cfg.n_azimuth
+        # out of sample: the odd part (a point and its reflection) and the
+        # certificate of the winning relation
+        probe_points = sum(int(np.prod(s)) for s in shapes if s != grid_shape)
+        assert probe_points == 3 * cfg.out_of_sample
+
+
+def test_even_devs_match_reference_check():
+    K = planted_polytope(117, POLE)
+    L = planted_polytope(118, POLE)
+    w_dirs = directions_orthogonal_to(POLE, 8)
+    cfg = VerifyConfig(n_t=16, n_azimuth=64, out_of_sample=256,
+                       w_directions=tuple(map(tuple, w_dirs)))
+    v = decide_functional_equation(K.support, L.support, POLE, cfg)
+    t_nodes, _ = gauss_latitude_nodes(cfg.n_t)
+    ref = even_parts_equal(K.support, L.support, POLE, t_nodes, w_dirs,
+                           circle_nodes=cfg.n_azimuth)
+    assert ref.direct_dev > 0 and ref.transform_dev > 0
+    assert v.report["even_direct_dev"] == ref.direct_dev
+    assert v.report["even_transform_dev"] == ref.transform_dev
+    assert v.report["scale"] == max(ref.f_sup, ref.g_sup)
 
 
 def _cl(alpha=None, label="fix_pole", f_sup=1.0, residual=1e-12):
@@ -141,6 +193,22 @@ def test_projection_planted_translation():
     assert v.outcome == OUTCOME_EQUAL
     assert np.linalg.norm(v.translation - b) <= 1e-6 * 2.0
     assert v.report["width_match_dev"] <= v.tol * 10
+    assert v.report["w_sample_fallback"] is False
+
+
+def test_w_sample_fallback_reported():
+    # a second diameter orthogonal to the pole: a margin of 1 rejects every
+    # working sphere, and the pipeline must say it used the unfiltered pool
+    rng = np.random.default_rng(9)
+    u = complement_basis(POLE)[0]
+    bulk = 0.6 * random_directions(24, rng) * rng.uniform(0.5, 1.0, (24, 1))
+    K = polytope(np.vstack([POLE, -POLE, u, -u, bulk]))
+    L = K.translate(0.1 * unit(RNG.standard_normal(4)))
+    cfg = replace(BODY_CFG, w_samples=8)
+    assert verify_projection_theorem(K, L, POLE, cfg).report["w_sample_fallback"] is False
+    v = verify_projection_theorem(K, L, POLE, replace(cfg, diameter_margin=1.0))
+    assert v.report["w_sample_fallback"] is True
+    assert v.report["w_sample_size"] == cfg.w_samples
 
 
 def test_projection_planted_reflection():
@@ -229,6 +297,7 @@ def test_section_planted_axis_translation():
     # recovered translation is parallel to the pole
     residual = v.translation - (v.translation @ POLE) * POLE
     assert np.linalg.norm(residual) <= 1e-9
+    assert v.report["w_sample_fallback"] is False
 
 
 def test_section_planted_reflection():
