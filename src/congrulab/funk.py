@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +77,17 @@ class GridFunction:
     @property
     def sup(self) -> float:
         return float(np.max(np.abs(self.values)))
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Azimuthal rfft of every ring, shape (n_t, n_azimuth // 2 + 1).
+
+        Computed on first use and kept, so every registration of this grid
+        function shares one transform; read-only like ``values``.
+        """
+        spec = np.fft.rfft(self.values, axis=-1)
+        spec.setflags(write=False)
+        return spec
 
     def ring(self, i_t: int):
         return self.values[i_t]

@@ -47,8 +47,6 @@ class Orthogonal4:
     def transpose(self) -> "Orthogonal4":
         return Orthogonal4(self.matrix.T)
 
-    inverse = transpose
-
     def to_flat(self) -> list:
         """Row-major 16-number list (JSON wire format)."""
         return [float(x) for x in self.matrix.reshape(-1)]

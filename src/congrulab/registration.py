@@ -1,12 +1,15 @@
 """Rotation registration of scalar functions on a working 2-sphere.
 
 Searches the two admissible families: rotations about the pole and
-half-turns about equatorial axes (which reverse the pole).  The squared-L2
-objective over all integer grid shifts reduces to per-ring circular
-cross-correlations (pole rotations) or convolutions between mirrored rings
-(equator flips), both evaluated with FFTs; the winner is refined off-grid by
-minimizing the exact band-limited objective.  Residuals are reported in sup
-norm, matching the pointwise equality being certified.
+half-turns about equatorial axes (which reverse the pole).  Both are circular
+shifts of the azimuth rings, the flips after mirroring the source in latitude
+and azimuth, which on the ring spectra is a conjugation and a reversal of the
+ring order.  By Parseval the squared-L2 objective over shifts is a
+trigonometric polynomial in the angle whose coefficients are the ring-summed
+cross-spectrum: one inverse FFT of it scores every integer shift, and the
+winner is refined off-grid by a safeguarded Newton search on the closed-form
+derivatives.  Residuals are reported in sup norm from one exact resampling
+of the rings, matching the pointwise equality being certified.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import GridMismatchError
 from .funk import GridFunction, sample_on_sphere
@@ -26,6 +28,8 @@ LABEL_FLIP = "flip_pole"
 LABEL_NONE = "none"
 
 SNAP_TOL = 1e-2  # radians: snap recovered pole angles to 0 or pi
+NEWTON_XTOL = 1e-12  # radians: stop once a refinement step is this small
+NEWTON_MAXITER = 64  # bisection alone shrinks the bracket below NEWTON_XTOL
 
 
 @dataclass(frozen=True)
@@ -64,46 +68,67 @@ def _require_same_grid(f: GridFunction, g: GridFunction):
 
 
 class _ShiftObjective:
-    """Exact squared-L2 objective over fractional azimuth shifts.
+    """Squared-L2 objective sum_t sum_j (F_a[t, j] - G[t, j])^2 in closed form.
 
-    Rings are resampled by an FFT phase shift of the precomputed source
-    spectrum, exact for data band-limited below the azimuth Nyquist
-    frequency.
+    ``spec`` is the ring spectrum of the source F, which is f or its mirror
+    image (both have f's sum of squares).  F_a is F shifted by the angle a
+    through a phase shift of its spectrum, exact for data band-limited below
+    the azimuth Nyquist frequency; like irfft, the shift keeps only the real
+    part of the Nyquist bin.  By Parseval, with N = n/2,
+    c = sum_t spec * conj(G spectrum) and P = sum_t spec[t, N]^2,
+
+        obj(a) = |F|^2 + |G|^2 - (P/n) sin^2(N a)
+                 - (2/n) [c_0 + c_N cos(N a) + 2 Re sum_{0<k<N} c_k e^{ika}],
+
+    so every integer shift costs one length-n irfft of c and any angle, with
+    two derivatives, O(n/2).  The sin^2 term vanishes at integer shifts.
     """
 
-    def __init__(self, F: np.ndarray, G: np.ndarray):
-        self.n = F.shape[-1]
-        self.spec = np.fft.rfft(F, axis=-1)
-        self.k = np.arange(self.spec.shape[-1])
-        self.G = G
+    def __init__(self, f: GridFunction, spec: np.ndarray, g: GridFunction):
+        self.n = n = g.grid.n_azimuth
+        self.half = half = n // 2
+        self.spec = spec
+        self.G = g.values
+        c = np.sum(spec * np.conj(g.spectrum), axis=0)
+        total = float(np.sum(f.values * f.values) + np.sum(self.G * self.G))
+        self.curve = total - 2.0 * np.fft.irfft(c, n=n)
+        self.k = np.arange(1, half, dtype=float)
+        self.k2 = self.k * self.k
+        self.c_mid = (4.0 / n) * c[1:half]
+        self.const = total - (2.0 / n) * c[0].real
+        self.c_nyq = (2.0 / n) * c[half].real
+        self.p_nyq = float(np.sum(spec[:, half].real ** 2)) / n
 
-    def resample(self, angle: float) -> np.ndarray:
-        return np.fft.irfft(self.spec * np.exp(1j * self.k * angle),
-                            n=self.n, axis=-1)
+    def taylor(self, angle: float):
+        """(obj, obj', obj'') at ``angle``."""
+        z = self.c_mid * np.exp(1j * self.k * angle)
+        sh, ch = np.sin(self.half * angle), np.cos(self.half * angle)
+        p, c, h = self.p_nyq, self.c_nyq, self.half
+        value = self.const - p * sh * sh - c * ch - float(np.sum(z.real))
+        d1 = h * (c * sh - 2.0 * p * sh * ch) + float(self.k @ z.imag)
+        d2 = h * h * (c * ch - 2.0 * p * (ch * ch - sh * sh)) + float(self.k2 @ z.real)
+        return value, d1, d2
 
     def __call__(self, angle: float) -> float:
-        d = self.resample(angle) - self.G
-        return float(np.sum(d * d))
+        return self.taylor(angle)[0]
+
+    def resample(self, angle: float) -> np.ndarray:
+        k = np.arange(self.spec.shape[-1])
+        return np.fft.irfft(self.spec * np.exp(1j * k * angle), n=self.n, axis=-1)
 
     def sup(self, angle: float) -> float:
         return float(np.max(np.abs(self.resample(angle) - self.G)))
 
 
-def _mirror_rings(f: GridFunction) -> np.ndarray:
-    """Values reindexed to (ring -t, azimuth -phi); needs symmetric latitudes."""
+def _mirrored_spectrum(f: GridFunction) -> np.ndarray:
+    """Ring spectrum of f reindexed to (ring -t, azimuth -phi).
+
+    Reversing a real ring's azimuths conjugates its rfft, so this needs no
+    transform beyond f's own; latitudes must be symmetric about 0.
+    """
     grid = f.grid
     order = [grid.mirror_index(i) for i in range(grid.n_t)]
-    mirrored = f.values[order]
-    return np.concatenate([mirrored[:, :1], mirrored[:, :0:-1]], axis=1)
-
-
-def _objective_curve_rotation(F: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """obj(s) = sum_rings sum_j (F[t, j+s] - G[t, j])^2 for all integer shifts."""
-    n = F.shape[-1]
-    sf = np.fft.rfft(F, axis=-1)
-    sg = np.fft.rfft(G, axis=-1)
-    corr = np.fft.irfft(sf * np.conj(sg), n=n, axis=-1).sum(axis=0)
-    return float(np.sum(F * F) + np.sum(G * G)) - 2.0 * corr
+    return np.conj(f.spectrum[order])
 
 
 def _parabolic_step(curve: np.ndarray, s: int) -> float:
@@ -119,14 +144,38 @@ def _is_flat(curve: np.ndarray) -> bool:
     return float(curve.max() - curve.min()) <= 1e-12 * max(1.0, float(curve.max()))
 
 
-def _refine(curve, objective, s0: int, n: int) -> float:
-    """Parabolic sub-grid estimate followed by exact bracketed minimization."""
-    delta = _parabolic_step(curve, s0)
-    a0 = 2.0 * np.pi * (s0 + delta) / n
-    span = 2.0 * np.pi / n
-    res = minimize_scalar(objective, bounds=(a0 - span, a0 + span),
-                          method="bounded", options={"xatol": 1e-12, "maxiter": 200})
-    return float(res.x) if res.fun <= objective(a0) else a0
+def _newton(objective: _ShiftObjective, a0: float) -> float:
+    """Minimize the objective on a0 +- 2*pi/n by safeguarded Newton.
+
+    The sign of obj' shrinks the bracket; a step that leaves it, or a
+    non-positive curvature, is replaced by bisection.  The search stops at
+    the first step, of either kind, no longer than NEWTON_XTOL.
+    """
+    span = 2.0 * np.pi / objective.n
+    lo, hi = a0 - span, a0 + span
+    a = a0
+    for _ in range(NEWTON_MAXITER):
+        _, d1, d2 = objective.taylor(a)
+        if d1 > 0.0:
+            hi = a
+        else:
+            lo = a
+        nxt = a - d1 / d2 if d2 > 0.0 else np.inf
+        # a converged step may round onto the bracket end it started from
+        if not (lo < nxt < hi or abs(nxt - a) <= NEWTON_XTOL):
+            nxt = 0.5 * (lo + hi)
+        step, a = abs(nxt - a), nxt
+        if step <= NEWTON_XTOL:
+            break
+    return a
+
+
+def _refine(objective: _ShiftObjective, s0: int) -> float:
+    """Parabolic sub-grid estimate followed by the Newton search."""
+    n = objective.n
+    a0 = 2.0 * np.pi * (s0 + _parabolic_step(objective.curve, s0)) / n
+    a = _newton(objective, a0)
+    return a if objective(a) <= objective(a0) else a0
 
 
 def _local_minima(curve: np.ndarray):
@@ -135,15 +184,16 @@ def _local_minima(curve: np.ndarray):
     return np.nonzero((curve <= left) & (curve <= right))[0]
 
 
-def _collect_ties(curve, objective, to_param, best_param, n, tie_tol, period, n_points):
+def _collect_ties(objective: _ShiftObjective, to_param, best_param, tie_tol, period):
     """Other local minima whose refined sup-residual also falls under tie_tol.
 
     Local minima are pre-filtered by the integer-shift objective (an rms
     bound), so non-degenerate data costs no extra refinement work.
     """
+    curve, n = objective.curve, objective.n
     if tie_tol is None or _is_flat(curve):
         return ()
-    obj_cap = 4.0 * max(float(curve.min()), n_points * tie_tol * tie_tol)
+    obj_cap = 4.0 * max(float(curve.min()), objective.G.size * tie_tol * tie_tol)
 
     def separated(a, b):
         return abs((a - b + period / 2) % period - period / 2) > 2.5 * period / n
@@ -155,11 +205,9 @@ def _collect_ties(curve, objective, to_param, best_param, n, tie_tol, period, n_
         a0 = 2.0 * np.pi * (s + _parabolic_step(curve, s)) / n
         if not separated(to_param(a0), best_param):
             continue
-        span = 2.0 * np.pi / n
-        res = minimize_scalar(objective, bounds=(a0 - span, a0 + span),
-                              method="bounded", options={"xatol": 1e-10, "maxiter": 100})
-        refined = to_param(float(res.x))
-        if (objective.sup(float(res.x)) <= tie_tol and separated(refined, best_param)
+        a = _newton(objective, a0)
+        refined = to_param(a)
+        if (objective.sup(a) <= tie_tol and separated(refined, best_param)
                 and all(separated(refined, t) for t in ties)):
             ties.append(refined)
     return tuple(sorted(ties))
@@ -169,27 +217,25 @@ def register_pole_rotation(f: GridFunction, g: GridFunction,
                            tie_check_tol: float | None = None) -> RotationWitness:
     """Best rotation about the pole with f(rot x) ~= g(x) on the grid.
 
-    All integer azimuth shifts are scored via per-ring circular correlation;
-    the best is refined by minimizing the exact resampled objective.  Flat
-    objectives (zonal data) tie-break to angle 0.
+    All integer azimuth shifts are scored from the ring-summed
+    cross-spectrum; the best is refined by Newton on the closed-form
+    objective.  Flat objectives (zonal data) tie-break to angle 0.
     """
     _require_same_grid(f, g)
-    F, G = f.values, g.values
     n = f.grid.n_azimuth
-    curve = _objective_curve_rotation(F, G)
-    objective = _ShiftObjective(F, G)
+    objective = _ShiftObjective(f, f.spectrum, g)
+    curve = objective.curve
     if _is_flat(curve):
         s0, angle = 0, 0.0
     else:
         s0 = int(np.argmin(curve))
-        angle = _refine(curve, objective, s0, n) % (2.0 * np.pi)
+        angle = _refine(objective, s0) % (2.0 * np.pi)
     witness = RotationWitness(
         frame=f.grid.frame, kind=FIX_POLE, parameter=angle,
         residual=objective.sup(angle),
         coarse_parameter=2.0 * np.pi * s0 / n,
         tied_parameters=_collect_ties(
-            curve, objective, lambda a: a % (2.0 * np.pi), angle, n,
-            tie_check_tol, 2.0 * np.pi, F.size))
+            objective, lambda a: a % (2.0 * np.pi), angle, tie_check_tol, 2.0 * np.pi))
     return witness
 
 
@@ -204,17 +250,15 @@ def register_pole_flip(f: GridFunction, g: GridFunction,
     reported in [0, pi) (an axis and its antipode are the same rotation).
     """
     _require_same_grid(f, g)
-    Fm = _mirror_rings(f)
-    G = g.values
     n = f.grid.n_azimuth
-    curve = _objective_curve_rotation(Fm, G)
-    objective = _ShiftObjective(Fm, G)
+    objective = _ShiftObjective(f, _mirrored_spectrum(f), g)
+    curve = objective.curve
     to_beta = lambda a: (-0.5 * a) % np.pi
     if _is_flat(curve):
         s0, angle = 0, 0.0
     else:
         s0 = int(np.argmin(curve))
-        angle = _refine(curve, objective, s0, n)
+        angle = _refine(objective, s0)
     beta = to_beta(angle)
     if beta > np.pi - 1e-12:
         beta = 0.0
@@ -222,8 +266,7 @@ def register_pole_flip(f: GridFunction, g: GridFunction,
         frame=f.grid.frame, kind=FLIP_POLE, parameter=beta,
         residual=objective.sup(angle),
         coarse_parameter=to_beta(2.0 * np.pi * s0 / n),
-        tied_parameters=_collect_ties(
-            curve, objective, to_beta, beta, n, tie_check_tol, np.pi, Fm.size))
+        tied_parameters=_collect_ties(objective, to_beta, beta, tie_check_tol, np.pi))
     return witness
 
 

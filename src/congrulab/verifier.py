@@ -41,10 +41,16 @@ def worker_count(requested: int | None = None) -> int:
     if requested is not None:
         return max(1, int(requested))
     env = os.environ.get("CONGRULAB_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
+    if not env:
         return 1
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ConfigInvalidError(
+            f"CONGRULAB_THREADS must be an integer >= 1, got {env!r}")
+    return count
 
 
 def _map_ordered(fn, items, threads: int):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congrulab.errors import AsymmetricRingsError, GridMismatchError
-from congrulab.funk import compose_with_matrix, sample_on_sphere
+from congrulab.funk import GridFunction, compose_with_matrix, sample_on_sphere
 from congrulab.orthogonal import equator_flip, pole_reflection, pole_rotation
 from congrulab.registration import (LABEL_FIX, LABEL_FLIP, LABEL_NONE,
+                                    _mirrored_spectrum, _ShiftObjective,
                                     classify_direction,
                                     classifications_to_csv,
                                     find_equator_flip_symmetry,
@@ -159,6 +162,64 @@ def test_registration_recovery_random_family():
             assert wrap_err(wit.coarse_parameter, beta, np.pi) <= np.pi / 256
             assert wrap_err(wit.parameter, beta, np.pi) < 1e-3
         assert wit.residual <= 1e-8
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(frame_seed=st.integers(0, 2**32 - 1), field_seed=st.integers(0, 2**32 - 1),
+       angle=st.floats(0.0, 2 * np.pi, exclude_max=True),
+       beta=st.floats(0.0, np.pi, exclude_max=True))
+def test_registration_recovers_planted_parameter(frame_seed, field_seed, angle, beta):
+    frame = random_frame(np.random.default_rng(frame_seed))
+    grid = gauss_grid(frame, 8, 128)
+    f = band_limited_field(field_seed)
+    F = sample_on_sphere(f, grid)
+    g = compose_with_matrix(f, pole_rotation(frame, angle).matrix.matrix)
+    wit = register_pole_rotation(F, sample_on_sphere(g, grid))
+    assert wrap_err(wit.parameter, angle, 2 * np.pi) < 1e-12
+    g = compose_with_matrix(f, equator_flip(frame, beta).matrix.matrix)
+    wit = register_pole_flip(F, sample_on_sphere(g, grid))
+    assert wrap_err(wit.parameter, beta, np.pi) < 1e-12
+
+
+def _mirror_rings(values):
+    """Explicit (ring -t, azimuth -phi) reindexing on symmetric latitudes."""
+    mirrored = values[::-1]
+    return np.concatenate([mirrored[:, :1], mirrored[:, :0:-1]], axis=1)
+
+
+@pytest.mark.parametrize("family", ["rotation", "flip"])
+def test_closed_form_objective_identity(family):
+    # white-noise rings: not band-limited, with content in the Nyquist bin
+    rng = np.random.default_rng(17)
+    grid = gauss_grid(FR, 6, 32)
+    f = GridFunction(grid, rng.standard_normal((6, 32)))
+    g = GridFunction(grid, rng.standard_normal((6, 32)))
+    F = f.values
+    if family == "flip":
+        F = _mirror_rings(f.values)
+        spec = _mirrored_spectrum(f)
+        assert np.max(np.abs(spec - np.fft.rfft(F, axis=-1))) < 1e-12 * np.max(np.abs(spec))
+    else:
+        spec = f.spectrum
+    assert np.max(np.abs(spec[:, -1])) > 0.1
+    obj = _ShiftObjective(f, spec, g)
+
+    def direct(a):
+        return float(np.sum((obj.resample(a) - g.values) ** 2))
+
+    h = 1e-5
+    for a in rng.uniform(0.0, 2 * np.pi, 8):
+        value, d1, d2 = obj.taylor(a)
+        assert value == pytest.approx(direct(a), rel=1e-12, abs=0)
+        assert d1 == pytest.approx((direct(a + h) - direct(a - h)) / (2 * h), rel=1e-5)
+        assert d2 == pytest.approx((direct(a + h) - 2 * direct(a) + direct(a - h)) / h ** 2,
+                                   rel=1e-4)
+    cross = np.fft.rfft(F, axis=-1) * np.conj(np.fft.rfft(g.values, axis=-1))
+    per_ring = np.fft.irfft(cross, n=32, axis=-1).sum(axis=0)
+    reference = np.sum(F * F) + np.sum(g.values ** 2) - 2.0 * per_ring
+    np.testing.assert_allclose(obj.curve, reference, rtol=1e-12, atol=0)
+    for s in range(32):
+        assert direct(2 * np.pi * s / 32) == pytest.approx(obj.curve[s], rel=1e-12, abs=0)
 
 
 def test_residual_invariant_under_simultaneous_rotation():

@@ -332,7 +332,15 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() == 4
     assert worker_count(2) == 2
     monkeypatch.setenv("CONGRULAB_THREADS", "not-a-number")
-    assert worker_count() == 1
+    with pytest.raises(ConfigInvalidError, match="CONGRULAB_THREADS.*not-a-number"):
+        worker_count()
+
+
+def test_worker_count_env_below_one(monkeypatch):
+    from congrulab.verifier import worker_count
+    monkeypatch.setenv("CONGRULAB_THREADS", "0")
+    with pytest.raises(ConfigInvalidError, match="CONGRULAB_THREADS.*'0'"):
+        worker_count()
 
 
 def test_threaded_run_matches_serial():
