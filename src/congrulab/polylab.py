@@ -2,11 +2,14 @@
 smooth bodies, 3D shadows of 4D polytopes, rigid-motion symmetry detection,
 and perturbation to symmetry-free polytopes.
 
-Symmetry search prunes candidate vertex maps by centroid distance classes
-and pairwise-distance signatures, solves for the unique orthogonal map from
-a well-conditioned vertex triple, and verifies the defining equation on all
-vertices; an exhaustive permutation search stays available in the tests as
-the oracle for small vertex counts.
+One generator, ``_rigid_maps``, answers every symmetry and congruence
+question.  It prunes candidate vertex triples by centroid distance and
+pairwise-distance signatures, solves for the unique map from each triple
+onto a fixed well-conditioned base triple, keeps the near-orthogonal ones,
+and yields each map's nearest-image vertex permutation with its residual.
+Symmetry detection, the asymmetry margin and congruence matching are
+filters over those maps.  An exhaustive permutation search stays available
+in the tests as the oracle for small vertex counts.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from scipy.spatial import ConvexHull
 from .bodies import Body4, PolytopeShape, polytope
 from .errors import (BudgetExhaustedError, DegenerateProjectionError,
                      InsufficientDataError, TooFewVerticesError)
-from .sphere import random_directions, unit
+from .sphere import random_directions
 
 
 # -- Hausdorff distance -------------------------------------------------------
@@ -199,90 +202,89 @@ def _distance_signatures(X: np.ndarray) -> np.ndarray:
     return np.sort(d, axis=1)
 
 
-def _base_triple(X: np.ndarray):
-    """Indices of a well-conditioned linearly independent vertex triple."""
-    norms = np.linalg.norm(X, axis=1)
-    i1 = int(np.argmax(norms))
-    cross = np.linalg.norm(np.cross(X[i1][None, :], X), axis=1)
-    i2 = int(np.argmax(cross))
-    vols = np.abs(X @ np.cross(X[i1], X[i2]))
-    i3 = int(np.argmax(vols))
-    if vols[i3] < 1e-12 * max(1.0, norms[i1] ** 3):
-        raise DegenerateProjectionError("vertex set is flat")
-    return i1, i2, i3
+def _rigid_maps(X: np.ndarray, Y: np.ndarray, prune_tol: float):
+    """Yield (phi, perm, residual) for linear maps phi sending X onto Y.
 
-
-def _candidate_maps(X: np.ndarray, tol: float):
-    """Yield orthogonal candidates phi from signature-compatible vertex triples."""
+    X and Y are centred vertex arrays of equal length.  Each phi maps a
+    vertex triple of X exactly onto a fixed well-conditioned base triple of
+    Y; preimage candidates are pruned by centroid distance (4 prune_tol),
+    distance signature and pairwise distances (8 prune_tol), and phi must be
+    orthogonal to 1e-6.  perm is the nearest-image assignment,
+    phi X[perm[i]] ~= Y[i], yielded only when it is a bijection; residual is
+    its largest distance.  A triple is ill-conditioned when its determinant
+    is below 1e-12 scale^3, scale the largest vertex norm of Y.
+    """
     m = len(X)
-    norms = np.linalg.norm(X, axis=1)
-    sig = _distance_signatures(X)
-    scale = max(float(norms.max()), 1e-300)
-    i1, i2, i3 = _base_triple(X)
-    S = np.column_stack([X[i1], X[i2], X[i3]])
+    normsX, normsY = np.linalg.norm(X, axis=1), np.linalg.norm(Y, axis=1)
+    sigX, sigY = _distance_signatures(X), _distance_signatures(Y)
+    floor = 1e-12 * float(normsY.max()) ** 3
+    i1 = int(np.argmax(normsY))
+    i2 = int(np.argmax(np.linalg.norm(np.cross(Y[i1][None, :], Y), axis=1)))
+    vols = np.abs(Y @ np.cross(Y[i1], Y[i2]))
+    i3 = int(np.argmax(vols))
+    if vols[i3] <= floor:
+        raise DegenerateProjectionError("vertex set is flat")
+    base = np.column_stack([Y[i1], Y[i2], Y[i3]])
 
     def compatible(i):
         return [j for j in range(m)
-                if abs(norms[j] - norms[i]) <= 4 * tol
-                and np.max(np.abs(sig[j] - sig[i])) <= 8 * tol]
+                if abs(normsX[j] - normsY[i]) <= 4 * prune_tol
+                and np.max(np.abs(sigX[j] - sigY[i])) <= 8 * prune_tol]
 
-    cand1, cand2, cand3 = compatible(i1), compatible(i2), compatible(i3)
-    d12, d13, d23 = (np.linalg.norm(X[i1] - X[i2]), np.linalg.norm(X[i1] - X[i3]),
-                     np.linalg.norm(X[i2] - X[i3]))
-    for p1, p2, p3 in product(cand1, cand2, cand3):
+    d12, d13, d23 = (np.linalg.norm(Y[i1] - Y[i2]), np.linalg.norm(Y[i1] - Y[i3]),
+                     np.linalg.norm(Y[i2] - Y[i3]))
+    for p1, p2, p3 in product(compatible(i1), compatible(i2), compatible(i3)):
         if len({p1, p2, p3}) < 3:
             continue
-        if abs(np.linalg.norm(X[p1] - X[p2]) - d12) > 8 * tol:
+        if (abs(np.linalg.norm(X[p1] - X[p2]) - d12) > 8 * prune_tol
+                or abs(np.linalg.norm(X[p1] - X[p3]) - d13) > 8 * prune_tol
+                or abs(np.linalg.norm(X[p2] - X[p3]) - d23) > 8 * prune_tol):
             continue
-        if abs(np.linalg.norm(X[p1] - X[p3]) - d13) > 8 * tol:
-            continue
-        if abs(np.linalg.norm(X[p2] - X[p3]) - d23) > 8 * tol:
-            continue
-        # phi maps the preimage triple onto the base triple
         T = np.column_stack([X[p1], X[p2], X[p3]])
-        if abs(np.linalg.det(T)) < 1e-12 * scale ** 3:
+        if abs(np.linalg.det(T)) < floor:
             continue
-        phi = S @ np.linalg.inv(T)
+        phi = base @ np.linalg.inv(T)
         if np.max(np.abs(phi.T @ phi - np.eye(3))) > 1e-6:
             continue
-        yield phi
+        d = np.linalg.norm(Y[:, None, :] - (X @ phi.T)[None, :, :], axis=-1)
+        perm = np.argmin(d, axis=1)
+        if len(set(perm.tolist())) != m:
+            continue
+        yield phi, tuple(int(p) for p in perm), float(np.max(d[np.arange(m), perm]))
 
 
-def _permutation_for(X: np.ndarray, phi: np.ndarray, tol: float):
-    """Vertex permutation realized by phi, or None: phi X[perm[i]] ~= X[i]."""
-    images = X @ phi.T
-    d = np.linalg.norm(X[:, None, :] - images[None, :, :], axis=-1)
-    perm = np.argmin(d, axis=1)
-    if len(set(perm.tolist())) != len(X):
-        return None, np.inf
-    worst = float(np.max(d[np.arange(len(X)), perm]))
-    return (tuple(int(p) for p in perm), worst) if worst <= tol else (None, worst)
+def _symmetry_scan(Q: Polytope3, tol: float, prune_tol: float):
+    """(symmetries within tol, smallest nonidentity residual) from one scan.
 
-
-def detect_rigid_symmetries(Q: Polytope3, tol: float = 1e-8):
-    """All nonidentity rigid motions mapping the shadow onto itself.
-
-    Centers at the vertex centroid (any symmetry preserves it), prunes
-    candidate maps by distance signatures, solves each candidate from a
-    vertex triple, and keeps those that realize a full vertex permutation.
-    Every returned record is re-verified on the raw vertices.
+    Centers at the vertex centroid (any symmetry preserves it).  Maps within
+    1e-8 of the identity are skipped, symmetries are deduplicated by
+    permutation, and each record is re-verified on the raw vertices.
     """
     V = np.asarray(Q.vertices, dtype=float)
     if len(V) < 4:
         raise TooFewVerticesError("need at least 4 vertices")
     c = V.mean(axis=0)
     X = V - c
-    found = {}
-    for phi in _candidate_maps(X, tol):
-        perm, _ = _permutation_for(X, phi, tol)
-        if perm is None or np.max(np.abs(phi - np.eye(3))) <= 1e-8:
+    found, margin = {}, np.inf
+    for phi, perm, residual in _rigid_maps(X, X, prune_tol):
+        if np.max(np.abs(phi - np.eye(3))) <= 1e-8:
             continue
-        if perm not in found:
-            shift = c - phi @ c
-            rec = SymmetryRecord(phi=phi, shift=shift, permutation=perm)
+        margin = min(margin, residual)
+        if residual <= tol and perm not in found:
+            rec = SymmetryRecord(phi=phi, shift=c - phi @ c, permutation=perm)
             if rec.verify(V, tol):
                 found[perm] = rec
-    return list(found.values())
+    return list(found.values()), margin
+
+
+def detect_rigid_symmetries(Q: Polytope3, tol: float = 1e-8):
+    """All nonidentity rigid motions mapping the shadow onto itself.
+
+    Candidate maps come from vertex triples pruned at tol and are kept when
+    they realize a full vertex permutation within tol.  Every returned record
+    is re-verified on the raw vertices.
+    """
+    return _symmetry_scan(Q, tol, tol)[0]
 
 
 def asymmetry_margin(Q: Polytope3, tol: float = 1e-8) -> float:
@@ -290,23 +292,9 @@ def asymmetry_margin(Q: Polytope3, tol: float = 1e-8) -> float:
 
     A large margin certifies that no rigid motion symmetry is anywhere near;
     returns inf when no candidate map at all survives the orthogonality
-    screen.
+    screen.  Candidates are pruned at max(tol, 1e-6).
     """
-    V = np.asarray(Q.vertices, dtype=float)
-    if len(V) < 4:
-        raise TooFewVerticesError("need at least 4 vertices")
-    X = V - V.mean(axis=0)
-    best = np.inf
-    for phi in _candidate_maps(X, max(tol, 1e-6)):
-        if np.max(np.abs(phi - np.eye(3))) <= 1e-8:
-            continue
-        images = X @ phi.T
-        d = np.linalg.norm(X[:, None, :] - images[None, :, :], axis=-1)
-        perm = np.argmin(d, axis=1)
-        if len(set(perm.tolist())) != len(X):
-            continue
-        best = min(best, float(np.max(d[np.arange(len(X)), perm])))
-    return best
+    return _symmetry_scan(Q, tol, max(tol, 1e-6))[1]
 
 
 def match_congruent(Q1: Polytope3, Q2: Polytope3, tol: float = 1e-8,
@@ -317,46 +305,9 @@ def match_congruent(Q1: Polytope3, Q2: Polytope3, tol: float = 1e-8,
     if len(A) != len(B) or len(A) < 4:
         return None
     ca, cb = A.mean(axis=0), B.mean(axis=0)
-    X, Y = A - ca, B - cb
-    # search maps from X triples onto a fixed well-conditioned Y triple
-    i1, i2, i3 = _base_triple(Y)
-    T_target = np.column_stack([Y[i1], Y[i2], Y[i3]])
-    normsX = np.linalg.norm(X, axis=1)
-    normsY = np.linalg.norm(Y, axis=1)
-    sigX = _distance_signatures(X)
-    sigY = _distance_signatures(Y)
-
-    def compatible(i):
-        return [j for j in range(len(X))
-                if abs(normsX[j] - normsY[i]) <= 4 * tol
-                and np.max(np.abs(sigX[j] - sigY[i])) <= 8 * tol]
-
-    d12 = np.linalg.norm(Y[i1] - Y[i2])
-    d13 = np.linalg.norm(Y[i1] - Y[i3])
-    d23 = np.linalg.norm(Y[i2] - Y[i3])
-    for p1, p2, p3 in product(compatible(i1), compatible(i2), compatible(i3)):
-        if len({p1, p2, p3}) < 3:
-            continue
-        if (abs(np.linalg.norm(X[p1] - X[p2]) - d12) > 8 * tol
-                or abs(np.linalg.norm(X[p1] - X[p3]) - d13) > 8 * tol
-                or abs(np.linalg.norm(X[p2] - X[p3]) - d23) > 8 * tol):
-            continue
-        S = np.column_stack([X[p1], X[p2], X[p3]])
-        if abs(np.linalg.det(S)) < 1e-14:
-            continue
-        phi = T_target @ np.linalg.inv(S)
-        if np.max(np.abs(phi.T @ phi - np.eye(3))) > 1e-6:
-            continue
-        if proper_only and np.linalg.det(phi) < 0:
-            continue
-        images = X @ phi.T
-        d = np.linalg.norm(Y[:, None, :] - images[None, :, :], axis=-1)
-        perm = np.argmin(d, axis=1)
-        if len(set(perm.tolist())) != len(X):
-            continue
-        if float(np.max(d[np.arange(len(X)), perm])) <= tol:
-            shift = cb - phi @ ca
-            return phi, shift, tuple(int(p) for p in perm)
+    for phi, perm, residual in _rigid_maps(A - ca, B - cb, tol):
+        if residual <= tol and not (proper_only and np.linalg.det(phi) < 0):
+            return phi, cb - phi @ ca, perm
     return None
 
 
@@ -389,9 +340,9 @@ def _vertex_diameter(V: np.ndarray) -> float:
 def _sampled_symmetry_state(P: Body4, bases, tol: float):
     records = []
     for basis in bases:
-        Q = project_polytope(P, basis)
-        syms = detect_rigid_symmetries(Q, tol)
-        margin = asymmetry_margin(Q, tol)
+        # the margin's wider prune admits every candidate that pruning at tol
+        # admits, so no symmetry within tol is missed
+        syms, margin = _symmetry_scan(project_polytope(P, basis), tol, max(tol, 1e-6))
         records.append({"basis": basis, "symmetries": len(syms),
                         "min_symmetry_residual": margin})
     return records

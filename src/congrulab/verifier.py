@@ -16,8 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bodies import (Body4, DiameterSet, PolytopeShape, diameter_segment,
-                     find_diameters)
+from .bodies import Body4, DiameterSet, diameter_segment, find_diameters
 from .errors import (CongruenceHypothesisFailed, ConfigInvalidError,
                      DiameterHypothesisFailed, StarShapednessLost)
 from .funk import compose_with_matrix, parity_decompose, sample_on_sphere
@@ -81,7 +80,6 @@ class VerifyConfig:
     snap_tol: float = 1e-2
     diameter_margin: float = 0.05
     out_of_sample: int = 2048
-    use_ground_projection: bool = True
     w_directions: tuple | None = None   # explicit working-sphere normals (testing)
 
     def validate(self):
@@ -433,46 +431,14 @@ def verify_projection_theorem(K: Body4, L: Body4, pole,
     })
 
     translation = None
-    if verdict.outcome == OUTCOME_EQUAL:
+    if verdict.outcome in (OUTCOME_EQUAL, OUTCOME_BOTH):
         translation = mid_l - mid_k
     elif verdict.outcome == OUTCOME_REFLECTED:
         translation = mid_l - refl.apply(mid_k)
-    elif verdict.outcome == OUTCOME_BOTH:
-        translation = mid_l - mid_k
-        if (config.use_ground_projection
-                and isinstance(K.shape, PolytopeShape)
-                and isinstance(L.shape, PolytopeShape)):
-            report["ground_projection"] = _ground_projection_report(
-                Kc, Lc, pole, config)
 
     return Verdict(verdict.outcome, reason=verdict.reason, translation=translation,
                    classifications=verdict.classifications, report=report,
                    tol=verdict.tol)
-
-
-def _ground_projection_report(Kc: Body4, Lc: Body4, pole, config: VerifyConfig) -> dict:
-    """Shadows on the pole's orthogonal hyperplane: symmetry and congruence data.
-
-    For reflection-symmetric bodies the ground shadows are centrally
-    symmetric, so this clause cannot single out one relation; the data is
-    reported for completeness.
-    """
-    from .polylab import detect_rigid_symmetries, match_congruent, project_polytope
-    from .sphere import complement_basis
-    basis = complement_basis(pole)
-    try:
-        qk = project_polytope(Kc, basis)
-        ql = project_polytope(Lc, basis)
-    except Exception as exc:
-        return {"error": str(exc)}
-    tol = config.tol * max(1.0, float(np.max(np.abs(qk.vertices))))
-    syms = detect_rigid_symmetries(qk, tol)
-    match = match_congruent(qk, ql, tol)
-    return {
-        "ground_symmetries_K": len(syms),
-        "ground_congruent": match is not None,
-        "rigid_motion_free": len(syms) == 0,
-    }
 
 
 def _choose_alignment(K: Body4, L: Body4, alignments, pole, probe_ws,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congrulab.bodies import (Body4, BumpShape, BumpTerm, EllipsoidShape, ball,
                               cube, ellipsoid, polytope)
@@ -193,9 +195,44 @@ def test_symmetry_conjugation_equivariance():
         assert min(np.max(np.abs(phi - s.phi)) for s in syms_r) < 1e-8
 
 
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(4, 7),
+       kind=st.sampled_from(["none", "point_reflection", "half_turn"]))
+def test_symmetries_match_brute_force_on_random_sets(seed, size, kind):
+    # a generic set, or one symmetrised by an involution: pairs (p, R p) plus,
+    # for an odd size, one point fixed by R (the centre, or a point on the axis)
+    rng = np.random.default_rng(seed)
+    if kind == "none":
+        V = rng.standard_normal((size, 3))
+    elif kind == "point_reflection":
+        # three pairs are needed to span R^3
+        pairs = rng.standard_normal((3, 3))
+        V = np.vstack([pairs, -pairs] + [np.zeros((1, 3))] * (size % 2))
+    else:
+        axis = unit(rng.standard_normal(3))
+        pairs = rng.standard_normal((size // 2, 3))
+        R = 2 * np.outer(axis, axis) - np.eye(3)
+        V = np.vstack([pairs, pairs @ R.T] + [rng.standard_normal() * axis[None, :]] * (size % 2))
+    V = V + rng.standard_normal(3)
+    got = {rec.permutation for rec in
+           detect_rigid_symmetries(Polytope3(vertices=V, basis=ID_BASIS), 1e-8)}
+    assert got == {perm for perm, _ in brute_force_symmetries(V, 1e-8)}
+    assert bool(got) == (kind != "none")
+
+
 def test_too_few_vertices():
     with pytest.raises(TooFewVerticesError):
         detect_rigid_symmetries(Polytope3(vertices=TETRA[:3], basis=ID_BASIS), 1e-8)
+
+
+@pytest.mark.parametrize("V", [np.zeros((4, 3)), TETRA * np.array([1.0, 1.0, 0.0])],
+                         ids=["coincident", "planar"])
+def test_flat_vertex_set_raises(V):
+    Q = Polytope3(vertices=V, basis=ID_BASIS)
+    for search in (detect_rigid_symmetries, asymmetry_margin,
+                   lambda Q: match_congruent(Q, Q)):
+        with pytest.raises(DegenerateProjectionError):
+            search(Q)
 
 
 def test_match_congruent_recovers_motion():
@@ -216,6 +253,38 @@ def test_match_congruent_recovers_motion():
                            1e-8) is None
 
 
+def test_match_congruent_mirror_image_needs_improper_map():
+    rng = np.random.default_rng(13)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] *= -1
+    V = skew_tetra()
+    W = (V * np.array([-1.0, 1.0, 1.0])) @ q.T + np.array([0.3, 0.7, -0.5])
+    Q1, Q2 = Polytope3(vertices=V, basis=ID_BASIS), Polytope3(vertices=W, basis=ID_BASIS)
+    assert match_congruent(Q1, Q2, 1e-8) is None
+    phi, a, perm = match_congruent(Q1, Q2, 1e-8, proper_only=False)
+    assert np.linalg.det(phi) < 0
+    assert np.max(np.linalg.norm(V[list(perm)] @ phi.T + a - W, axis=1)) <= 1e-8
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1e-2, 1.0, 1e3])
+def test_symmetry_search_is_scale_free(scale):
+    # the degeneracy rules are relative to the vertex scale, so a scaled copy
+    # keeps its symmetries and congruences at a tolerance scaled with it
+    tol = 1e-8 * scale
+    V = CUBE3 * scale
+    assert len(detect_rigid_symmetries(Polytope3(vertices=V, basis=ID_BASIS), tol)) == 47
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] *= -1
+    W = V @ q.T + scale * np.array([0.4, -0.2, 0.9])
+    phi, a, perm = match_congruent(Polytope3(vertices=V, basis=ID_BASIS),
+                                   Polytope3(vertices=W, basis=ID_BASIS), tol)
+    assert np.max(np.linalg.norm(V[list(perm)] @ phi.T + a - W, axis=1)) <= tol
+    shadow = project_polytope(cube(scale), random_subspace_bases(1, seed=2)[0])
+    assert len(detect_rigid_symmetries(shadow, tol)) == 1
+
+
 # -- perturbation ---------------------------------------------------------------------
 
 
@@ -231,6 +300,11 @@ def test_perturb_cube_to_asymmetric():
         if len(Q.vertices) <= 8:
             assert len(brute_force_symmetries(Q.vertices, 1e-8)) == 0
         assert detect_rigid_symmetries(Q, 1e-8) == []
+    # the certificate's single scan agrees with the public search functions
+    for s in cert.subspaces:
+        Q = project_polytope(P2, s["basis"])
+        assert s["symmetries"] == len(detect_rigid_symmetries(Q, 1e-8))
+        assert s["min_symmetry_residual"] == asymmetry_margin(Q, 1e-8)
     d = hausdorff_distance(cube(), P2, n_sample=4096)
     assert d <= 1e-2 * diam + 1e-12
 
