@@ -14,8 +14,8 @@ from .polylab import (Polytope3, SymmetryRecord, approximation_rate,
                       inscribe_polytope, match_congruent, perturb_to_asymmetric,
                       project_polytope, random_subspace_bases)
 from .registration import (Classification, RotationWitness, classify_direction,
-                           find_equator_flip_symmetry, has_pole_rotation_symmetry,
-                           register_pole_flip, register_pole_rotation)
+                           find_equator_flip_symmetry, register_pole_flip,
+                           register_pole_rotation)
 from .sphere import (SphereFrame, SphereGrid, circle_quadrature,
                      directions_orthogonal_to, embed_parallel, gauss_grid,
                      great_circle_nodes, make_frame, unit)

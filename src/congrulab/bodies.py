@@ -17,7 +17,7 @@ from scipy.spatial import ConvexHull
 from .errors import (DegenerateBodyError, NonOrthogonalError,
                      OriginOutsideError, UnsupportedKindError)
 from .orthogonal import Orthogonal4
-from .sphere import random_directions, unit
+from .sphere import ORTHO_TOL, random_directions, unit
 
 CONVEX = "convex"
 STAR = "star"
@@ -77,16 +77,25 @@ class EllipsoidShape:
 
 @dataclass(frozen=True)
 class BumpTerm:
-    """One perturbation term c * (axis . theta)^degree."""
+    """One perturbation term c * (d . theta)^degree with d = axis / |axis|.
+
+    ``axis`` is kept as given, so a spec reads back byte for byte (normalizing
+    an already normalized vector can change its last digit); evaluation reads
+    ``direction``, normalized once here.
+    """
 
     axis: np.ndarray
     degree: int
     coeff: float
+    direction: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = unit(np.asarray(self.axis, dtype=float))
+        a = np.array(self.axis, dtype=float)
+        d = unit(a)
         a.setflags(write=False)
+        d.setflags(write=False)
         object.__setattr__(self, "axis", a)
+        object.__setattr__(self, "direction", d)
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
 
@@ -156,7 +165,7 @@ def _ellipsoid_support(shape: EllipsoidShape, theta):
 def _bump_eval(shape: BumpShape, theta):
     out = 0.0
     for term in shape.terms:
-        out = out + term.coeff * (theta @ term.axis) ** term.degree
+        out = out + term.coeff * (theta @ term.direction) ** term.degree
     return shape.epsilon * out
 
 
@@ -165,8 +174,6 @@ def _bump_support(shape: BumpShape, theta):
 
 
 def _shape_support(shape, theta):
-    if isinstance(shape, PolytopeShape):
-        return np.max(theta @ shape.vertices.T, axis=-1)
     if isinstance(shape, EllipsoidShape):
         return _ellipsoid_support(shape, theta)
     if isinstance(shape, BumpShape):
@@ -188,7 +195,7 @@ def _shape_support_point(shape, theta):
     if isinstance(shape, BumpShape):
         sp = _shape_support_point(shape.base, theta)
         for term in shape.terms:
-            d, m, c = term.axis, term.degree, term.coeff
+            d, m, c = term.direction, term.degree, term.coeff
             dot = (theta @ d)[..., None]
             grad = (1 - m) * dot ** m * theta + m * dot ** (m - 1) * d
             sp = sp + shape.epsilon * c * grad
@@ -369,7 +376,7 @@ def project_support(body: Body4, w):
 
     def field(points):
         pts = np.asarray(points, dtype=float)
-        if np.max(np.abs(pts @ w)) > 1e-10:
+        if np.max(np.abs(pts @ w)) > ORTHO_TOL:
             raise NonOrthogonalError("points are not orthogonal to w")
         return body.support(pts)
 
@@ -382,7 +389,7 @@ def section_radial(body: Body4, w):
 
     def field(points):
         pts = np.asarray(points, dtype=float)
-        if np.max(np.abs(pts @ w)) > 1e-10:
+        if np.max(np.abs(pts @ w)) > ORTHO_TOL:
             raise NonOrthogonalError("points are not orthogonal to w")
         return body.radial(pts)
 

@@ -16,8 +16,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonOrthogonalError
-from .sphere import (SphereGrid, circle_quadrature, directions_orthogonal_to,
-                     evaluate_field, great_circle_nodes, make_frame, unit)
+from .sphere import (ORTHO_TOL, SphereGrid, circle_quadrature,
+                     directions_orthogonal_to, evaluate_field, great_circle_nodes,
+                     make_frame, unit)
 
 
 def reflect_through_pole(points, pole):
@@ -89,9 +90,6 @@ class GridFunction:
         spec.setflags(write=False)
         return spec
 
-    def ring(self, i_t: int):
-        return self.values[i_t]
-
     def parity(self):
         """Even/odd grid functions under the pole reflection (no re-evaluation)."""
         refl = np.roll(self.values, self.grid.n_azimuth // 2, axis=1)
@@ -119,7 +117,7 @@ def funk_transform(f, pole, w, n: int = 128) -> float:
     """Great-circle integral of f over the circle orthogonal to both pole and w.
 
     Arclength normalization: a unit field integrates to 2*pi.  Requires
-    w . pole = 0 (within 1e-10).
+    w . pole = 0 (within ORTHO_TOL).
     """
     frame = make_frame(pole, w)
     nodes = great_circle_nodes(frame, n)
@@ -165,7 +163,7 @@ def even_parts_equal(f, g, pole, t_nodes, w_dirs=None, tol: float = 1e-8,
         w_dirs = directions_orthogonal_to(pole, 128)
     else:
         w_dirs = np.asarray(w_dirs, dtype=float)
-        if np.max(np.abs(w_dirs @ pole)) > 1e-10:
+        if np.max(np.abs(w_dirs @ pole)) > ORTHO_TOL:
             raise NonOrthogonalError("circle directions must be orthogonal to the pole")
     t = np.asarray(t_nodes, dtype=float)
 

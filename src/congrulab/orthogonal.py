@@ -13,12 +13,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .sphere import SphereFrame, unit
+from .sphere import ORTHO_TOL, SphereFrame, unit
 
 FIX_POLE = "fix_pole"
 FLIP_POLE = "flip_pole"
-
-_ORTHO_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -31,7 +29,7 @@ class Orthogonal4:
         m = np.array(self.matrix, dtype=float)
         if m.shape != (4, 4):
             raise ValueError("expected a 4x4 matrix")
-        if np.max(np.abs(m.T @ m - np.eye(4))) > _ORTHO_TOL:
+        if np.max(np.abs(m.T @ m - np.eye(4))) > ORTHO_TOL:
             raise ValueError("matrix is not orthogonal")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

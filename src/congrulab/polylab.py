@@ -24,7 +24,7 @@ from scipy.spatial import ConvexHull
 from .bodies import Body4, PolytopeShape, polytope
 from .errors import (BudgetExhaustedError, DegenerateProjectionError,
                      InsufficientDataError, TooFewVerticesError)
-from .sphere import random_directions
+from .sphere import ORTHO_TOL, random_directions
 
 
 # -- Hausdorff distance -------------------------------------------------------
@@ -156,7 +156,7 @@ def project_polytope(P: Body4, basis) -> Polytope3:
     basis = np.asarray(basis, dtype=float)
     if basis.shape != (3, 4):
         raise ValueError("basis must be 3 orthonormal rows of length 4")
-    if np.max(np.abs(basis @ basis.T - np.eye(3))) > 1e-10:
+    if np.max(np.abs(basis @ basis.T - np.eye(3))) > ORTHO_TOL:
         raise ValueError("basis rows are not orthonormal")
     coords = P.effective_vertices() @ basis.T
     centered = coords - coords.mean(axis=0)

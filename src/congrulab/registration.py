@@ -14,7 +14,7 @@ of the rings, matching the pointwise equality being certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,7 @@ LABEL_FLIP = "flip_pole"
 LABEL_NONE = "none"
 
 SNAP_TOL = 1e-2  # radians: snap recovered pole angles to 0 or pi
+DETECTOR_GRID = (24, 128)  # latitudes x azimuths of the symmetry detectors
 NEWTON_XTOL = 1e-12  # radians: stop once a refinement step is this small
 NEWTON_MAXITER = 64  # bisection alone shrinks the bracket below NEWTON_XTOL
 
@@ -39,8 +40,8 @@ class RotationWitness:
     ``parameter`` is the rotation angle about the pole (FIX_POLE) or the flip
     axis azimuth (FLIP_POLE), normalized to [0, 2*pi).  ``coarse_parameter``
     is the best integer-grid estimate before off-grid refinement.
-    ``tied_parameters`` lists other well-separated parameters whose residual
-    also fell under the tie tolerance (degenerate or extra-symmetric data).
+    ``tied_parameters`` lists, for a flip, other well-separated axes whose
+    residual also fell under the tie tolerance (extra-symmetric data).
     """
 
     frame: SphereFrame
@@ -184,8 +185,13 @@ def _local_minima(curve: np.ndarray):
     return np.nonzero((curve <= left) & (curve <= right))[0]
 
 
-def _collect_ties(objective: _ShiftObjective, to_param, best_param, tie_tol, period):
-    """Other local minima whose refined sup-residual also falls under tie_tol.
+def _to_beta(angle: float) -> float:
+    """Flip axis azimuth in [0, pi) for a shift angle of the mirrored source."""
+    return (-0.5 * angle) % np.pi
+
+
+def _collect_flip_ties(objective: _ShiftObjective, best_beta, tie_tol):
+    """Other flip axes whose refined sup-residual also falls under tie_tol.
 
     Local minima are pre-filtered by the integer-shift objective (an rms
     bound), so non-degenerate data costs no extra refinement work.
@@ -196,25 +202,24 @@ def _collect_ties(objective: _ShiftObjective, to_param, best_param, tie_tol, per
     obj_cap = 4.0 * max(float(curve.min()), objective.G.size * tie_tol * tie_tol)
 
     def separated(a, b):
-        return abs((a - b + period / 2) % period - period / 2) > 2.5 * period / n
+        return abs((a - b + np.pi / 2) % np.pi - np.pi / 2) > 2.5 * np.pi / n
 
     ties = []
     for s in _local_minima(curve):
         if curve[s] > obj_cap:
             continue
         a0 = 2.0 * np.pi * (s + _parabolic_step(curve, s)) / n
-        if not separated(to_param(a0), best_param):
+        if not separated(_to_beta(a0), best_beta):
             continue
         a = _newton(objective, a0)
-        refined = to_param(a)
-        if (objective.sup(a) <= tie_tol and separated(refined, best_param)
+        refined = _to_beta(a)
+        if (objective.sup(a) <= tie_tol and separated(refined, best_beta)
                 and all(separated(refined, t) for t in ties)):
             ties.append(refined)
     return tuple(sorted(ties))
 
 
-def register_pole_rotation(f: GridFunction, g: GridFunction,
-                           tie_check_tol: float | None = None) -> RotationWitness:
+def register_pole_rotation(f: GridFunction, g: GridFunction) -> RotationWitness:
     """Best rotation about the pole with f(rot x) ~= g(x) on the grid.
 
     All integer azimuth shifts are scored from the ring-summed
@@ -230,13 +235,9 @@ def register_pole_rotation(f: GridFunction, g: GridFunction,
     else:
         s0 = int(np.argmin(curve))
         angle = _refine(objective, s0) % (2.0 * np.pi)
-    witness = RotationWitness(
-        frame=f.grid.frame, kind=FIX_POLE, parameter=angle,
-        residual=objective.sup(angle),
-        coarse_parameter=2.0 * np.pi * s0 / n,
-        tied_parameters=_collect_ties(
-            objective, lambda a: a % (2.0 * np.pi), angle, tie_check_tol, 2.0 * np.pi))
-    return witness
+    return RotationWitness(frame=f.grid.frame, kind=FIX_POLE, parameter=angle,
+                           residual=objective.sup(angle),
+                           coarse_parameter=2.0 * np.pi * s0 / n)
 
 
 def register_pole_flip(f: GridFunction, g: GridFunction,
@@ -253,21 +254,19 @@ def register_pole_flip(f: GridFunction, g: GridFunction,
     n = f.grid.n_azimuth
     objective = _ShiftObjective(f, _mirrored_spectrum(f), g)
     curve = objective.curve
-    to_beta = lambda a: (-0.5 * a) % np.pi
     if _is_flat(curve):
         s0, angle = 0, 0.0
     else:
         s0 = int(np.argmin(curve))
         angle = _refine(objective, s0)
-    beta = to_beta(angle)
+    beta = _to_beta(angle)
     if beta > np.pi - 1e-12:
         beta = 0.0
-    witness = RotationWitness(
-        frame=f.grid.frame, kind=FLIP_POLE, parameter=beta,
-        residual=objective.sup(angle),
-        coarse_parameter=to_beta(2.0 * np.pi * s0 / n),
-        tied_parameters=_collect_ties(objective, to_beta, beta, tie_check_tol, np.pi))
-    return witness
+    return RotationWitness(frame=f.grid.frame, kind=FLIP_POLE, parameter=beta,
+                           residual=objective.sup(angle),
+                           coarse_parameter=_to_beta(2.0 * np.pi * s0 / n),
+                           tied_parameters=_collect_flip_ties(objective, beta,
+                                                              tie_check_tol))
 
 
 @dataclass(frozen=True)
@@ -312,34 +311,28 @@ def classifications_to_csv(rows) -> str:
     return "\n".join(out) + "\n"
 
 
-def snap_alpha(angle: float, snap_tol: float = SNAP_TOL) -> float:
-    """Angle about the pole, in units of pi, snapped to 0 or 1 within snap_tol rad."""
+def snap_alpha(angle: float) -> float:
+    """Angle about the pole, in units of pi, snapped to 0 or 1 within SNAP_TOL rad."""
     a = angle % (2.0 * np.pi)
-    if min(a, 2.0 * np.pi - a) <= snap_tol:
+    if min(a, 2.0 * np.pi - a) <= SNAP_TOL:
         return 0.0
-    if abs(a - np.pi) <= snap_tol:
+    if abs(a - np.pi) <= SNAP_TOL:
         return 1.0
     return a / np.pi
 
 
-def classify_direction(f, g, frame: SphereFrame, tol: float,
-                       n_t: int = 32, n_azimuth: int = 256,
-                       grids: tuple | None = None,
-                       snap_tol: float = SNAP_TOL) -> Classification:
+def classify_direction(fg: GridFunction, gg: GridFunction, tol: float) -> Classification:
     """Classify one sphere: does some admissible rotation carry f onto g?
 
-    ``tol`` is relative to the data sup on the sphere.  The better-residual
-    family wins; an accepted pole rotation whose angle does not snap to
-    {0, 1} is flagged, since consistent data then has to vanish on the
-    sphere.  Multiple registering flip axes are flagged as a symmetry
-    violation (they would force an extra rotational symmetry of the data).
+    ``fg`` and ``gg`` are f and g sampled on one grid of the working sphere,
+    whose normal is the classified direction.  ``tol`` is relative to the
+    data sup on the sphere.  The better-residual family wins; an accepted
+    pole rotation whose angle does not snap to {0, 1} is flagged, since
+    consistent data then has to vanish on the sphere.  Multiple registering
+    flip axes are flagged as a symmetry violation (they would force an extra
+    rotational symmetry of the data).
     """
-    if grids is not None:
-        fg, gg = grids
-    else:
-        grid = gauss_grid(frame, n_t=n_t, n_azimuth=n_azimuth)
-        fg = sample_on_sphere(f, grid)
-        gg = sample_on_sphere(g, grid)
+    frame = fg.grid.frame
     scale = max(fg.sup, gg.sup)
     tol_abs = tol * max(scale, 1e-300)
 
@@ -353,7 +346,7 @@ def classify_direction(f, g, frame: SphereFrame, tol: float,
         return Classification(w=frame.normal, label=LABEL_NONE, witness=best,
                               tol=tol_abs, f_sup=fg.sup, g_sup=gg.sup)
     if rot_ok and (not flip_ok or wit_rot.residual <= wit_flip.residual):
-        alpha = snap_alpha(wit_rot.parameter, snap_tol)
+        alpha = snap_alpha(wit_rot.parameter)
         note = "" if alpha in (0.0, 1.0) else "off-grid angle: expect vanishing data"
         return Classification(w=frame.normal, label=LABEL_FIX, witness=wit_rot,
                               tol=tol_abs, alpha=alpha, note=note,
@@ -367,39 +360,24 @@ def classify_direction(f, g, frame: SphereFrame, tol: float,
                           f_sup=fg.sup, g_sup=gg.sup)
 
 
-def pole_rotation_symmetry_defect(f, sphere_normal, pole, angle: float,
-                                  n_t: int = 24, n_azimuth: int = 128) -> float:
+def pole_rotation_symmetry_defect(f, sphere_normal, pole, angle: float) -> float:
     """sup |f(rot x) - f(x)| over a grid of the sphere orthogonal to sphere_normal,
     for the rotation about ``pole`` by ``angle`` radians."""
     frame = make_frame(pole, sphere_normal)
-    grid = gauss_grid(frame, n_t=n_t, n_azimuth=n_azimuth)
+    grid = gauss_grid(frame, *DETECTOR_GRID)
     rot = pole_rotation(frame, angle)
     pts = grid.points
     return float(np.max(np.abs(evaluate_field(f, rot.apply(pts))
                                - evaluate_field(f, pts))))
 
 
-def has_pole_rotation_symmetry(f, sphere_normal, pole, angle: float, tol: float,
-                               n_t: int = 24, n_azimuth: int = 128) -> bool:
-    """True when f restricted to the sphere is invariant under the pole rotation."""
-    return pole_rotation_symmetry_defect(f, sphere_normal, pole, angle,
-                                         n_t=n_t, n_azimuth=n_azimuth) <= tol
-
-
-def find_equator_flip_symmetry(f, frame: SphereFrame, tol: float,
-                               n_t: int = 24, n_azimuth: int = 128,
-                               return_witness: bool = False):
+def find_equator_flip_symmetry(f, frame: SphereFrame, tol: float):
     """Axis azimuth of an equatorial half-turn symmetry of f, or None.
 
     Registers f against itself over the flip family (there is no trivial
     identity in this family).  Degenerate (zonal) data registers everywhere
     and tie-breaks to azimuth 0.
     """
-    grid = gauss_grid(frame, n_t=n_t, n_azimuth=n_azimuth)
-    fg = sample_on_sphere(f, grid)
-    tol_abs = tol * max(fg.sup, 1e-300)
-    wit = register_pole_flip(fg, fg, tie_check_tol=tol_abs)
-    found = wit.residual <= tol_abs
-    if return_witness:
-        return (wit.parameter if found else None), wit
-    return wit.parameter if found else None
+    fg = sample_on_sphere(f, gauss_grid(frame, *DETECTOR_GRID))
+    wit = register_pole_flip(fg, fg)
+    return wit.parameter if wit.residual <= tol * max(fg.sup, 1e-300) else None

@@ -14,10 +14,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import CongrulabError, EmptyInputError, NonOrthogonalError
+from .errors import EmptyInputError, NonOrthogonalError
 
-UNIT_TOL = 1e-12
-ORTHO_TOL = 1e-10
+ORTHO_TOL = 1e-10  # "orthogonal within": frames, matrices and field arguments
 
 
 def unit(v):
@@ -30,24 +29,18 @@ def unit(v):
 
 
 def evaluate_field(f, points):
-    """Evaluate a scalar field at an (..., 4) array of points.
+    """Evaluate a scalar field at an (..., 4) array of points in one call.
 
-    Tries a single vectorized call first; falls back to a per-point loop for
-    callables that only accept single vectors.  A toolkit error from the
-    vectorized call is a real failure and propagates.
+    Fields must accept batches: a result whose shape is not the batch shape
+    ``points.shape[:-1]`` raises ValueError, and whatever the field raises
+    propagates.
     """
     points = np.asarray(points, dtype=float)
-    try:
-        vals = np.asarray(f(points), dtype=float)
-        if vals.shape == points.shape[:-1]:
-            return vals
-    except CongrulabError:
-        raise
-    except (TypeError, ValueError):
-        pass
-    flat = points.reshape(-1, 4)
-    out = np.fromiter((float(f(p)) for p in flat), dtype=float, count=len(flat))
-    return out.reshape(points.shape[:-1])
+    vals = np.asarray(f(points), dtype=float)
+    if vals.shape != points.shape[:-1]:
+        raise ValueError(f"field returned shape {vals.shape} for a batch of "
+                         f"shape {points.shape[:-1]}; fields must accept batches")
+    return vals
 
 
 def complement_basis(pole):
@@ -89,7 +82,7 @@ class SphereFrame:
             object.__setattr__(self, name, v)
         B = self.basis
         gram = B.T @ B
-        if np.max(np.abs(gram - np.eye(4))) > 1e-10:
+        if np.max(np.abs(gram - np.eye(4))) > ORTHO_TOL:
             raise NonOrthogonalError("frame vectors are not orthonormal")
 
     @property
@@ -114,7 +107,7 @@ def make_frame(pole, normal) -> SphereFrame:
     """Build the deterministic frame for a (pole, normal) pair.
 
     ``normal`` is re-orthogonalized against ``pole`` (inputs must already be
-    orthogonal within 1e-10); the azimuthal pair (e1, e2) comes from
+    orthogonal within ORTHO_TOL); the azimuthal pair (e1, e2) comes from
     Gram-Schmidt on the standard basis in fixed order, with e2 flipped if
     needed so the frame is positively oriented.
     """

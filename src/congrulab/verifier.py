@@ -77,10 +77,8 @@ class VerifyConfig:
     circle_nodes: int | None = None
     seed: int = 0
     threads: int | None = None
-    snap_tol: float = 1e-2
     diameter_margin: float = 0.05
     out_of_sample: int = 2048
-    w_directions: tuple | None = None   # explicit working-sphere normals (testing)
 
     def validate(self):
         if not (self.tol > 0):
@@ -214,12 +212,10 @@ def _check_sphere(w, fg, gg, config: VerifyConfig, certify: bool,
     already vanishes at this sphere's data scale, which forces the ``both``
     branch (the decision scale is at least this sphere's).
     """
-    frame = fg.grid.frame
     sup = max(fg.sup, gg.sup)
     congruence = None
     if certify:
-        congruence = classify_direction(None, None, frame, config.tol, grids=(fg, gg),
-                                        snap_tol=config.snap_tol)
+        congruence = classify_direction(fg, gg, config.tol)
         if congruence.label == LABEL_NONE:
             raise CongruenceHypothesisFailed(w, congruence.witness.residual)
     fe, fo = fg.parity()
@@ -228,8 +224,7 @@ def _check_sphere(w, fg, gg, config: VerifyConfig, certify: bool,
                                   - circle_quadrature(gg.values)))
     odd = None
     if odd_sup > 0.1 * (config.tol * sup):
-        odd = classify_direction(None, None, frame, config.tol, grids=(fo, go),
-                                 snap_tol=config.snap_tol)
+        odd = classify_direction(fo, go, config.tol)
     return _SphereChecks(sup=sup,
                          even_direct_dev=float(np.max(np.abs(fe.values - ge.values))),
                          even_transform_dev=float(transform_dev),
@@ -237,7 +232,7 @@ def _check_sphere(w, fg, gg, config: VerifyConfig, certify: bool,
 
 
 def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *,
-                               certify_congruence: bool = False,
+                               w_dirs=None, certify_congruence: bool = False,
                                sampled: dict | None = None) -> Verdict:
     """Decide between f = g and f = g o reflect on S^3 from per-sphere rotations.
 
@@ -247,18 +242,19 @@ def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *
     through the pole by two-family registration; (4) aggregate labels; (5)
     certify the winning relation on an out-of-sample point set.
 
-    f and g are sampled once per working sphere, and every check reads those
-    grids.  ``certify_congruence`` also registers the full restrictions on
-    each sphere, raising CongruenceHypothesisFailed for the first sphere in
-    order where neither family registers; the worst residual is reported as
-    ``congruence_residual``.  ``sampled`` maps sphere indices to (f, g) grid
-    functions already sampled on those spheres' grids; entries are consumed.
+    The working spheres are those orthogonal to the rows of ``w_dirs``, by
+    default ``config.w_samples`` quasi-uniform normals orthogonal to the
+    pole.  f and g are sampled once per working sphere, and every check
+    reads those grids.  ``certify_congruence`` also registers the full
+    restrictions on each sphere, raising CongruenceHypothesisFailed for the
+    first sphere in order where neither family registers; the worst residual
+    is reported as ``congruence_residual``.  ``sampled`` maps sphere indices
+    to (f, g) grid functions already sampled on those spheres' grids;
+    entries are consumed.
     """
     config = (config or VerifyConfig()).validate()
     pole = unit(pole)
-    if config.w_directions is not None:
-        w_dirs = np.asarray(config.w_directions, dtype=float)
-    else:
+    if w_dirs is None:
         w_dirs = directions_orthogonal_to(pole, config.w_samples)
 
     rng = np.random.default_rng(config.seed + 0x0DD5)
@@ -350,15 +346,18 @@ def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *
 # -- body-level pipelines -----------------------------------------------------
 
 
-def _assert_pole_diameter(body: Body4, pole, tol: float, who: str) -> DiameterSet:
-    """Check the body has a diameter parallel to the pole; return all diameters."""
+def _assert_pole_diameter(body: Body4, pole, tol: float, who: str):
+    """Check the body has a diameter parallel to the pole.
+
+    Returns (all diameters, width at the pole).
+    """
     diams = find_diameters(body)
     width_at_pole = float(body.width(pole))
     if width_at_pole < diams.length - max(tol * diams.length, diams.tol * 10):
         raise DiameterHypothesisFailed(
             f"{who}: width at the pole ({width_at_pole:.12g}) is below the "
             f"maximal width ({diams.length:.12g})")
-    return diams
+    return diams, width_at_pole
 
 
 def _admissible_w_sample(pole, diams_k: DiameterSet, diams_l: DiameterSet,
@@ -368,8 +367,6 @@ def _admissible_w_sample(pole, diams_k: DiameterSet, diams_l: DiameterSet,
     Returns (normals, fallback).  When ``diameter_margin`` rejects every
     sphere of the pool, the unfiltered pool is used and ``fallback`` is True.
     """
-    if config.w_directions is not None:
-        return np.asarray(config.w_directions, dtype=float), False
     pool = directions_orthogonal_to(pole, int(config.w_samples * 1.5) + 16)
     extra = [d for d in np.vstack([diams_k.directions, diams_l.directions])
              if abs(float(d @ pole)) < 1.0 - 1e-9]
@@ -399,8 +396,8 @@ def verify_projection_theorem(K: Body4, L: Body4, pole,
     if K.kind != "convex" or L.kind != "convex":
         raise DiameterHypothesisFailed("projection congruence requires convex bodies")
 
-    diams_k = _assert_pole_diameter(K, pole, config.tol, "K")
-    diams_l = _assert_pole_diameter(L, pole, config.tol, "L")
+    diams_k, width_k = _assert_pole_diameter(K, pole, config.tol, "K")
+    diams_l, width_l = _assert_pole_diameter(L, pole, config.tol, "L")
     if abs(diams_k.length - diams_l.length) > config.tol * diams_k.length:
         raise DiameterHypothesisFailed(
             f"diameter lengths differ: {diams_k.length:.12g} vs {diams_l.length:.12g}")
@@ -413,9 +410,8 @@ def verify_projection_theorem(K: Body4, L: Body4, pole,
     Lc = L.translate(-mid_l)
 
     w_dirs, w_fallback = _admissible_w_sample(pole, diams_k, diams_l, config)
-    sub = replace(config, w_directions=tuple(map(tuple, w_dirs)))
-    verdict = decide_functional_equation(Kc.support, Lc.support, pole, sub,
-                                         certify_congruence=True)
+    verdict = decide_functional_equation(Kc.support, Lc.support, pole, config,
+                                         w_dirs=w_dirs, certify_congruence=True)
 
     refl = pole_reflection(pole)
     report = dict(verdict.report)
@@ -423,9 +419,9 @@ def verify_projection_theorem(K: Body4, L: Body4, pole,
         "diameter_length": diams_k.length,
         "diameter_count_K": len(diams_k.directions),
         "diameter_count_L": len(diams_l.directions),
-        "width_at_pole_K": float(K.width(pole)),
-        "width_at_pole_L": float(L.width(pole)),
-        "width_match_dev": abs(float(K.width(pole)) - float(L.width(pole))),
+        "width_at_pole_K": width_k,
+        "width_at_pole_L": width_l,
+        "width_match_dev": abs(width_k - width_l),
         "w_sample_size": len(w_dirs),
         "w_sample_fallback": w_fallback,
     })
@@ -435,10 +431,7 @@ def verify_projection_theorem(K: Body4, L: Body4, pole,
         translation = mid_l - mid_k
     elif verdict.outcome == OUTCOME_REFLECTED:
         translation = mid_l - refl.apply(mid_k)
-
-    return Verdict(verdict.outcome, reason=verdict.reason, translation=translation,
-                   classifications=verdict.classifications, report=report,
-                   tol=verdict.tol)
+    return replace(verdict, translation=translation, report=report)
 
 
 def _choose_alignment(K: Body4, L: Body4, alignments, pole, probe_ws,
@@ -461,8 +454,7 @@ def _choose_alignment(K: Body4, L: Body4, alignments, pole, probe_ws,
         l_probes = [sample_on_sphere(La.radial, grid) for grid in grids]
         worst = 0.0
         for kg, lg in zip(k_probes, l_probes):
-            c = classify_direction(None, None, kg.grid.frame, config.tol,
-                                   grids=(kg, lg))
+            c = classify_direction(kg, lg, config.tol)
             worst = max(worst, c.witness.residual)
         if best is None or worst < best[0]:
             best = (worst, a, La, dict(enumerate(zip(k_probes, l_probes))))
@@ -487,8 +479,8 @@ def verify_section_theorem(K: Body4, L: Body4, pole,
     config = (config or VerifyConfig()).validate()
     pole = unit(pole)
 
-    diams_k = _assert_pole_diameter(K, pole, config.tol, "K")
-    diams_l = _assert_pole_diameter(L, pole, config.tol, "L")
+    diams_k, _ = _assert_pole_diameter(K, pole, config.tol, "K")
+    diams_l, _ = _assert_pole_diameter(L, pole, config.tol, "L")
 
     for body, who in ((K, "K"), (L, "L")):
         if not body.contains_origin_interior():
@@ -496,33 +488,37 @@ def verify_section_theorem(K: Body4, L: Body4, pole,
 
     scale = diams_k.length
 
-    def axis_deviation(body):
+    # radial values at (+pole, -pole): the axis chord
+    chord_k = [float(K.radial(pole)), float(K.radial(-pole))]
+    chord_l = [float(L.radial(pole)), float(L.radial(-pole))]
+
+    def axis_deviation(body, chord):
         # distance of the pole-parallel diameter from the pole axis: support
         # and radial values in the +-pole directions agree iff the support
         # chord passes through the origin
-        return max(abs(float(body.support(pole)) - float(body.radial(pole))),
-                   abs(float(body.support(-pole)) - float(body.radial(-pole))))
+        return max(abs(float(body.support(pole)) - chord[0]),
+                   abs(float(body.support(-pole)) - chord[1]))
 
     # hypothesis: the distinguished diameter of K contains the origin; the
     # matching property of L is a consequence of section congruence and is
     # verified (and reported) rather than assumed
-    dev_k = axis_deviation(K)
+    dev_k = axis_deviation(K, chord_k)
     if dev_k > config.tol * scale * 10:
         raise DiameterHypothesisFailed(
             "K: the diameter parallel to the pole does not pass through the "
             f"origin (axis deviation {dev_k:.3e})")
-    dev_l = axis_deviation(L)
+    dev_l = axis_deviation(L, chord_l)
 
     # candidate alignments: keep the diameter as-is, or reverse it
-    a_direct = (float(K.radial(pole)) - float(L.radial(pole))) * pole
-    a_reverse = (float(K.radial(-pole)) - float(L.radial(pole))) * pole
+    a_direct = (chord_k[0] - chord_l[0]) * pole
+    a_reverse = (chord_k[1] - chord_l[0]) * pole
 
     w_dirs, w_fallback = _admissible_w_sample(pole, diams_k, diams_l, config)
     align_res, a, La, sampled = _choose_alignment(K, L, (a_direct, a_reverse),
                                                   pole, w_dirs[:6], config)
-    sub = replace(config, w_directions=tuple(map(tuple, w_dirs)))
-    verdict = decide_functional_equation(K.radial, La.radial, pole, sub,
-                                         certify_congruence=True, sampled=sampled)
+    verdict = decide_functional_equation(K.radial, La.radial, pole, config,
+                                         w_dirs=w_dirs, certify_congruence=True,
+                                         sampled=sampled)
 
     report = dict(verdict.report)
     report.update({
@@ -531,8 +527,8 @@ def verify_section_theorem(K: Body4, L: Body4, pole,
         "alignment_residual": align_res,
         "axis_deviation_K": dev_k,
         "axis_deviation_L": dev_l,
-        "axis_chord_K": [float(K.radial(pole)), float(K.radial(-pole))],
-        "axis_chord_L": [float(L.radial(pole)), float(L.radial(-pole))],
+        "axis_chord_K": chord_k,
+        "axis_chord_L": chord_l,
         "w_sample_size": len(w_dirs),
         "w_sample_fallback": w_fallback,
     })
@@ -542,7 +538,4 @@ def verify_section_theorem(K: Body4, L: Body4, pole,
     translation = None
     if verdict.outcome in (OUTCOME_EQUAL, OUTCOME_BOTH, OUTCOME_REFLECTED):
         translation = -a
-
-    return Verdict(verdict.outcome, reason=verdict.reason, translation=translation,
-                   classifications=verdict.classifications, report=report,
-                   tol=verdict.tol)
+    return replace(verdict, translation=translation, report=report)

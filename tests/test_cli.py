@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congrulab.bodies import ball, body_to_spec, cube, ellipsoid
-from congrulab.cli import main
+from congrulab.cli import canonicalize_spec, main
 from congrulab.orthogonal import pole_reflection
 from congrulab.sphere import unit
 
@@ -66,6 +68,41 @@ def test_gen_body_dedupes_vertices(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "duplicate" in err
     assert len(json.load(open(out))["shape"]["vertices"]) == 16
+
+
+def _random_spec(kind: str, seed: int, chain: list) -> dict:
+    """A body spec of the given shape type with a rot/shift transform chain."""
+    rng = np.random.default_rng(seed)
+
+    def rotation():
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        return q.reshape(-1).tolist()
+
+    if kind == "polytope":
+        shape = {"type": "polytope", "vertices": rng.standard_normal((9, 4)).tolist()}
+    else:
+        shape = {"type": "ellipsoid", "semiaxes": rng.uniform(0.9, 1.2, 4).tolist(),
+                 "orientation": rotation()}
+        if kind == "zonal_bump":
+            # axes are deliberately not unit vectors
+            terms = [{"axis": rng.standard_normal(4).tolist(), "degree": degree,
+                      "coeff": float(rng.uniform(-1.0, 1.0))} for degree in (3, 4)]
+            shape = {"type": "zonal_bump", "base": shape, "epsilon": 0.005,
+                     "terms": terms}
+    transforms = [{"rot": rotation()} if op == "rot"
+                  else {"shift": rng.uniform(-1.0, 1.0, 4).tolist()} for op in chain]
+    return {"kind": "convex", "shape": shape, "transforms": transforms}
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(kind=st.sampled_from(["polytope", "ellipsoid", "zonal_bump"]),
+       seed=st.integers(0, 2**32 - 1),
+       chain=st.lists(st.sampled_from(["rot", "shift"]), max_size=4))
+def test_gen_body_idempotent_on_random_specs(kind, seed, chain):
+    canonical, _ = canonicalize_spec(_random_spec(kind, seed, chain))
+    again, warnings = canonicalize_spec(json.loads(json.dumps(canonical)))
+    assert warnings == []
+    assert json.dumps(again, sort_keys=True) == json.dumps(canonical, sort_keys=True)
 
 
 def test_gen_body_malformed(tmp_path, capsys):

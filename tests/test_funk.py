@@ -109,11 +109,15 @@ def test_grid_function_csv():
 
 
 def test_scalar_only_callable_fallback():
+    # there is no per-point fallback: fields must accept batches
     fr = random_frame(RNG)
     grid = gauss_grid(fr, 4, 8)
     f = lambda p: float(np.dot(p, p))   # rejects batched input shape
-    gf = sample_on_sphere(f, grid)
-    assert np.max(np.abs(gf.values - 1.0)) < 1e-12
+    with pytest.raises(ValueError):
+        sample_on_sphere(f, grid)
+    # a batch answered with the wrong shape is rejected, not broadcast
+    with pytest.raises(ValueError, match="fields must accept batches"):
+        sample_on_sphere(lambda p: 1.0, grid)
 
 
 def test_library_error_from_batched_call_is_not_retried():

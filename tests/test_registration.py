@@ -11,7 +11,6 @@ from congrulab.registration import (LABEL_FIX, LABEL_FLIP, LABEL_NONE,
                                     classify_direction,
                                     classifications_to_csv,
                                     find_equator_flip_symmetry,
-                                    has_pole_rotation_symmetry,
                                     pole_rotation_symmetry_defect,
                                     register_pole_flip, register_pole_rotation,
                                     snap_alpha)
@@ -31,10 +30,15 @@ def random_frame(rng):
 
 FR = random_frame(RNG)
 GRID = gauss_grid(FR, 16, 256)
+CLASSIFY_GRID = gauss_grid(FR, 32, 256)
 
 
 def sample_pair(f, g, grid=GRID):
     return sample_on_sphere(f, grid), sample_on_sphere(g, grid)
+
+
+def classify(f, g, tol=1e-6):
+    return classify_direction(*sample_pair(f, g, CLASSIFY_GRID), tol)
 
 
 # -- pole rotations ---------------------------------------------------------------
@@ -241,7 +245,7 @@ def test_snap_rule_soundness():
     f = band_limited_field(71)
     refl = pole_reflection(FR.pole)
     for g, expect in ((f, 0.0), (compose_with_matrix(f, refl.matrix), 1.0)):
-        c = classify_direction(f, g, FR, tol=1e-6)
+        c = classify(f, g)
         assert c.label == LABEL_FIX
         assert c.alpha == expect
     assert snap_alpha(0.005) == 0.0
@@ -254,10 +258,10 @@ def test_snap_rule_soundness():
 
 def test_classify_equal_and_reflected():
     f = band_limited_field(72)
-    c = classify_direction(f, f, FR, tol=1e-6)
+    c = classify(f, f)
     assert c.label == LABEL_FIX and c.alpha == 0.0
     refl = pole_reflection(FR.pole)
-    c1 = classify_direction(f, compose_with_matrix(f, refl.matrix), FR, tol=1e-6)
+    c1 = classify(f, compose_with_matrix(f, refl.matrix))
     assert c1.label == LABEL_FIX and c1.alpha == 1.0
     assert c1.witness.residual < 1e-8
 
@@ -265,21 +269,20 @@ def test_classify_equal_and_reflected():
 def test_classify_flip():
     f = odd_field(73, FR.pole)
     g = compose_with_matrix(f, equator_flip(FR, 1.1).matrix.matrix)
-    c = classify_direction(f, g, FR, tol=1e-6)
+    c = classify(f, g)
     assert c.label == LABEL_FLIP
     assert wrap_err(c.axis_azimuth, 1.1, np.pi) < 1e-3
 
 
 def test_classify_none_for_unrelated():
-    c = classify_direction(band_limited_field(74), band_limited_field(75),
-                           FR, tol=1e-6)
+    c = classify(band_limited_field(74), band_limited_field(75))
     assert c.label == LABEL_NONE
     assert c.witness is not None
 
 
 def test_classification_csv():
     f = band_limited_field(76)
-    rows = [classify_direction(f, f, FR, tol=1e-6)]
+    rows = [classify(f, f)]
     csv = classifications_to_csv(rows)
     lines = csv.strip().split("\n")
     assert lines[0].startswith("w1,w2,w3,w4")
@@ -292,12 +295,12 @@ def test_classification_csv():
 def test_pole_rotation_symmetry_zonal():
     f = lambda x: (np.asarray(x) @ FR.pole) ** 3
     for angle in (0.7, np.pi, 2.2):
-        assert has_pole_rotation_symmetry(f, FR.normal, FR.pole, angle, tol=1e-10)
+        assert pole_rotation_symmetry_defect(f, FR.normal, FR.pole, angle) <= 1e-10
 
 
 def test_pole_rotation_symmetry_identity_always():
     f = band_limited_field(77)
-    assert has_pole_rotation_symmetry(f, FR.normal, FR.pole, 0.0, tol=1e-12)
+    assert pole_rotation_symmetry_defect(f, FR.normal, FR.pole, 0.0) <= 1e-12
 
 
 def test_pole_rotation_symmetry_bump_rejected():
@@ -307,7 +310,6 @@ def test_pole_rotation_symmetry_bump_rejected():
     tol = 1e-6
     defect = pole_rotation_symmetry_defect(f, FR.normal, FR.pole, np.pi)
     assert defect > 10 * tol
-    assert not has_pole_rotation_symmetry(f, FR.normal, FR.pole, np.pi, tol=tol)
 
 
 def test_equator_flip_symmetry_detector():
@@ -322,6 +324,8 @@ def test_equator_flip_symmetry_detector():
 
 def test_equator_flip_symmetry_ball_degenerate():
     one = lambda x: np.ones(np.asarray(x).shape[:-1])
-    axis, wit = find_equator_flip_symmetry(one, FR, tol=1e-6, return_witness=True)
-    assert axis == 0.0
+    assert find_equator_flip_symmetry(one, FR, tol=1e-6) == 0.0
+    F = sample_on_sphere(one, gauss_grid(FR, 24, 128))
+    wit = register_pole_flip(F, F)
+    assert wit.parameter == 0.0
     assert wit.residual < 1e-14

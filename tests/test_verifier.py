@@ -85,8 +85,8 @@ def test_decide_flip_family_surfaced():
     ts = np.linspace(0, 2 * np.pi, 12, endpoint=False)
     w_ring = tuple(tuple(np.cos(t) * b1 + np.sin(t) * b2) for t in ts)
     cfg = VerifyConfig(n_t=16, n_azimuth=128, w_samples=12, circle_nodes=128,
-                       out_of_sample=512, w_directions=w_ring)
-    v = decide_functional_equation(f, g, POLE, cfg)
+                       out_of_sample=512)
+    v = decide_functional_equation(f, g, POLE, cfg, w_dirs=w_ring)
     assert v.outcome == OUTCOME_INCONCLUSIVE
     assert "flip-type registrations" in v.reason
     assert len(v.report["flip_witnesses"]) >= 1
@@ -137,9 +137,8 @@ def test_even_devs_match_reference_check():
     K = planted_polytope(117, POLE)
     L = planted_polytope(118, POLE)
     w_dirs = directions_orthogonal_to(POLE, 8)
-    cfg = VerifyConfig(n_t=16, n_azimuth=64, out_of_sample=256,
-                       w_directions=tuple(map(tuple, w_dirs)))
-    v = decide_functional_equation(K.support, L.support, POLE, cfg)
+    cfg = VerifyConfig(n_t=16, n_azimuth=64, out_of_sample=256)
+    v = decide_functional_equation(K.support, L.support, POLE, cfg, w_dirs=w_dirs)
     t_nodes, _ = gauss_latitude_nodes(cfg.n_t)
     ref = even_parts_equal(K.support, L.support, POLE, t_nodes, w_dirs,
                            circle_nodes=cfg.n_azimuth)
