@@ -5,8 +5,8 @@ from .bodies import (Body4, BumpShape, BumpTerm, DiameterSet, EllipsoidShape,
                      PolytopeShape, ball, body_from_spec, body_to_spec, cube,
                      diameter_segment, ellipsoid, find_diameters, polytope,
                      project_support, section_radial)
-from .funk import (EvenComparison, GridFunction, ParityPair, even_parts_equal,
-                   funk_transform, parity_decompose, sample_on_sphere)
+from .funk import (GridFunction, ParityPair, funk_transform, parity_decompose,
+                   sample_on_sphere)
 from .orthogonal import (AxisRotation, Orthogonal4, compose, equator_flip,
                          identity, pole_reflection, pole_rotation)
 from .polylab import (Polytope3, SymmetryRecord, approximation_rate,

@@ -1,14 +1,14 @@
 """Convex and star bodies in R^4 with exact support and radial evaluation.
 
 Bodies are closures over exact shape data (polytope vertices, ellipsoid
-axes, or a smooth support perturbation) plus a chain of orthogonal maps and
-translations.  Evaluation folds the chain analytically, so any great sphere
+axes, or a smooth support perturbation) placed by one map x -> R x + b.
+Evaluation pulls each direction back through that map, so any great sphere
 can be sampled on demand without a global discretization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -22,8 +22,16 @@ from .sphere import ORTHO_TOL, random_directions, unit
 CONVEX = "convex"
 STAR = "star"
 
-_DEFAULT_SCAN = 4096
+_N_SCAN = 4096  # width samples of the diameter scan
 _SCAN_SEED = 0x51CA7
+_MAX_CLUSTERS = 64  # more diameter directions than this are not isolated
+_ASCENT_ITERS = 80
+_HESSIAN_SAMPLES = 160
+ORIGIN_MARGIN = 1e-12  # "origin interior": facet offset or ellipsoid gauge slack
+
+_IDENTITY = (np.eye(4), np.zeros(4))
+_IDENTITY[0].setflags(write=False)
+_IDENTITY[1].setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -112,49 +120,42 @@ class BumpShape:
     base: EllipsoidShape
     epsilon: float
     terms: tuple
-    validate: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-        if self.validate:
-            lam = _min_hessian_eigenvalue(self)
-            if lam < -1e-7 * float(np.max(self.base.semiaxes)):
-                raise ValueError(
-                    f"perturbation breaks convexity (min Hessian eigenvalue {lam:.3e})")
+        lam = _min_hessian_eigenvalue(self)
+        if lam < -1e-7 * float(np.max(self.base.semiaxes)):
+            raise ValueError(
+                f"perturbation breaks convexity (min Hessian eigenvalue {lam:.3e})")
 
 
-def _min_hessian_eigenvalue(shape: BumpShape, n_sample: int = 160) -> float:
+def _min_hessian_eigenvalue(shape: BumpShape) -> float:
     """Smallest sampled Hessian eigenvalue of the homogeneous support extension.
 
     The extension H(x) = |x| h(x/|x|) is linear along each ray, so its
     Hessian at a unit direction annihilates that direction; convexity needs
     the restriction to the orthogonal complement to be nonnegative.
-    Central differences with step 1e-4.
+    Central differences with step 1e-4, every direction and stencil point
+    evaluated in one batch.
     """
     rng = np.random.default_rng(0xBE11)
-    dirs = random_directions(n_sample, rng)
+    dirs = random_directions(_HESSIAN_SAMPLES, rng)
     hstep = 1e-4
-
-    def H(x):
-        n = np.linalg.norm(x, axis=-1)
-        return n * _bump_support(shape, x / n[..., None])
-
-    worst = np.inf
     eye = np.eye(4)
-    for th in dirs:
-        hess = np.empty((4, 4))
-        for i in range(4):
-            for j in range(i, 4):
-                pp = H(th + hstep * (eye[i] + eye[j]))
-                pm = H(th + hstep * (eye[i] - eye[j]))
-                mp = H(th - hstep * (eye[i] - eye[j]))
-                mm = H(th - hstep * (eye[i] + eye[j]))
-                hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4 * hstep * hstep)
-        # restrict to the tangent space: project out the ray direction
-        basis = np.linalg.svd(np.eye(4) - np.outer(th, th))[0][:, :3]
-        vals = np.linalg.eigvalsh(basis.T @ hess @ basis)
-        worst = min(worst, float(vals[0]))
-    return worst
+    iu, ju = np.triu_indices(4)
+    plus = hstep * (eye[iu] + eye[ju])
+    minus = hstep * (eye[iu] - eye[ju])
+    x = dirs[:, None, None, :] + np.stack([plus, minus, -minus, -plus], axis=1)
+    n = np.linalg.norm(x, axis=-1)
+    H = n * _bump_support(shape, x / n[..., None])         # (samples, 10, 4)
+    upper = (H[..., 0] - H[..., 1] - H[..., 2] + H[..., 3]) / (4 * hstep * hstep)
+    hess = np.empty((len(dirs), 4, 4))
+    hess[:, iu, ju] = upper
+    hess[:, ju, iu] = upper
+    # restrict to the tangent space: project out the ray direction
+    basis = np.linalg.svd(eye - dirs[:, :, None] * dirs[:, None, :])[0][..., :3]
+    vals = np.linalg.eigvalsh(np.swapaxes(basis, 1, 2) @ hess @ basis)
+    return float(np.min(vals[:, 0]))
 
 
 def _ellipsoid_support(shape: EllipsoidShape, theta):
@@ -205,36 +206,19 @@ def _shape_support_point(shape, theta):
 
 @dataclass(frozen=True)
 class Body4:
-    """A convex or star body: exact shape data plus a transform chain.
+    """A convex or star body: exact shape data K0 placed as R K0 + b.
 
-    Transform chain entries are ("rot", Orthogonal4) or ("shift", 4-vector),
-    applied in order: the body is R K0 + b where (R, b) is the folded chain.
+    ``folded = (R, b)`` holds the orthogonal matrix R and the translation b;
+    the default is the identity placement.
     """
 
     kind: str
     shape: object
-    transforms: tuple = ()
+    folded: tuple = _IDENTITY
 
     def __post_init__(self):
         if self.kind not in (CONVEX, STAR):
             raise ValueError(f"kind must be '{CONVEX}' or '{STAR}'")
-        object.__setattr__(self, "transforms", tuple(self.transforms))
-
-    @cached_property
-    def folded(self):
-        """Fold the chain into (R, b) with body = R K0 + b."""
-        R = np.eye(4)
-        b = np.zeros(4)
-        for op, val in self.transforms:
-            if op == "rot":
-                m = val.matrix if isinstance(val, Orthogonal4) else np.asarray(val, float)
-                R = m @ R
-                b = m @ b
-            elif op == "shift":
-                b = b + np.asarray(val, dtype=float)
-            else:
-                raise ValueError(f"unknown transform op {op!r}")
-        return R, b
 
     # -- evaluation --------------------------------------------------------
 
@@ -250,7 +234,7 @@ class Body4:
         R, b = self.folded
         e = R.T @ b
         rhs = A @ e - off
-        if np.min(rhs) <= 1e-12:
+        if np.min(rhs) <= ORIGIN_MARGIN:
             raise OriginOutsideError("origin is not interior to the polytope")
         M = R @ A.T                       # coef = theta @ M
         return M, 1.0 / rhs
@@ -298,7 +282,7 @@ class Body4:
             a2 = np.sum(D * D, axis=-1)
             ab = np.sum(D * E, axis=-1) if E.ndim == D.ndim else D @ E
             c2 = float(E @ E) if E.ndim == 1 else np.sum(E * E, axis=-1)
-            if c2 >= 1.0 - 1e-12:
+            if c2 >= 1.0 - ORIGIN_MARGIN:
                 raise OriginOutsideError("origin is not interior to the ellipsoid")
             disc = ab * ab - a2 * (c2 - 1.0)
             rho = (ab + np.sqrt(disc)) / a2
@@ -309,27 +293,27 @@ class Body4:
     # -- transforms --------------------------------------------------------
 
     def apply(self, U: Orthogonal4, a=None) -> "Body4":
-        """Return U * body + a (appends to the transform chain)."""
-        ops = list(self.transforms)
-        ops.append(("rot", U))
+        """Return U * body + a."""
+        R, b = self.folded
+        body = replace(self, folded=(U.matrix @ R, U.matrix @ b))
         if a is not None and np.any(np.asarray(a, dtype=float) != 0):
-            ops.append(("shift", np.asarray(a, dtype=float)))
-        return Body4(kind=self.kind, shape=self.shape, transforms=tuple(ops))
+            body = body.translate(a)
+        return body
 
     def translate(self, a) -> "Body4":
-        return Body4(kind=self.kind, shape=self.shape,
-                     transforms=self.transforms + (("shift", np.asarray(a, dtype=float)),))
+        R, b = self.folded
+        return replace(self, folded=(R, b + np.asarray(a, dtype=float)))
 
-    def contains_origin_interior(self, margin: float = 1e-12) -> bool:
+    def contains_origin_interior(self) -> bool:
         R, b = self.folded
         e = R.T @ b
         if isinstance(self.shape, PolytopeShape):
             A, off = self.shape.facets
-            return bool(np.min(A @ e - off) > margin)
+            return bool(np.min(A @ e - off) > ORIGIN_MARGIN)
         if isinstance(self.shape, EllipsoidShape):
             inv = 1.0 / self.shape.semiaxes
             E = (e @ self.shape.axes_matrix) * inv
-            return bool(E @ E < 1.0 - margin)
+            return bool(E @ E < 1.0 - ORIGIN_MARGIN)
         raise UnsupportedKindError("interior test needs a polytope or ellipsoid")
 
     def effective_vertices(self):
@@ -415,12 +399,12 @@ def _canonical_antipodal(v):
     return v
 
 
-def _width_ascent(body: Body4, theta, max_iter: int = 80):
+def _width_ascent(body: Body4, theta):
     """Fixed-point ascent theta <- unit(sp(theta) - sp(-theta)); monotone in width."""
     th = np.array(theta, dtype=float)
     best = th
     best_w = body.width(th)
-    for _ in range(max_iter):
+    for _ in range(_ASCENT_ITERS):
         step = body.support_point(th) - body.support_point(-th)
         n = np.linalg.norm(step)
         if n == 0.0:
@@ -440,8 +424,7 @@ def default_diameter_tol(body: Body4, length: float) -> float:
     return rel * length
 
 
-def find_diameters(body: Body4, tol: float | None = None,
-                   n_scan: int = _DEFAULT_SCAN, max_clusters: int = 64) -> DiameterSet:
+def find_diameters(body: Body4) -> DiameterSet:
     """Scan the width function over S^3 and ascend to all near-maximal directions.
 
     Raises DegenerateBodyError when the width is constant within tol (the
@@ -451,18 +434,17 @@ def find_diameters(body: Body4, tol: float | None = None,
     if body.kind not in (CONVEX, STAR):
         raise UnsupportedKindError("diameters need a convex body")
     rng = np.random.default_rng(_SCAN_SEED)
-    dirs = random_directions(n_scan, rng)
+    dirs = random_directions(_N_SCAN, rng)
     widths = body.width(dirs)
     w_max = float(np.max(widths))
     w_min = float(np.min(widths))
-    if tol is None:
-        tol = default_diameter_tol(body, w_max)
+    tol = default_diameter_tol(body, w_max)
     if w_max - w_min <= tol:
         raise DegenerateBodyError(
             f"width is constant within {tol:.2e}; diameter set is not countable")
 
     order = np.argsort(widths)[::-1]
-    starts = order[:max(64, n_scan // 32)]
+    starts = order[:_N_SCAN // 32]
     endpoints = []
     global_max = w_max
     for idx in starts:
@@ -476,12 +458,12 @@ def find_diameters(body: Body4, tol: float | None = None,
         th = _canonical_antipodal(th)
         if not any(np.arccos(np.clip(abs(th @ c), -1, 1)) < 1e-3 for c in clusters):
             clusters.append(th)
-        if len(clusters) > max_clusters:
+        if len(clusters) > _MAX_CLUSTERS:
             raise DegenerateBodyError("diameter directions are not isolated")
     return DiameterSet(directions=np.array(clusters), length=global_max, tol=tol)
 
 
-def diameter_segment(body: Body4, direction, tol: float | None = None):
+def diameter_segment(body: Body4, direction):
     """Endpoints (p_minus, p_plus) of the unique diameter parallel to ``direction``.
 
     For polytopes the pair is located among the vertices supporting the two
@@ -489,8 +471,7 @@ def diameter_segment(body: Body4, direction, tol: float | None = None):
     """
     d = unit(direction)
     length = body.width(d)
-    if tol is None:
-        tol = default_diameter_tol(body, length)
+    tol = default_diameter_tol(body, length)
     if isinstance(body.shape, PolytopeShape):
         V = body.effective_vertices()
         vals = V @ d
@@ -501,7 +482,7 @@ def diameter_segment(body: Body4, direction, tol: float | None = None):
         for y in top:
             delta = y - bot
             dev = np.linalg.norm(delta - length * d, axis=-1)
-            for z in bot[dev <= max(tol, 1e-9) * max(length, 1.0)]:
+            for z in bot[dev <= tol]:
                 pairs.append((z, y))
         if not pairs:
             raise DegenerateBodyError(
@@ -512,7 +493,7 @@ def diameter_segment(body: Body4, direction, tol: float | None = None):
         return pairs[0]
     y = body.support_point(d)
     z = body.support_point(-d)
-    if np.linalg.norm((y - z) - length * d) > max(tol, 1e-7) * max(length, 1.0):
+    if np.linalg.norm((y - z) - length * d) > tol:
         raise DegenerateBodyError(
             "support chord is not parallel to the requested direction")
     return z, y
@@ -557,26 +538,25 @@ def shape_from_spec(spec: dict):
 
 
 def body_to_spec(body: Body4) -> dict:
+    """Spec of the body with its folded map: at most one rot, then one shift."""
+    R, b = body.folded
     transforms = []
-    for op, val in body.transforms:
-        if op == "rot":
-            m = val if isinstance(val, Orthogonal4) else Orthogonal4(np.asarray(val, float))
-            transforms.append({"rot": m.to_flat()})
-        else:
-            transforms.append({"shift": [float(x) for x in np.asarray(val, float)]})
+    if np.max(np.abs(R - np.eye(4))) > 0:
+        transforms.append({"rot": Orthogonal4(R).to_flat()})
+    if np.max(np.abs(b)) > 0:
+        transforms.append({"shift": [float(x) for x in b]})
     return {"kind": body.kind, "shape": shape_to_spec(body.shape),
             "transforms": transforms}
 
 
 def body_from_spec(spec: dict) -> Body4:
-    kind = spec.get("kind", CONVEX)
-    shape = shape_from_spec(spec["shape"])
-    ops = []
+    """Body of a spec, folding its transform entries in order."""
+    body = Body4(kind=spec.get("kind", CONVEX), shape=shape_from_spec(spec["shape"]))
     for entry in spec.get("transforms", []):
         if "rot" in entry:
-            ops.append(("rot", Orthogonal4.from_flat(entry["rot"])))
+            body = body.apply(Orthogonal4.from_flat(entry["rot"]))
         elif "shift" in entry:
-            ops.append(("shift", np.asarray(entry["shift"], dtype=float)))
+            body = body.translate(entry["shift"])
         else:
             raise ValueError(f"unknown transform entry {entry}")
-    return Body4(kind=kind, shape=shape, transforms=tuple(ops))
+    return body

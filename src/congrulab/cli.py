@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -84,16 +85,7 @@ def canonicalize_spec(spec: dict):
             warnings.append(f"dropped {len(verts) - len(keep)} duplicate vertices")
             shape = PolytopeShape(np.asarray(keep),
                                   require_full_dim=shape.require_full_dim)
-    R, b = body.folded
-    transforms = []
-    if np.max(np.abs(R - np.eye(4))) > 0:
-        from .orthogonal import Orthogonal4
-        transforms.append(("rot", Orthogonal4(R)))
-    if np.max(np.abs(b)) > 0:
-        transforms.append(("shift", b))
-    canonical = body_to_spec(Body4(kind=body.kind, shape=shape,
-                                   transforms=tuple(transforms)))
-    return canonical, warnings
+    return body_to_spec(replace(body, shape=shape)), warnings
 
 
 def _canonical_json(obj) -> str:

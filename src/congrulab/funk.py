@@ -1,10 +1,9 @@
-"""Parity split, Funk transform, and even-part comparison of fields on S^3.
+"""Parity split, Funk transform and sampled grid functions on S^3.
 
 The pole reflection (fixing ``pole``, negating its complement) splits any
-field into even and odd parts.  Transform-side comparison integrates the
-restriction of a field to each latitude ring over great circles of the
-sphere orthogonal to the pole; the direct comparison uses the explicit
-reflection.  Both are reported.
+field into even and odd parts: as fields, and on a sampled grid as the
+azimuth half-turn of each latitude ring.  The Funk transform integrates a
+field over a great circle orthogonal to the pole.
 """
 
 from __future__ import annotations
@@ -15,10 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonOrthogonalError
-from .sphere import (ORTHO_TOL, SphereGrid, circle_quadrature,
-                     directions_orthogonal_to, evaluate_field, great_circle_nodes,
-                     make_frame, unit)
+from .sphere import (SphereGrid, circle_quadrature, evaluate_field,
+                     great_circle_nodes, make_frame, unit)
 
 
 def reflect_through_pole(points, pole):
@@ -121,78 +118,7 @@ def funk_transform(f, pole, w, n: int = 128) -> float:
     """
     frame = make_frame(pole, w)
     nodes = great_circle_nodes(frame, n)
-    return float(circle_quadrature(evaluate_field(f, nodes), n))
-
-
-@dataclass(frozen=True)
-class EvenComparison:
-    """Result of comparing the even parts of two fields.
-
-    ``transform_dev`` is the worst great-circle integral mismatch over the
-    sampled (latitude, circle) family, ``direct_dev`` the worst pointwise
-    even-part mismatch on the same sample.  ``passed`` is the conjunction of
-    both checks at their tolerances.
-    """
-
-    passed: bool
-    transform_dev: float
-    direct_dev: float
-    tol: float
-    f_sup: float
-    g_sup: float
-
-
-def even_parts_equal(f, g, pole, t_nodes, w_dirs=None, tol: float = 1e-8,
-                     circle_nodes: int = 128) -> EvenComparison:
-    """Two-route equality test for the even parts of f and g.
-
-    Route (i): for every latitude t and sampled circle direction w, compare
-    the integrals of the two restrictions over the great circle orthogonal
-    to (pole, w), lifted to latitude t.  Route (ii): compare the even parts
-    pointwise on the same sample (the reflection is explicit, so this is
-    available and is the stronger check at grid resolution).
-
-    The transform check passes when the integral mismatch is at most
-    2*pi*tol (a pointwise gap of tol integrates to at most that); the direct
-    check passes at tol.
-    """
-    pole = unit(pole)
-    if circle_nodes % 2:
-        raise ValueError("circle_nodes must be even")
-    if w_dirs is None:
-        w_dirs = directions_orthogonal_to(pole, 128)
-    else:
-        w_dirs = np.asarray(w_dirs, dtype=float)
-        if np.max(np.abs(w_dirs @ pole)) > ORTHO_TOL:
-            raise NonOrthogonalError("circle directions must be orthogonal to the pole")
-    t = np.asarray(t_nodes, dtype=float)
-
-    transform_dev = 0.0
-    direct_dev = 0.0
-    f_sup = 0.0
-    g_sup = 0.0
-    r = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
-    half = circle_nodes // 2
-    for w in w_dirs:
-        frame = make_frame(pole, w)
-        circle = great_circle_nodes(frame, circle_nodes)         # (n, 4)
-        pts = (r[:, None, None] * circle[None, :, :]
-               + t[:, None, None] * pole[None, None, :])          # (n_t, n, 4)
-        fv = evaluate_field(f, pts)
-        gv = evaluate_field(g, pts)
-        f_sup = max(f_sup, float(np.max(np.abs(fv))))
-        g_sup = max(g_sup, float(np.max(np.abs(gv))))
-        ring_f = circle_quadrature(fv)
-        ring_g = circle_quadrature(gv)
-        transform_dev = max(transform_dev, float(np.max(np.abs(ring_f - ring_g))))
-        # reflection on these circles is the half-turn of the node index
-        fe = 0.5 * (fv + np.roll(fv, half, axis=1))
-        ge = 0.5 * (gv + np.roll(gv, half, axis=1))
-        direct_dev = max(direct_dev, float(np.max(np.abs(fe - ge))))
-
-    passed = (direct_dev <= tol) and (transform_dev <= 2.0 * np.pi * tol)
-    return EvenComparison(passed=passed, transform_dev=transform_dev,
-                          direct_dev=direct_dev, tol=tol, f_sup=f_sup, g_sup=g_sup)
+    return float(circle_quadrature(evaluate_field(f, nodes)))
 
 
 def compose_with_matrix(f, matrix):

@@ -26,6 +26,9 @@ from .errors import (BudgetExhaustedError, DegenerateProjectionError,
                      InsufficientDataError, TooFewVerticesError)
 from .sphere import ORTHO_TOL, random_directions
 
+LLOYD_ITERS = 15
+PERTURB_ROUNDS = 8
+
 
 # -- Hausdorff distance -------------------------------------------------------
 
@@ -58,12 +61,11 @@ def hausdorff_distance(K: Body4, L: Body4, n_sample: int = 8192,
 # -- inscribed polytope approximation ------------------------------------------
 
 
-def _spread_directions(count: int, seed: int, pool_size: int | None = None,
-                       lloyd_iters: int = 15) -> np.ndarray:
+def _spread_directions(count: int, seed: int) -> np.ndarray:
     """Well-separated directions on S^3: farthest-point greedy seeding from a
     random pool, then Lloyd-style spreading (cells by nearest center)."""
     rng = np.random.default_rng(seed)
-    pool = random_directions(pool_size or max(4000, 30 * count), rng)
+    pool = random_directions(max(4000, 30 * count), rng)
     chosen = np.empty((count, 4))
     chosen[0] = pool[0]
     best_dot = pool @ chosen[0]
@@ -71,7 +73,7 @@ def _spread_directions(count: int, seed: int, pool_size: int | None = None,
         idx = int(np.argmin(best_dot))
         chosen[k] = pool[idx]
         best_dot = np.maximum(best_dot, pool @ chosen[k])
-    for _ in range(lloyd_iters):
+    for _ in range(LLOYD_ITERS):
         owner = np.argmax(pool @ chosen.T, axis=1)
         for k in range(count):
             members = pool[owner == k]
@@ -349,8 +351,7 @@ def _sampled_symmetry_state(P: Body4, bases, tol: float):
 
 
 def perturb_to_asymmetric(P: Body4, h_bases=None, tol: float = 1e-8,
-                          seed: int = 0, max_rounds: int = 8,
-                          delta_bound: float | None = None):
+                          seed: int = 0):
     """Nearby polytope whose sampled 3D shadows all lack rigid symmetries.
 
     Random radial vertex jitters of magnitude eps (halved each round from
@@ -366,7 +367,6 @@ def perturb_to_asymmetric(P: Body4, h_bases=None, tol: float = 1e-8,
     V = P.effective_vertices()
     diam = _vertex_diameter(V)
     eps0 = 1e-2 * diam
-    bound = delta_bound if delta_bound is not None else eps0
 
     state = _sampled_symmetry_state(P, h_bases, tol)
     if all(s["symmetries"] == 0 for s in state):
@@ -378,8 +378,8 @@ def perturb_to_asymmetric(P: Body4, h_bases=None, tol: float = 1e-8,
     c = V.mean(axis=0)
     radial = V - c
     radial_unit = radial / np.maximum(np.linalg.norm(radial, axis=1, keepdims=True), 1e-12)
-    for round_idx in range(max_rounds):
-        eps = min(eps0 / 2 ** round_idx, bound)
+    for round_idx in range(PERTURB_ROUNDS):
+        eps = eps0 / 2 ** round_idx
         jitter = eps * rng.uniform(-1.0, 1.0, size=(len(V), 1)) * radial_unit
         try:
             cand = polytope(V + jitter, kind=P.kind)
@@ -393,4 +393,4 @@ def perturb_to_asymmetric(P: Body4, h_bases=None, tol: float = 1e-8,
                                         subspaces=tuple(state))
             return cand, cert
     raise BudgetExhaustedError(
-        f"no symmetry-free perturbation found in {max_rounds} rounds")
+        f"no symmetry-free perturbation found in {PERTURB_ROUNDS} rounds")

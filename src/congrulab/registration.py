@@ -337,7 +337,7 @@ def classify_direction(fg: GridFunction, gg: GridFunction, tol: float) -> Classi
     tol_abs = tol * max(scale, 1e-300)
 
     wit_rot = register_pole_rotation(fg, gg)
-    wit_flip = register_pole_flip(fg, gg, tie_check_tol=tol_abs)
+    wit_flip = register_pole_flip(fg, gg)
 
     rot_ok = wit_rot.residual <= tol_abs
     flip_ok = wit_flip.residual <= tol_abs
@@ -351,6 +351,8 @@ def classify_direction(fg: GridFunction, gg: GridFunction, tol: float) -> Classi
         return Classification(w=frame.normal, label=LABEL_FIX, witness=wit_rot,
                               tol=tol_abs, alpha=alpha, note=note,
                               f_sup=fg.sup, g_sup=gg.sup)
+    # the flip family won: register again, collecting the tied axes
+    wit_flip = register_pole_flip(fg, gg, tie_check_tol=tol_abs)
     note = ""
     if wit_flip.tied_parameters:
         note = ("symmetry violation: multiple flip axes register "

@@ -238,8 +238,8 @@ def great_circle_nodes(frame: SphereFrame, n: int):
     return frame.circle_point(az)
 
 
-def circle_quadrature(f_values, n: int | None = None) -> float:
-    """Trapezoidal circle integral: (2 pi / n) * sum of equispaced samples.
+def circle_quadrature(f_values) -> float:
+    """Trapezoidal circle integral: (2 pi / n) * sum of n equispaced samples.
 
     Spectrally accurate for smooth periodic integrands.  Accepts a batch with
     samples along the last axis.
@@ -247,10 +247,7 @@ def circle_quadrature(f_values, n: int | None = None) -> float:
     vals = np.asarray(f_values, dtype=float)
     if vals.size == 0:
         raise EmptyInputError("circle_quadrature received no samples")
-    m = vals.shape[-1]
-    if n is not None and n != m:
-        raise ValueError(f"declared n={n} does not match {m} samples")
-    out = (2.0 * np.pi / m) * vals.sum(axis=-1)
+    out = (2.0 * np.pi / vals.shape[-1]) * vals.sum(axis=-1)
     return float(out) if out.ndim == 0 else out
 
 

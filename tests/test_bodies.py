@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from congrulab.bodies import (Body4, BumpShape, BumpTerm, EllipsoidShape,
                               PolytopeShape, ball, body_from_spec, body_to_spec,
                               cube, diameter_segment, ellipsoid, find_diameters,
-                              polytope, project_support, section_radial)
+                              polytope, project_support, section_radial,
+                              shape_to_spec)
 from congrulab.errors import (DegenerateBodyError, NonOrthogonalError,
                               OriginOutsideError, UnsupportedKindError)
 from congrulab.orthogonal import Orthogonal4, pole_reflection
@@ -210,6 +213,17 @@ def test_diameter_segment_planted_midpoint():
     assert np.max(np.abs((y - y0) - b)) < 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_diameter_segment_chord_check_is_scale_free(scale):
+    # a pole 1e-4 rad off the major axis is within the width tolerance of the
+    # diameter, but its support chord is 7.5e-5 lengths off the pole
+    E = ellipsoid(np.array([2.0, 1.0, 1.0, 1.0]) * scale)
+    z, y = diameter_segment(E, [1.0, 0.0, 0.0, 0.0])
+    assert np.max(np.abs((y - z) - [4.0 * scale, 0, 0, 0])) <= 1e-12 * scale
+    with pytest.raises(DegenerateBodyError):
+        diameter_segment(E, [np.cos(1e-4), np.sin(1e-4), 0.0, 0.0])
+
+
 # -- projections and sections ---------------------------------------------------
 
 
@@ -300,13 +314,37 @@ def test_polytope_shape_validation():
     PolytopeShape(flat, require_full_dim=False)    # deferred validation
 
 
-def test_body_spec_roundtrip():
-    K = planted_polytope(21, unit(RNG.standard_normal(4)))
-    U = random_orthogonal(RNG)
-    KA = K.apply(U, np.array([0.1, 0.2, -0.3, 0.0]))
-    K2 = body_from_spec(body_to_spec(KA))
-    thetas = random_directions(100, RNG)
-    assert np.max(np.abs(K2.support(thetas) - KA.support(thetas))) == 0.0
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(kind=st.sampled_from(["polytope", "ellipsoid"]),
+       seed=st.integers(0, 2**32 - 1),
+       chain=st.lists(st.sampled_from(["rot", "shift"]), max_size=5))
+def test_body_spec_roundtrip(kind, seed, chain):
+    # a rot/shift chain read from a spec, the same chain applied in code, and
+    # the folded spec written back all evaluate bitwise alike
+    rng = np.random.default_rng(seed)
+    if kind == "polytope":
+        body = planted_polytope(seed % 1000, unit(rng.standard_normal(4)))
+    else:
+        body = ellipsoid(rng.uniform(0.8, 1.5, 4), random_orthogonal(rng))
+    entries = []
+    for op in chain:
+        if op == "rot":
+            U = random_orthogonal(rng)
+            body = body.apply(U)
+            entries.append({"rot": U.to_flat()})
+        else:
+            a = rng.uniform(-1.0, 1.0, 4)
+            body = body.translate(a)
+            entries.append({"shift": a.tolist()})
+    read = body_from_spec({"kind": "convex", "shape": shape_to_spec(body.shape),
+                           "transforms": entries})
+    spec = body_to_spec(body)
+    assert len(spec["transforms"]) <= 2
+    again = body_from_spec(spec)
+    thetas = random_directions(100, rng)
+    for other in (read, again):
+        assert np.array_equal(other.support(thetas), body.support(thetas))
+        assert np.array_equal(other.support_point(thetas), body.support_point(thetas))
 
 
 def test_reflection_body_identity():

@@ -45,9 +45,13 @@ def test_gen_body_folds_transform_chain(tmp_path):
     from congrulab.orthogonal import Orthogonal4
     chained = K.apply(Orthogonal4(q), [0.1, 0, 0, 0]).apply(
         Orthogonal4(q.T), [0, 0.2, 0, 0])
-    src = write_body(tmp_path, "c.json", chained)
+    spec = body_to_spec(K)
+    spec["transforms"] = [{"rot": q.reshape(-1).tolist()}, {"shift": [0.1, 0, 0, 0]},
+                          {"rot": q.T.reshape(-1).tolist()}, {"shift": [0, 0.2, 0, 0]}]
+    src = tmp_path / "c.json"
+    src.write_text(json.dumps(spec))
     out = str(tmp_path / "canon.json")
-    assert main(["gen-body", src, "--out", out]) == 0
+    assert main(["gen-body", str(src), "--out", out]) == 0
     spec = json.load(open(out))
     assert len(spec["transforms"]) <= 2   # one rot + one shift at most
     from congrulab.bodies import body_from_spec

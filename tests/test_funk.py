@@ -3,15 +3,14 @@ import pytest
 from scipy.integrate import quad
 
 from congrulab.errors import NonOrthogonalError
-from congrulab.funk import (GridFunction, compose_with_matrix, even_parts_equal,
-                            funk_transform, parity_decompose,
-                            reflect_through_pole, sample_on_sphere)
+from congrulab.funk import (GridFunction, compose_with_matrix, funk_transform,
+                            parity_decompose, reflect_through_pole, sample_on_sphere)
 from congrulab.orthogonal import equator_flip, pole_reflection, pole_rotation
 from congrulab.sphere import (complement_basis, directions_orthogonal_to,
                               gauss_grid, gauss_latitude_nodes, make_frame,
                               random_directions, unit)
 
-from helpers import band_limited_field, legendre_p, legendre_p0
+from helpers import band_limited_field, even_parts_equal, legendre_p, legendre_p0
 
 RNG = np.random.default_rng(404)
 POLE = unit(RNG.standard_normal(4))

@@ -105,11 +105,11 @@ def test_great_circle_nodes_orthogonality_and_balance():
 
 
 def test_circle_quadrature_basic():
-    assert abs(circle_quadrature(np.ones(16), 16) - 2 * np.pi) < 1e-14
+    assert abs(circle_quadrature(np.ones(16)) - 2 * np.pi) < 1e-14
     az = 2 * np.pi * np.arange(16) / 16
-    assert abs(circle_quadrature(np.cos(az), 16)) < 1e-12
+    assert abs(circle_quadrature(np.cos(az))) < 1e-12
     # analytic: integral of cos^2 over the circle is pi
-    assert abs(circle_quadrature(np.cos(az) ** 2, 16) - np.pi) < 1e-12
+    assert abs(circle_quadrature(np.cos(az) ** 2) - np.pi) < 1e-12
 
 
 def test_circle_quadrature_trig_polynomials_exact():
@@ -128,8 +128,6 @@ def test_circle_quadrature_trig_polynomials_exact():
 def test_circle_quadrature_empty_input():
     with pytest.raises(EmptyInputError):
         circle_quadrature(np.array([]))
-    with pytest.raises(ValueError):
-        circle_quadrature(np.ones(8), 16)
 
 
 def test_gauss_nodes_integrate_polynomials():

@@ -2,12 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congrulab.bodies import ball, cube, ellipsoid, polytope
 from congrulab.errors import (CongruenceHypothesisFailed, ConfigInvalidError,
                               DegenerateBodyError, DiameterHypothesisFailed)
-from congrulab.funk import compose_with_matrix, even_parts_equal
-from congrulab.orthogonal import pole_reflection
+from congrulab.funk import compose_with_matrix
+from congrulab.orthogonal import identity, pole_reflection
 from congrulab.registration import Classification
 from congrulab.sphere import (complement_basis, directions_orthogonal_to,
                               gauss_latitude_nodes, random_directions, unit)
@@ -18,7 +20,8 @@ from congrulab.verifier import (OUTCOME_BOTH, OUTCOME_EQUAL,
                                 verify_projection_theorem,
                                 verify_section_theorem)
 
-from helpers import band_limited_field, even_field, odd_field, planted_polytope
+from helpers import (band_limited_field, even_field, even_parts_equal, odd_field,
+                     planted_polytope)
 
 RNG = np.random.default_rng(606)
 POLE = unit(RNG.standard_normal(4))
@@ -303,6 +306,31 @@ def test_section_planted_reflection():
     v = verify_section_theorem(K, L, POLE, BODY_CFG)
     assert v.outcome == OUTCOME_REFLECTED
     assert np.linalg.norm(v.translation) <= 1e-6 * 2.0
+
+
+SMALL_CFG = VerifyConfig(n_t=8, n_azimuth=32, w_samples=4, out_of_sample=256)
+_vector = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(pole=_vector.filter(lambda v: np.linalg.norm(v) > 0.1),
+       seed=st.integers(0, 2**16), b=_vector, reflect=st.booleans(),
+       section=st.booleans())
+def test_planted_recovery_property(pole, seed, b, reflect, section):
+    # verify(K, U K + b) recovers b, U the identity or the pole reflection;
+    # sections shift along the pole by at most 0.12, keeping the origin interior
+    pole = unit(pole)
+    U = pole_reflection(pole) if reflect else identity()
+    if section:
+        K = planted_polytope(seed, pole, through_origin=True, kind="star")
+        b = 0.12 * b[0] * pole
+        v = verify_section_theorem(K, K.apply(U, b), pole, SMALL_CFG)
+    else:
+        K = planted_polytope(seed, pole)
+        b = 0.6 * np.asarray(b)
+        v = verify_projection_theorem(K, K.apply(U, b), pole, SMALL_CFG)
+    assert v.outcome == (OUTCOME_REFLECTED if reflect else OUTCOME_EQUAL)
+    assert np.linalg.norm(v.translation - b) <= 1e-6 * 2.0
 
 
 def test_section_off_axis_shift_breaks_congruence():
