@@ -17,8 +17,8 @@ from .registration import (Classification, RotationWitness, classify_direction,
                            find_equator_flip_symmetry, register_pole_flip,
                            register_pole_rotation)
 from .sphere import (SphereFrame, SphereGrid, circle_quadrature,
-                     directions_orthogonal_to, embed_parallel, gauss_grid,
-                     great_circle_nodes, make_frame, unit)
+                     directions_orthogonal_to, gauss_grid, great_circle_nodes,
+                     make_frame, unit)
 from .verifier import (Verdict, VerifyConfig, decide_functional_equation,
                        verify_projection_theorem, verify_section_theorem)
 

@@ -21,7 +21,7 @@ from .bodies import Body4, PolytopeShape, body_from_spec, body_to_spec
 from .errors import (CongrulabError, CongruenceHypothesisFailed,
                      DegenerateBodyError, DiameterHypothesisFailed,
                      InsufficientDataError, SpecParseError, StarShapednessLost)
-from .polylab import (approximation_rate, detect_rigid_symmetries,
+from .polylab import (MIN_VERTICES, approximation_rate, detect_rigid_symmetries,
                       project_polytope, random_subspace_bases)
 from .sphere import unit
 from .verifier import VerifyConfig, verify_projection_theorem, verify_section_theorem
@@ -59,11 +59,20 @@ def _emit(payload: str, out: str | None):
         sys.stdout.write(payload)
 
 
-def _parse_vector(text: str, length: int):
+def _parse_numbers(text: str, kind=float):
     parts = [p for p in text.replace(";", ",").split(",") if p.strip()]
-    if len(parts) != length:
-        raise SpecParseError(f"expected {length} comma-separated numbers, got {text!r}")
-    return np.array([float(p) for p in parts])
+    try:
+        return [kind(p) for p in parts]
+    except ValueError:
+        raise SpecParseError(f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _parse_vector(text: str, length: int):
+    vec = np.array(_parse_numbers(text))
+    if len(vec) != length or not np.all(np.isfinite(vec)):
+        raise SpecParseError(f"expected {length} comma-separated finite numbers, "
+                             f"got {text!r}")
+    return vec
 
 
 def canonicalize_spec(spec: dict):
@@ -113,7 +122,10 @@ def _config_from_args(args) -> VerifyConfig:
 def cmd_verify(args) -> int:
     K = _load_body(args.body_k)
     L = _load_body(args.body_l)
-    pole = unit(_parse_vector(args.zeta, 4))
+    zeta = _parse_vector(args.zeta, 4)
+    if not np.any(zeta):
+        raise SpecParseError("--zeta must be a nonzero vector")
+    pole = unit(zeta)
     config = _config_from_args(args)
     run = (verify_projection_theorem if args.mode == "projections"
            else verify_section_theorem)
@@ -135,8 +147,10 @@ def cmd_symmetry(args) -> int:
     if not isinstance(body.shape, PolytopeShape):
         raise SpecParseError("symmetry reports need a polytope body")
     if args.subspace:
-        flat = _parse_vector(args.subspace, 12)
-        basis = flat.reshape(3, 4)
+        basis = _parse_vector(args.subspace, 12).reshape(3, 4)
+        svals = np.linalg.svd(basis, compute_uv=False)
+        if svals[-1] <= 1e-10 * svals[0]:
+            raise SpecParseError(f"--subspace rows are not independent: {args.subspace!r}")
         q, _ = np.linalg.qr(basis.T)
         bases = [q.T]
     else:
@@ -163,7 +177,10 @@ def cmd_symmetry(args) -> int:
 
 def cmd_rate(args) -> int:
     body = _load_body(args.body)
-    v_list = [int(v) for v in args.v_list.split(",") if v.strip()]
+    v_list = _parse_numbers(args.v_list, int)
+    if any(v < MIN_VERTICES for v in v_list):
+        raise SpecParseError(f"vertex budgets must be at least {MIN_VERTICES}, "
+                             f"got {args.v_list!r}")
     fit = approximation_rate(body, v_list, seed=args.seed)
     if args.format == "csv":
         lines = ["v,delta"]

@@ -27,6 +27,7 @@ from .errors import (BudgetExhaustedError, DegenerateProjectionError,
 from .sphere import ORTHO_TOL, random_directions
 
 LLOYD_ITERS = 15
+MIN_VERTICES = 5            # fewest vertices of an inscribed 4D polytope
 PERTURB_ROUNDS = 8
 
 
@@ -93,8 +94,8 @@ def inscribe_polytope(K: Body4, v: int, seed: int = 0) -> Body4:
     support points of well-separated directions, hence exactly on the
     boundary.
     """
-    if v < 5:
-        raise ValueError("need at least 5 vertices")
+    if v < MIN_VERTICES:
+        raise ValueError(f"need at least {MIN_VERTICES} vertices")
     dirs = _spread_directions(v, seed)
     return polytope(K.support_point(dirs), kind=K.kind)
 

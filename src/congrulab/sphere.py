@@ -214,22 +214,6 @@ def gauss_grid(frame: SphereFrame, n_t: int = 64, n_azimuth: int = 256) -> Spher
     return SphereGrid(frame=frame, t_nodes=t, t_weights=w, n_azimuth=n_azimuth)
 
 
-def embed_parallel(x, t, pole):
-    """Lift point(s) x of the great sphere orthogonal to pole to latitude t.
-
-    Returns sqrt(1 - t^2) * x + t * pole, a unit vector at height t.
-    """
-    x = np.asarray(x, dtype=float)
-    pole = unit(pole)
-    if np.max(np.abs(x @ pole)) > ORTHO_TOL:
-        raise NonOrthogonalError("x is not orthogonal to the pole")
-    if np.any(np.abs(t) > 1.0):
-        raise ValueError("latitude t must lie in [-1, 1]")
-    t = np.asarray(t, dtype=float)
-    r = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
-    return r[..., None] * x + t[..., None] * pole
-
-
 def great_circle_nodes(frame: SphereFrame, n: int):
     """n equispaced points on the equatorial circle of the frame."""
     if n < 2:

@@ -10,8 +10,6 @@ diameter, and translate the answer back into a recovered translation.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,7 +17,7 @@ import numpy as np
 from .bodies import Body4, DiameterSet, diameter_segment, find_diameters
 from .errors import (CongruenceHypothesisFailed, ConfigInvalidError,
                      DiameterHypothesisFailed, StarShapednessLost)
-from .funk import compose_with_matrix, parity_decompose, sample_on_sphere
+from .funk import sample_on_sphere
 from .orthogonal import pole_reflection
 from .registration import (LABEL_FLIP, LABEL_NONE, Classification,
                            classify_direction, find_equator_flip_symmetry,
@@ -36,27 +34,7 @@ OUTCOME_INCONCLUSIVE = "inconclusive"
 _SUCCESS_OUTCOMES = (OUTCOME_EQUAL, OUTCOME_REFLECTED, OUTCOME_BOTH, OUTCOME_ZERO_ODD)
 
 
-def worker_count(requested: int | None = None) -> int:
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("CONGRULAB_THREADS", "")
-    if not env:
-        return 1
-    try:
-        count = int(env)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ConfigInvalidError(
-            f"CONGRULAB_THREADS must be an integer >= 1, got {env!r}")
-    return count
-
-
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+DIAMETER_MARGIN = 0.05  # least |w . d| to a diameter d off the pole, for a working w
 
 
 @dataclass(frozen=True)
@@ -76,8 +54,6 @@ class VerifyConfig:
     w_samples: int = 200
     circle_nodes: int | None = None
     seed: int = 0
-    threads: int | None = None
-    diameter_margin: float = 0.05
     out_of_sample: int = 2048
 
     def validate(self):
@@ -180,8 +156,17 @@ def aggregate_labels(classifications, odd_sup: float, tol_abs: float):
     return (OUTCOME_EQUAL, None)
 
 
-def _sup_on_sample(f, points) -> float:
-    return float(np.max(np.abs(evaluate_field(f, points))))
+def _probe_sups(f, g, pole, config: VerifyConfig):
+    """(odd_sup, sup |f - g|, sup |f - g o R|) on the out-of-sample probes P,
+    from one evaluation of each field at P and at R P, R the pole reflection."""
+    rng = np.random.default_rng(config.seed + 0x0DD5)
+    probes = random_directions(config.out_of_sample, rng)
+    reflected = pole_reflection(pole).apply(probes)
+    f_p, f_r = evaluate_field(f, probes), evaluate_field(f, reflected)
+    g_p, g_r = evaluate_field(g, probes), evaluate_field(g, reflected)
+    odd_sup = max(float(np.max(np.abs(0.5 * (f_p - f_r)))),
+                  float(np.max(np.abs(0.5 * (g_p - g_r)))))
+    return odd_sup, float(np.max(np.abs(f_p - g_p))), float(np.max(np.abs(f_p - g_r)))
 
 
 @dataclass(frozen=True)
@@ -195,27 +180,28 @@ class _SphereChecks:
     odd: Classification | None
 
 
-def _sample_pair(f, g, pole, w, config: VerifyConfig):
+def _sample_sphere(f, g, pole, w, config: VerifyConfig):
     grid = gauss_grid(make_frame(pole, w), n_t=config.n_t, n_azimuth=config.n_azimuth)
-    return sample_on_sphere(f, grid), sample_on_sphere(g, grid)
+    return sample_on_sphere(f, grid), sample_on_sphere(g, grid), None
 
 
-def _check_sphere(w, fg, gg, config: VerifyConfig, certify: bool,
+def _check_sphere(w, fg, gg, congruence, config: VerifyConfig, certify: bool,
                   odd_sup: float) -> _SphereChecks:
     """Every per-sphere check, read from one grid of f and one of g.
 
-    With ``certify``, the full restrictions are registered first and the
-    congruence hypothesis fails here when neither family registers.  The
-    even parts are compared by ring sums (the Funk route) and pointwise; the
-    pole reflection is the azimuth half-turn of the grid, so the parity split
-    needs no new samples.  The odd parts are registered unless ``odd_sup``
-    already vanishes at this sphere's data scale, which forces the ``both``
-    branch (the decision scale is at least this sphere's).
+    With ``certify``, the full restrictions are registered first (unless
+    ``congruence`` holds that classification) and the congruence hypothesis
+    fails here when neither family registers.  The even parts are compared
+    by ring sums (the Funk route) and pointwise; the pole reflection is the
+    azimuth half-turn of the grid, so the parity split needs no new samples.
+    The odd parts are registered unless ``odd_sup`` already vanishes at this
+    sphere's data scale, which forces the ``both`` branch (the decision scale
+    is at least this sphere's).
     """
     sup = max(fg.sup, gg.sup)
-    congruence = None
     if certify:
-        congruence = classify_direction(fg, gg, config.tol)
+        if congruence is None:
+            congruence = classify_direction(fg, gg, config.tol)
         if congruence.label == LABEL_NONE:
             raise CongruenceHypothesisFailed(w, congruence.witness.residual)
     fe, fo = fg.parity()
@@ -244,33 +230,29 @@ def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *
 
     The working spheres are those orthogonal to the rows of ``w_dirs``, by
     default ``config.w_samples`` quasi-uniform normals orthogonal to the
-    pole.  f and g are sampled once per working sphere, and every check
-    reads those grids.  ``certify_congruence`` also registers the full
-    restrictions on each sphere, raising CongruenceHypothesisFailed for the
-    first sphere in order where neither family registers; the worst residual
-    is reported as ``congruence_residual``.  ``sampled`` maps sphere indices
-    to (f, g) grid functions already sampled on those spheres' grids;
-    entries are consumed.
+    pole.  f and g are sampled once per working sphere and once at the
+    out-of-sample probes and their pole reflections; every check reads those
+    samples.  ``certify_congruence`` also registers the full restrictions on
+    each sphere, raising CongruenceHypothesisFailed for the first sphere in
+    order where neither family registers; the worst residual is reported as
+    ``congruence_residual``.  ``sampled`` maps sphere indices to triples
+    (f grid, g grid, ``classify_direction`` of the two or None) computed on
+    those spheres; a given classification is that sphere's congruence
+    certificate.  Entries are consumed.
     """
     config = (config or VerifyConfig()).validate()
     pole = unit(pole)
     if w_dirs is None:
         w_dirs = directions_orthogonal_to(pole, config.w_samples)
 
-    rng = np.random.default_rng(config.seed + 0x0DD5)
-    probes = random_directions(config.out_of_sample, rng)
-    fp = parity_decompose(f, pole)
-    gp = parity_decompose(g, pole)
-    odd_sup = max(_sup_on_sample(fp.odd, probes), _sup_on_sample(gp.odd, probes))
-
+    odd_sup, dev_eq, dev_re = _probe_sups(f, g, pole, config)
     sampled = {} if sampled is None else sampled
 
-    def one(item):
-        i, w = item
-        fg, gg = sampled.pop(i, None) or _sample_pair(f, g, pole, w, config)
-        return _check_sphere(w, fg, gg, config, certify_congruence, odd_sup)
+    def one(i, w):
+        fg, gg, congruence = sampled.pop(i, None) or _sample_sphere(f, g, pole, w, config)
+        return _check_sphere(w, fg, gg, congruence, config, certify_congruence, odd_sup)
 
-    checks = _map_ordered(one, list(enumerate(w_dirs)), worker_count(config.threads))
+    checks = [one(i, w) for i, w in enumerate(w_dirs)]
 
     scale = max(1e-300, *(c.sup for c in checks))
     tol_abs = config.tol * scale
@@ -293,12 +275,7 @@ def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *
                        report=report, tol=tol_abs)
     report["odd_sup"] = odd_sup
 
-    refl = pole_reflection(pole)
-    g_refl = compose_with_matrix(g, refl.matrix)
-
     if odd_sup <= 0.1 * tol_abs:
-        dev_eq = _sup_on_sample(lambda x: evaluate_field(f, x) - evaluate_field(g, x), probes)
-        dev_re = _sup_on_sample(lambda x: evaluate_field(f, x) - evaluate_field(g_refl, x), probes)
         report["certificate"] = {"equal_dev": dev_eq, "reflected_dev": dev_re}
         if dev_eq <= 5 * tol_abs and dev_re <= 5 * tol_abs:
             return Verdict(OUTCOME_BOTH, report=report, tol=tol_abs)
@@ -330,9 +307,7 @@ def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *
                        classifications=classifications, report=report, tol=tol_abs)
 
     if outcome in (OUTCOME_EQUAL, OUTCOME_REFLECTED):
-        target = g if outcome == OUTCOME_EQUAL else g_refl
-        dev = _sup_on_sample(lambda x: evaluate_field(f, x) - evaluate_field(target, x),
-                             probes)
+        dev = dev_eq if outcome == OUTCOME_EQUAL else dev_re
         report["certificate"] = {"relation": outcome, "out_of_sample_dev": dev}
         if dev > 5 * tol_abs:
             return Verdict(OUTCOME_INCONCLUSIVE,
@@ -364,7 +339,7 @@ def _admissible_w_sample(pole, diams_k: DiameterSet, diams_l: DiameterSet,
                          config: VerifyConfig):
     """Working-sphere normals avoiding spheres that contain extra diameters.
 
-    Returns (normals, fallback).  When ``diameter_margin`` rejects every
+    Returns (normals, fallback).  When ``DIAMETER_MARGIN`` rejects every
     sphere of the pool, the unfiltered pool is used and ``fallback`` is True.
     """
     pool = directions_orthogonal_to(pole, int(config.w_samples * 1.5) + 16)
@@ -372,7 +347,7 @@ def _admissible_w_sample(pole, diams_k: DiameterSet, diams_l: DiameterSet,
              if abs(float(d @ pole)) < 1.0 - 1e-9]
     keep = []
     for w in pool:
-        if all(abs(float(w @ d)) > config.diameter_margin for d in extra):
+        if all(abs(float(w @ d)) > DIAMETER_MARGIN for d in extra):
             keep.append(w)
         if len(keep) == config.w_samples:
             break
@@ -413,7 +388,6 @@ def verify_projection_theorem(K: Body4, L: Body4, pole,
     verdict = decide_functional_equation(Kc.support, Lc.support, pole, config,
                                          w_dirs=w_dirs, certify_congruence=True)
 
-    refl = pole_reflection(pole)
     report = dict(verdict.report)
     report.update({
         "diameter_length": diams_k.length,
@@ -430,7 +404,7 @@ def verify_projection_theorem(K: Body4, L: Body4, pole,
     if verdict.outcome in (OUTCOME_EQUAL, OUTCOME_BOTH):
         translation = mid_l - mid_k
     elif verdict.outcome == OUTCOME_REFLECTED:
-        translation = mid_l - refl.apply(mid_k)
+        translation = mid_l - pole_reflection(pole).apply(mid_k)
     return replace(verdict, translation=translation, report=report)
 
 
@@ -439,9 +413,9 @@ def _choose_alignment(K: Body4, L: Body4, alignments, pole, probe_ws,
     """The translate L + a that registers best against K on the probe spheres.
 
     Returns (residual, a, L + a, sampled), where ``sampled`` maps each probe
-    index to its (K, L + a) grids.  The probe spheres are the first working
-    spheres, so the decision reuses those grids instead of sampling again.
-    Ties keep the first alignment.
+    index to its (K grid, L + a grid, classification) triple.  The probe
+    spheres are the first working spheres, so the decision reuses them
+    instead of sampling and registering again.  Ties keep the first alignment.
     """
     grids = [gauss_grid(make_frame(pole, w), n_t=config.n_t, n_azimuth=config.n_azimuth)
              for w in probe_ws]
@@ -452,12 +426,11 @@ def _choose_alignment(K: Body4, L: Body4, alignments, pole, probe_ws,
         if not La.contains_origin_interior():
             continue
         l_probes = [sample_on_sphere(La.radial, grid) for grid in grids]
-        worst = 0.0
-        for kg, lg in zip(k_probes, l_probes):
-            c = classify_direction(kg, lg, config.tol)
-            worst = max(worst, c.witness.residual)
+        checks = [classify_direction(kg, lg, config.tol)
+                  for kg, lg in zip(k_probes, l_probes)]
+        worst = max(c.witness.residual for c in checks)
         if best is None or worst < best[0]:
-            best = (worst, a, La, dict(enumerate(zip(k_probes, l_probes))))
+            best = (worst, a, La, dict(enumerate(zip(k_probes, l_probes, checks))))
     if best is None:
         raise StarShapednessLost(
             "no diameter alignment keeps the origin interior; the mixed "

@@ -255,6 +255,21 @@ def test_rate_single_v_insufficient(tmp_path, capsys):
     assert "InsufficientData" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "projections", "{body}", "{body}", "--zeta", "a,b,c,d"],
+    ["verify", "projections", "{body}", "{body}", "--zeta", "0,0,0,0"],
+    ["rate", "{body}", "--v-list", "40,abc"],
+    ["rate", "{body}", "--v-list", "3,4"],
+    ["symmetry", "{body}", "--subspace", "1,0,0,0;1,0,0,0;0,0,1,0"],
+], ids=["zeta-text", "zeta-zero", "v-list-text", "v-list-small", "subspace-rank"])
+def test_bad_cli_input_is_spec_parse_error(tmp_path, capsys, argv):
+    body = write_body(tmp_path, "cube.json", cube())
+    rc = main([a.format(body=body) for a in argv])
+    assert rc == 1
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert json.loads(last)["error"] == "SpecParseError"
+
+
 def test_verify_deterministic_given_seed(tmp_path):
     K = planted_polytope(10, POLE)
     pk = write_body(tmp_path, "K.json", K)

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from congrulab.bodies import ellipsoid
 from congrulab.errors import NonOrthogonalError
 from congrulab.funk import (GridFunction, compose_with_matrix, funk_transform,
                             parity_decompose, reflect_through_pole, sample_on_sphere)
-from congrulab.orthogonal import equator_flip, pole_reflection, pole_rotation
+from congrulab.orthogonal import (Orthogonal4, equator_flip, pole_reflection,
+                                  pole_rotation)
 from congrulab.sphere import (complement_basis, directions_orthogonal_to,
                               gauss_grid, gauss_latitude_nodes, make_frame,
                               random_directions, unit)
 
-from helpers import band_limited_field, even_parts_equal, legendre_p, legendre_p0
+from helpers import (band_limited_field, even_parts_equal, legendre_p, legendre_p0,
+                     planted_polytope)
 
 RNG = np.random.default_rng(404)
 POLE = unit(RNG.standard_normal(4))
@@ -61,6 +66,36 @@ def test_parity_signs_under_reflection():
     refl = reflect_through_pole(pts, POLE)
     assert np.max(np.abs(pair.even(refl) - pair.even(pts))) < 1e-13
     assert np.max(np.abs(pair.odd(refl) + pair.odd(pts))) < 1e-13
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(pole=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+           lambda v: np.linalg.norm(v) > 0.1),
+       seed=st.integers(0, 2**16), shape=st.sampled_from(["polytope", "ellipsoid"]))
+def test_parity_and_funk_identities_on_random_bodies(pole, seed, shape):
+    # on a random working sphere through the pole: the grid's azimuth
+    # half-turn is the pole reflection, its matrix and point forms agree,
+    # and the Funk transform annihilates the odd part
+    pole = unit(pole)
+    rng = np.random.default_rng(seed)
+    if shape == "polytope":
+        body = planted_polytope(seed, pole)
+    else:
+        rot, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        body = ellipsoid(rng.uniform(0.5, 1.5, 4), Orthogonal4(rot))
+    f = body.support
+    w = rng.standard_normal(4)
+    grid = gauss_grid(make_frame(pole, w - (w @ pole) * pole), n_t=8, n_azimuth=32)
+    fg = sample_on_sphere(f, grid)
+    sup = fg.sup
+    pair = parity_decompose(f, pole)
+    even, odd = fg.parity()
+    assert np.max(np.abs(even.values - pair.even(grid.points))) <= 1e-12 * sup
+    assert np.max(np.abs(odd.values - pair.odd(grid.points))) <= 1e-12 * sup
+    by_matrix = f(pole_reflection(pole).apply(grid.points))
+    by_points = f(reflect_through_pole(grid.points, pole))
+    assert np.max(np.abs(by_matrix - by_points)) <= 1e-12 * sup
+    assert abs(funk_transform(pair.odd, pole, grid.frame.normal)) <= 1e-10 * sup
 
 
 # -- grid functions ----------------------------------------------------------------

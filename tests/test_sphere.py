@@ -3,10 +3,9 @@ import pytest
 
 from congrulab.errors import EmptyInputError, NonOrthogonalError
 from congrulab.sphere import (SphereGrid, circle_quadrature, complement_basis,
-                              directions_orthogonal_to, embed_parallel,
-                              gauss_grid, gauss_latitude_nodes,
-                              great_circle_nodes, make_frame, random_directions,
-                              unit)
+                              directions_orthogonal_to, gauss_grid,
+                              gauss_latitude_nodes, great_circle_nodes,
+                              make_frame, random_directions, unit)
 
 RNG = np.random.default_rng(101)
 
@@ -29,36 +28,6 @@ def test_frame_gram_identity():
 def test_frame_rejects_non_orthogonal_pair():
     with pytest.raises(NonOrthogonalError):
         make_frame([1, 0, 0, 0], [1, 1, 0, 0])
-
-
-def test_embed_parallel_identity_and_pole():
-    fr = random_frame(RNG)
-    x = fr.circle_point(0.3)
-    assert np.allclose(embed_parallel(x, 0.0, fr.pole), x, atol=1e-14)
-    assert np.allclose(embed_parallel(x, 1.0, fr.pole), fr.pole, atol=1e-14)
-
-
-def test_embed_parallel_explicit_value():
-    e1 = np.array([1.0, 0, 0, 0])
-    e4 = np.array([0.0, 0, 0, 1])
-    th = embed_parallel(e1, 0.6, e4)
-    assert np.allclose(th, [0.8, 0, 0, 0.6], atol=1e-15)
-
-
-def test_embed_parallel_rejects_non_orthogonal():
-    with pytest.raises(NonOrthogonalError):
-        embed_parallel(np.array([1.0, 0, 0, 1e-3]), 0.5, np.array([0.0, 0, 0, 1]))
-
-
-def test_embed_parallel_lands_on_working_sphere():
-    for _ in range(20):
-        fr = random_frame(RNG)
-        az = RNG.uniform(0, 2 * np.pi)
-        x = fr.circle_point(az)
-        t = RNG.uniform(-1, 1)
-        th = embed_parallel(x, t, fr.pole)
-        assert abs(np.linalg.norm(th) - 1) < 1e-12
-        assert abs(th @ fr.normal) < 1e-12
 
 
 def test_grid_point_values():

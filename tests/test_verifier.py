@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from congrulab import verifier
 from congrulab.bodies import ball, cube, ellipsoid, polytope
 from congrulab.errors import (CongruenceHypothesisFailed, ConfigInvalidError,
                               DegenerateBodyError, DiameterHypothesisFailed)
@@ -130,10 +131,10 @@ def test_decide_samples_each_field_once_per_sphere():
     for shapes in (f_shapes, g_shapes):
         grid_points = sum(int(np.prod(s)) for s in shapes if s == grid_shape)
         assert grid_points == cfg.w_samples * cfg.n_t * cfg.n_azimuth
-        # out of sample: the odd part (a point and its reflection) and the
-        # certificate of the winning relation
+        # out of sample: the probes and their pole reflections, read by both
+        # the odd part and the certificate of the winning relation
         probe_points = sum(int(np.prod(s)) for s in shapes if s != grid_shape)
-        assert probe_points == 3 * cfg.out_of_sample
+        assert probe_points == 2 * cfg.out_of_sample
 
 
 def test_even_devs_match_reference_check():
@@ -198,7 +199,7 @@ def test_projection_planted_translation():
     assert v.report["w_sample_fallback"] is False
 
 
-def test_w_sample_fallback_reported():
+def test_w_sample_fallback_reported(monkeypatch):
     # a second diameter orthogonal to the pole: a margin of 1 rejects every
     # working sphere, and the pipeline must say it used the unfiltered pool
     rng = np.random.default_rng(9)
@@ -208,7 +209,8 @@ def test_w_sample_fallback_reported():
     L = K.translate(0.1 * unit(RNG.standard_normal(4)))
     cfg = replace(BODY_CFG, w_samples=8)
     assert verify_projection_theorem(K, L, POLE, cfg).report["w_sample_fallback"] is False
-    v = verify_projection_theorem(K, L, POLE, replace(cfg, diameter_margin=1.0))
+    monkeypatch.setattr(verifier, "DIAMETER_MARGIN", 1.0)
+    v = verify_projection_theorem(K, L, POLE, cfg)
     assert v.report["w_sample_fallback"] is True
     assert v.report["w_sample_size"] == cfg.w_samples
 
@@ -349,39 +351,25 @@ def test_section_requires_origin_diameter():
         verify_section_theorem(K, K, POLE, BODY_CFG)
 
 
-def test_worker_count_env(monkeypatch):
-    from congrulab.verifier import worker_count
-    monkeypatch.delenv("CONGRULAB_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("CONGRULAB_THREADS", "4")
-    assert worker_count() == 4
-    assert worker_count(2) == 2
-    monkeypatch.setenv("CONGRULAB_THREADS", "not-a-number")
-    with pytest.raises(ConfigInvalidError, match="CONGRULAB_THREADS.*not-a-number"):
-        worker_count()
+def test_section_alignment_classifications_reused(monkeypatch):
+    # the alignment search registers both alignments on the 6 probe spheres;
+    # the decision certifies from the chosen one's 6 and registers the other
+    # w - 6 full restrictions and all w odd parts
+    calls = [0]
+    classify = verifier.classify_direction
 
+    def counted(*args):
+        calls[0] += 1
+        return classify(*args)
 
-def test_worker_count_env_below_one(monkeypatch):
-    from congrulab.verifier import worker_count
-    monkeypatch.setenv("CONGRULAB_THREADS", "0")
-    with pytest.raises(ConfigInvalidError, match="CONGRULAB_THREADS.*'0'"):
-        worker_count()
-
-
-def test_threaded_run_matches_serial():
-    K = planted_polytope(130, POLE)
-    b = 0.25 * unit(np.random.default_rng(0).standard_normal(4))
-    cfg_serial = VerifyConfig(n_t=16, n_azimuth=64, w_samples=16,
-                              circle_nodes=64, out_of_sample=256, threads=1)
-    cfg_par = VerifyConfig(n_t=16, n_azimuth=64, w_samples=16,
-                           circle_nodes=64, out_of_sample=256, threads=4)
-    v1 = verify_projection_theorem(K, K.translate(b), POLE, cfg_serial)
-    v2 = verify_projection_theorem(K, K.translate(b), POLE, cfg_par)
-    assert v1.outcome == v2.outcome == OUTCOME_EQUAL
-    assert np.max(np.abs(v1.translation - v2.translation)) == 0.0
-    labels1 = [c.label for c in v1.classifications]
-    labels2 = [c.label for c in v2.classifications]
-    assert labels1 == labels2
+    monkeypatch.setattr(verifier, "classify_direction", counted)
+    K = planted_polytope(125, POLE, through_origin=True, kind="star")
+    L = K.apply(pole_reflection(POLE), 0.05 * POLE)
+    w = 12
+    cfg = VerifyConfig(n_t=16, n_azimuth=64, w_samples=w, out_of_sample=256)
+    v = verify_section_theorem(K, L, POLE, cfg)
+    assert v.outcome == OUTCOME_REFLECTED
+    assert calls[0] == 2 * w + 6
 
 
 def test_section_verdict_stable_under_refinement():
