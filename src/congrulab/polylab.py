@@ -114,8 +114,8 @@ def approximation_rate(K: Body4, v_list, seed: int = 0,
                        n_sample: int = 8192) -> RateFit:
     """Fit delta(K, P_v) ~ c * v^exponent over the given vertex budgets."""
     v_list = [int(v) for v in v_list]
-    if len(v_list) < 2:
-        raise InsufficientDataError("need at least 2 vertex budgets to fit a rate")
+    if len(set(v_list)) < 2:
+        raise InsufficientDataError("need at least 2 distinct vertex budgets to fit a rate")
     deltas = []
     for i, v in enumerate(v_list):
         P = inscribe_polytope(K, v, seed=seed + i)
@@ -126,8 +126,7 @@ def approximation_rate(K: Body4, v_list, seed: int = 0,
     coef, res, _, _ = np.linalg.lstsq(A, y, rcond=None)
     dof = max(len(x) - 2, 1)
     sigma2 = (float(res[0]) if len(res) else float(np.sum((A @ coef - y) ** 2))) / dof
-    sx = float(np.sum((x - x.mean()) ** 2))
-    stderr = float(np.sqrt(sigma2 / sx)) if sx > 0 else float("inf")
+    stderr = float(np.sqrt(sigma2 / np.sum((x - x.mean()) ** 2)))
     return RateFit(exponent=float(coef[0]), stderr=stderr,
                    v_list=tuple(v_list), deltas=tuple(float(d) for d in deltas))
 

@@ -20,12 +20,10 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .funk import GridFunction, sample_on_sphere
-from .orthogonal import FIX_POLE, FLIP_POLE, AxisRotation, equator_flip, pole_rotation
+from .orthogonal import FIX_POLE, FLIP_POLE, pole_rotation
 from .sphere import SphereFrame, evaluate_field, gauss_grid, make_frame
 
-LABEL_FIX = "fix_pole"
-LABEL_FLIP = "flip_pole"
-LABEL_NONE = "none"
+LABEL_NONE = "none"  # no family registers; the others are FIX_POLE and FLIP_POLE
 
 SNAP_TOL = 1e-2  # radians: snap recovered pole angles to 0 or pi
 DETECTOR_GRID = (24, 128)  # latitudes x azimuths of the symmetry detectors
@@ -37,11 +35,10 @@ NEWTON_MAXITER = 64  # bisection alone shrinks the bracket below NEWTON_XTOL
 class RotationWitness:
     """A candidate registering rotation with its sup-norm residual.
 
-    ``parameter`` is the rotation angle about the pole (FIX_POLE) or the flip
-    axis azimuth (FLIP_POLE), normalized to [0, 2*pi).  ``coarse_parameter``
-    is the best integer-grid estimate before off-grid refinement.
-    ``tied_parameters`` lists, for a flip, other well-separated axes whose
-    residual also fell under the tie tolerance (extra-symmetric data).
+    ``parameter`` is the rotation angle about the pole (FIX_POLE), in
+    [0, 2*pi), or the flip axis azimuth (FLIP_POLE), in [0, pi).
+    ``coarse_parameter`` is the best integer-grid estimate before off-grid
+    refinement.
     """
 
     frame: SphereFrame
@@ -49,12 +46,6 @@ class RotationWitness:
     parameter: float
     residual: float
     coarse_parameter: float
-    tied_parameters: tuple = ()
-
-    def rotation(self) -> AxisRotation:
-        if self.kind == FIX_POLE:
-            return pole_rotation(self.frame, self.parameter)
-        return equator_flip(self.frame, self.parameter)
 
 
 def _require_same_grid(f: GridFunction, g: GridFunction):
@@ -179,44 +170,24 @@ def _refine(objective: _ShiftObjective, s0: int) -> float:
     return a if objective(a) <= objective(a0) else a0
 
 
-def _local_minima(curve: np.ndarray):
-    left = np.roll(curve, 1)
-    right = np.roll(curve, -1)
-    return np.nonzero((curve <= left) & (curve <= right))[0]
-
-
 def _to_beta(angle: float) -> float:
     """Flip axis azimuth in [0, pi) for a shift angle of the mirrored source."""
     return (-0.5 * angle) % np.pi
 
 
-def _collect_flip_ties(objective: _ShiftObjective, best_beta, tie_tol):
-    """Other flip axes whose refined sup-residual also falls under tie_tol.
+def _register(f: GridFunction, spectrum: np.ndarray, g: GridFunction):
+    """Best circular shift of the source ring spectrum onto g.
 
-    Local minima are pre-filtered by the integer-shift objective (an rms
-    bound), so non-degenerate data costs no extra refinement work.
+    Returns (objective, s0, angle): the integer shift s0 scoring best and
+    its refined angle, not reduced mod 2*pi.  Flat objectives (zonal data)
+    tie-break to shift 0 and angle 0.
     """
-    curve, n = objective.curve, objective.n
-    if tie_tol is None or _is_flat(curve):
-        return ()
-    obj_cap = 4.0 * max(float(curve.min()), objective.G.size * tie_tol * tie_tol)
-
-    def separated(a, b):
-        return abs((a - b + np.pi / 2) % np.pi - np.pi / 2) > 2.5 * np.pi / n
-
-    ties = []
-    for s in _local_minima(curve):
-        if curve[s] > obj_cap:
-            continue
-        a0 = 2.0 * np.pi * (s + _parabolic_step(curve, s)) / n
-        if not separated(_to_beta(a0), best_beta):
-            continue
-        a = _newton(objective, a0)
-        refined = _to_beta(a)
-        if (objective.sup(a) <= tie_tol and separated(refined, best_beta)
-                and all(separated(refined, t) for t in ties)):
-            ties.append(refined)
-    return tuple(sorted(ties))
+    _require_same_grid(f, g)
+    objective = _ShiftObjective(f, spectrum, g)
+    if _is_flat(objective.curve):
+        return objective, 0, 0.0
+    s0 = int(np.argmin(objective.curve))
+    return objective, s0, _refine(objective, s0)
 
 
 def register_pole_rotation(f: GridFunction, g: GridFunction) -> RotationWitness:
@@ -226,22 +197,14 @@ def register_pole_rotation(f: GridFunction, g: GridFunction) -> RotationWitness:
     cross-spectrum; the best is refined by Newton on the closed-form
     objective.  Flat objectives (zonal data) tie-break to angle 0.
     """
-    _require_same_grid(f, g)
-    n = f.grid.n_azimuth
-    objective = _ShiftObjective(f, f.spectrum, g)
-    curve = objective.curve
-    if _is_flat(curve):
-        s0, angle = 0, 0.0
-    else:
-        s0 = int(np.argmin(curve))
-        angle = _refine(objective, s0) % (2.0 * np.pi)
+    objective, s0, angle = _register(f, f.spectrum, g)
+    angle %= 2.0 * np.pi
     return RotationWitness(frame=f.grid.frame, kind=FIX_POLE, parameter=angle,
                            residual=objective.sup(angle),
-                           coarse_parameter=2.0 * np.pi * s0 / n)
+                           coarse_parameter=2.0 * np.pi * s0 / objective.n)
 
 
-def register_pole_flip(f: GridFunction, g: GridFunction,
-                       tie_check_tol: float | None = None) -> RotationWitness:
+def register_pole_flip(f: GridFunction, g: GridFunction) -> RotationWitness:
     """Best equatorial half-turn with f(flip x) ~= g(x) on the grid.
 
     A half-turn about the axis at azimuth beta sends (ring t, azimuth phi) to
@@ -250,23 +213,13 @@ def register_pole_flip(f: GridFunction, g: GridFunction,
     equal to -2*beta.  Latitude nodes must be symmetric about 0; the axis is
     reported in [0, pi) (an axis and its antipode are the same rotation).
     """
-    _require_same_grid(f, g)
-    n = f.grid.n_azimuth
-    objective = _ShiftObjective(f, _mirrored_spectrum(f), g)
-    curve = objective.curve
-    if _is_flat(curve):
-        s0, angle = 0, 0.0
-    else:
-        s0 = int(np.argmin(curve))
-        angle = _refine(objective, s0)
+    objective, s0, angle = _register(f, _mirrored_spectrum(f), g)
     beta = _to_beta(angle)
     if beta > np.pi - 1e-12:
         beta = 0.0
     return RotationWitness(frame=f.grid.frame, kind=FLIP_POLE, parameter=beta,
                            residual=objective.sup(angle),
-                           coarse_parameter=_to_beta(2.0 * np.pi * s0 / n),
-                           tied_parameters=_collect_flip_ties(objective, beta,
-                                                              tie_check_tol))
+                           coarse_parameter=_to_beta(2.0 * np.pi * s0 / objective.n))
 
 
 @dataclass(frozen=True)
@@ -326,40 +279,23 @@ def classify_direction(fg: GridFunction, gg: GridFunction, tol: float) -> Classi
 
     ``fg`` and ``gg`` are f and g sampled on one grid of the working sphere,
     whose normal is the classified direction.  ``tol`` is relative to the
-    data sup on the sphere.  The better-residual family wins; an accepted
-    pole rotation whose angle does not snap to {0, 1} is flagged, since
-    consistent data then has to vanish on the sphere.  Multiple registering
-    flip axes are flagged as a symmetry violation (they would force an extra
-    rotational symmetry of the data).
+    data sup on the sphere.  The family with the smaller residual wins (the
+    pole rotation on a tie), and labels the sphere when that residual is
+    within tolerance.  An accepted pole rotation whose angle does not snap
+    to {0, 1} is noted, since consistent data then has to vanish on the
+    sphere.
     """
-    frame = fg.grid.frame
-    scale = max(fg.sup, gg.sup)
-    tol_abs = tol * max(scale, 1e-300)
-
+    tol_abs = tol * max(fg.sup, gg.sup, 1e-300)
     wit_rot = register_pole_rotation(fg, gg)
     wit_flip = register_pole_flip(fg, gg)
-
-    rot_ok = wit_rot.residual <= tol_abs
-    flip_ok = wit_flip.residual <= tol_abs
-    if not rot_ok and not flip_ok:
-        best = wit_rot if wit_rot.residual <= wit_flip.residual else wit_flip
-        return Classification(w=frame.normal, label=LABEL_NONE, witness=best,
-                              tol=tol_abs, f_sup=fg.sup, g_sup=gg.sup)
-    if rot_ok and (not flip_ok or wit_rot.residual <= wit_flip.residual):
-        alpha = snap_alpha(wit_rot.parameter)
-        note = "" if alpha in (0.0, 1.0) else "off-grid angle: expect vanishing data"
-        return Classification(w=frame.normal, label=LABEL_FIX, witness=wit_rot,
-                              tol=tol_abs, alpha=alpha, note=note,
-                              f_sup=fg.sup, g_sup=gg.sup)
-    # the flip family won: register again, collecting the tied axes
-    wit_flip = register_pole_flip(fg, gg, tie_check_tol=tol_abs)
-    note = ""
-    if wit_flip.tied_parameters:
-        note = ("symmetry violation: multiple flip axes register "
-                f"(azimuths {[round(t, 6) for t in wit_flip.tied_parameters]})")
-    return Classification(w=frame.normal, label=LABEL_FLIP, witness=wit_flip,
-                          tol=tol_abs, axis_azimuth=wit_flip.parameter, note=note,
-                          f_sup=fg.sup, g_sup=gg.sup)
+    best = wit_rot if wit_rot.residual <= wit_flip.residual else wit_flip
+    label = best.kind if best.residual <= tol_abs else LABEL_NONE
+    alpha = snap_alpha(best.parameter) if label == FIX_POLE else None
+    return Classification(
+        w=fg.grid.frame.normal, label=label, witness=best, tol=tol_abs, alpha=alpha,
+        axis_azimuth=best.parameter if label == FLIP_POLE else None,
+        note="off-grid angle: expect vanishing data" if alpha not in (None, 0.0, 1.0) else "",
+        f_sup=fg.sup, g_sup=gg.sup)
 
 
 def pole_rotation_symmetry_defect(f, sphere_normal, pole, angle: float) -> float:

@@ -18,8 +18,8 @@ from .bodies import Body4, DiameterSet, diameter_segment, find_diameters
 from .errors import (CongruenceHypothesisFailed, ConfigInvalidError,
                      DiameterHypothesisFailed, StarShapednessLost)
 from .funk import sample_on_sphere
-from .orthogonal import pole_reflection
-from .registration import (LABEL_FLIP, LABEL_NONE, Classification,
+from .orthogonal import FLIP_POLE, pole_reflection
+from .registration import (LABEL_NONE, Classification,
                            classify_direction, find_equator_flip_symmetry,
                            pole_rotation_symmetry_defect)
 from .sphere import (circle_quadrature, directions_orthogonal_to, evaluate_field,
@@ -57,8 +57,8 @@ class VerifyConfig:
     out_of_sample: int = 2048
 
     def validate(self):
-        if not (self.tol > 0):
-            raise ConfigInvalidError("tol must be positive")
+        if not (0.0 < self.tol < 1.0):
+            raise ConfigInvalidError("tol is relative to the data sup: it must lie in (0, 1)")
         if self.n_t < 2 or self.n_azimuth < 8 or self.n_azimuth % 2:
             raise ConfigInvalidError("grid must have n_t >= 2 and even n_azimuth >= 8")
         if self.w_samples < 1:
@@ -131,7 +131,7 @@ def aggregate_labels(classifications, odd_sup: float, tol_abs: float):
         return (OUTCOME_INCONCLUSIVE,
                 f"no rotation registers at {none_count} sampled directions "
                 f"(worst residual {worst:.3e})")
-    if any(c.label == LABEL_FLIP for c in classifications):
+    if any(c.label == FLIP_POLE for c in classifications):
         return (OUTCOME_INCONCLUSIVE, "flip-type registrations present")
     has0 = has1 = False
     for c in classifications:
@@ -289,7 +289,7 @@ def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *
     if outcome == OUTCOME_INCONCLUSIVE and reason == "flip-type registrations present":
         # flips contradict the no-half-turn-symmetry hypotheses; report the
         # violated hypothesis with concrete witnesses instead of resolving
-        flips = [c for c in classifications if c.label == LABEL_FLIP][:3]
+        flips = [c for c in classifications if c.label == FLIP_POLE][:3]
         witnesses = []
         for c in flips:
             frame = make_frame(pole, c.w)

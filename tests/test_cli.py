@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ def test_gen_body_roundtrip_byte_identical(tmp_path, capsys):
     src = write_body(tmp_path, "e.json", ellipsoid([1.5, 1.2, 1.0, 0.8]))
     out1 = str(tmp_path / "canon.json")
     assert main(["gen-body", src, "--out", out1]) == 0
-    canon = open(out1).read()
+    canon = Path(out1).read_text()
     assert main(["gen-body", out1]) == 0
     assert capsys.readouterr().out == canon
 
@@ -52,7 +53,7 @@ def test_gen_body_folds_transform_chain(tmp_path):
     src.write_text(json.dumps(spec))
     out = str(tmp_path / "canon.json")
     assert main(["gen-body", str(src), "--out", out]) == 0
-    spec = json.load(open(out))
+    spec = json.loads(Path(out).read_text())
     assert len(spec["transforms"]) <= 2   # one rot + one shift at most
     from congrulab.bodies import body_from_spec
     from congrulab.sphere import random_directions
@@ -71,7 +72,7 @@ def test_gen_body_dedupes_vertices(tmp_path, capsys):
     assert main(["gen-body", str(src), "--out", out]) == 0
     err = capsys.readouterr().err
     assert "duplicate" in err
-    assert len(json.load(open(out))["shape"]["vertices"]) == 16
+    assert len(json.loads(Path(out).read_text())["shape"]["vertices"]) == 16
 
 
 def _random_spec(kind: str, seed: int, chain: list) -> dict:
@@ -129,7 +130,7 @@ def test_verify_planted_translation(tmp_path, capsys):
     rc = main(["verify", "projections", pk, pl, "--zeta", "0,0,0,1",
                "--out", out, *small_verify_args()])
     assert rc == 0
-    verdict = json.load(open(out))
+    verdict = json.loads(Path(out).read_text())
     assert verdict["outcome"] == "equal"
     assert np.linalg.norm(np.array(verdict["translation"]) - b) < 1e-6
 
@@ -144,7 +145,7 @@ def test_verify_planted_reflection(tmp_path):
     rc = main(["verify", "projections", pk, pl, "--zeta", "0,0,0,1",
                "--out", out, *small_verify_args()])
     assert rc == 0
-    verdict = json.load(open(out))
+    verdict = json.loads(Path(out).read_text())
     assert verdict["outcome"] == "reflected"
     assert np.linalg.norm(np.array(verdict["translation"]) - b) < 1e-6
 
@@ -169,7 +170,7 @@ def test_verify_sections_planted(tmp_path):
     rc = main(["verify", "sections", pk, pl, "--zeta", "0,0,0,1",
                "--out", out, *small_verify_args()])
     assert rc == 0
-    verdict = json.load(open(out))
+    verdict = json.loads(Path(out).read_text())
     assert verdict["outcome"] == "equal"
     t = np.array(verdict["translation"])
     assert np.linalg.norm(t - (-0.08) * POLE) < 1e-6
@@ -186,7 +187,8 @@ def test_verify_json_matches_schema(tmp_path):
                  "--out", out, *small_verify_args()]) == 0
     schema_path = os.path.join(os.path.dirname(congrulab.__file__),
                                "schema", "verdict.schema.json")
-    jsonschema.validate(json.load(open(out)), json.load(open(schema_path)))
+    jsonschema.validate(json.loads(Path(out).read_text()),
+                        json.loads(Path(schema_path).read_text()))
 
 
 def test_verify_csv_format(tmp_path):
@@ -195,9 +197,17 @@ def test_verify_csv_format(tmp_path):
     out = str(tmp_path / "v.csv")
     assert main(["verify", "projections", pk, pk, "--zeta", "0,0,0,1",
                  "--format", "csv", "--out", out, *small_verify_args()]) == 0
-    lines = open(out).read().strip().splitlines()
+    lines = Path(out).read_text().strip().splitlines()
     assert lines[0].startswith("w1,w2,w3,w4,label")
     assert len(lines) == 1 + 24
+
+
+def test_verify_tol_out_of_range_is_config_error(tmp_path, capsys):
+    pk = write_body(tmp_path, "K.json", planted_polytope(11, POLE))
+    rc = main(["verify", "projections", pk, pk, "--zeta", "0,0,0,1", "--tol", "inf"])
+    assert rc == 1
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert json.loads(last)["error"] == "ConfigInvalidError"
 
 
 # -- symmetry ----------------------------------------------------------------------
@@ -209,7 +219,7 @@ def test_symmetry_cube_coordinate_subspace(tmp_path):
     rc = main(["symmetry", pk, "--subspace", "1,0,0,0;0,1,0,0;0,0,1,0",
                "--out", out])
     assert rc == 0
-    rep = json.load(open(out))
+    rep = json.loads(Path(out).read_text())
     assert len(rep["subspaces"][0]["symmetries"]) == 47
 
 
@@ -221,7 +231,7 @@ def test_symmetry_perturbed_polytope_clean(tmp_path):
     out = str(tmp_path / "s.json")
     rc = main(["symmetry", pk, "--sample", "6", "--seed", "2", "--out", out])
     assert rc == 0
-    rep = json.load(open(out))
+    rep = json.loads(Path(out).read_text())
     assert rep["summary"] == "asymmetric on 6/6 sampled subspaces"
 
 
@@ -241,16 +251,17 @@ def test_rate_csv_deterministic(tmp_path, capsys):
                  "--out", out1]) == 0
     assert main(["rate", pk, "--v-list", "20,40,80", "--seed", "4",
                  "--out", out2]) == 0
-    b1, b2 = open(out1, "rb").read(), open(out2, "rb").read()
+    b1, b2 = Path(out1).read_bytes(), Path(out2).read_bytes()
     assert b1 == b2
     lines = b1.decode().strip().splitlines()
     assert lines[0] == "v,delta"
     assert len(lines) == 4
 
 
-def test_rate_single_v_insufficient(tmp_path, capsys):
+@pytest.mark.parametrize("v_list", ["40", "40,40"])
+def test_rate_single_v_insufficient(tmp_path, capsys, v_list):
     pk = write_body(tmp_path, "ball.json", ball())
-    rc = main(["rate", pk, "--v-list", "40"])
+    rc = main(["rate", pk, "--v-list", v_list])
     assert rc == 1
     assert "InsufficientData" in capsys.readouterr().err
 
@@ -279,5 +290,5 @@ def test_verify_deterministic_given_seed(tmp_path):
         out = str(tmp_path / name)
         assert main(["verify", "projections", pk, pl, "--zeta", "0,0,0,1",
                      "--out", out, *small_verify_args()]) == 0
-        outs.append(open(out, "rb").read())
+        outs.append(Path(out).read_bytes())
     assert outs[0] == outs[1]

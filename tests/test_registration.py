@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from congrulab import registration
 from congrulab.errors import AsymmetricRingsError, GridMismatchError
 from congrulab.funk import GridFunction, compose_with_matrix, sample_on_sphere
-from congrulab.orthogonal import equator_flip, pole_reflection, pole_rotation
-from congrulab.registration import (LABEL_FIX, LABEL_FLIP, LABEL_NONE,
-                                    _mirrored_spectrum, _ShiftObjective,
+from congrulab.orthogonal import (FIX_POLE, FLIP_POLE, equator_flip, pole_reflection,
+                                  pole_rotation)
+from congrulab.registration import (LABEL_NONE, _mirrored_spectrum, _ShiftObjective,
                                     classify_direction,
                                     classifications_to_csv,
                                     find_equator_flip_symmetry,
@@ -132,18 +133,6 @@ def test_flip_ball_tie_breaks_to_zero():
     assert wit.residual < 1e-14
 
 
-def test_flip_symmetry_violation_flagged():
-    # data invariant under half-turns about two orthogonal axes
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        return ((x @ FR.e1) ** 2 - (x @ FR.e2) ** 2) * (1 + (x @ FR.pole) ** 2)
-    F = sample_on_sphere(f, GRID)
-    wit = register_pole_flip(F, F, tie_check_tol=1e-6 * F.sup)
-    assert wit.residual < 1e-10
-    assert len(wit.tied_parameters) == 1
-    assert wrap_err(wit.tied_parameters[0], wit.parameter + np.pi / 2, np.pi) < 1e-6
-
-
 # -- property: recovery over random instances -----------------------------------------
 
 
@@ -246,7 +235,7 @@ def test_snap_rule_soundness():
     refl = pole_reflection(FR.pole)
     for g, expect in ((f, 0.0), (compose_with_matrix(f, refl.matrix), 1.0)):
         c = classify(f, g)
-        assert c.label == LABEL_FIX
+        assert c.label == FIX_POLE
         assert c.alpha == expect
     assert snap_alpha(0.005) == 0.0
     assert snap_alpha(np.pi - 0.005) == 1.0
@@ -259,10 +248,10 @@ def test_snap_rule_soundness():
 def test_classify_equal_and_reflected():
     f = band_limited_field(72)
     c = classify(f, f)
-    assert c.label == LABEL_FIX and c.alpha == 0.0
+    assert c.label == FIX_POLE and c.alpha == 0.0
     refl = pole_reflection(FR.pole)
     c1 = classify(f, compose_with_matrix(f, refl.matrix))
-    assert c1.label == LABEL_FIX and c1.alpha == 1.0
+    assert c1.label == FIX_POLE and c1.alpha == 1.0
     assert c1.witness.residual < 1e-8
 
 
@@ -270,8 +259,28 @@ def test_classify_flip():
     f = odd_field(73, FR.pole)
     g = compose_with_matrix(f, equator_flip(FR, 1.1).matrix.matrix)
     c = classify(f, g)
-    assert c.label == LABEL_FLIP
+    assert c.label == FLIP_POLE
     assert wrap_err(c.axis_azimuth, 1.1, np.pi) < 1e-3
+    assert c.note == ""
+
+
+def test_classify_registers_each_family_once(monkeypatch):
+    calls = []
+
+    def counting(name):
+        inner = getattr(registration, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        return counted
+
+    for name in ("register_pole_rotation", "register_pole_flip"):
+        monkeypatch.setattr(registration, name, counting(name))
+    f = odd_field(73, FR.pole)
+    g = compose_with_matrix(f, equator_flip(FR, 1.1).matrix.matrix)
+    assert classify(f, g).label == FLIP_POLE
+    assert sorted(calls) == ["register_pole_flip", "register_pole_rotation"]
 
 
 def test_classify_none_for_unrelated():
