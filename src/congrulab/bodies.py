@@ -392,33 +392,6 @@ class DiameterSet:
     tol: float
 
 
-def _canonical_antipodal(v):
-    for x in v:
-        if abs(x) > 1e-8:
-            return v if x > 0 else -v
-    return v
-
-
-def _width_ascent(body: Body4, theta):
-    """Fixed-point ascent theta <- unit(sp(theta) - sp(-theta)); monotone in width."""
-    th = np.array(theta, dtype=float)
-    best = th
-    best_w = body.width(th)
-    for _ in range(_ASCENT_ITERS):
-        step = body.support_point(th) - body.support_point(-th)
-        n = np.linalg.norm(step)
-        if n == 0.0:
-            break
-        new = step / n
-        w = body.width(new)
-        if w > best_w:
-            best_w, best = w, new
-        if np.linalg.norm(new - th) < 1e-15:
-            break
-        th = new
-    return best, best_w
-
-
 def default_diameter_tol(body: Body4, length: float) -> float:
     rel = 1e-9 if isinstance(body.shape, PolytopeShape) else 1e-6
     return rel * length
@@ -427,12 +400,15 @@ def default_diameter_tol(body: Body4, length: float) -> float:
 def find_diameters(body: Body4) -> DiameterSet:
     """Scan the width function over S^3 and ascend to all near-maximal directions.
 
+    The widest scan directions ascend together, one (k, 4) array per step of
+    the fixed point theta <- unit(sp(theta) - sp(-theta)), which is monotone
+    in width.  A row keeps its widest iterate and leaves once its step
+    vanishes or moves it by less than 1e-15.
+
     Raises DegenerateBodyError when the width is constant within tol (the
     maximizer set is then not countable) or when the maximizers do not form
     isolated clusters.
     """
-    if body.kind not in (CONVEX, STAR):
-        raise UnsupportedKindError("diameters need a convex body")
     rng = np.random.default_rng(_SCAN_SEED)
     dirs = random_directions(_N_SCAN, rng)
     widths = body.width(dirs)
@@ -443,21 +419,32 @@ def find_diameters(body: Body4) -> DiameterSet:
         raise DegenerateBodyError(
             f"width is constant within {tol:.2e}; diameter set is not countable")
 
-    order = np.argsort(widths)[::-1]
-    starts = order[:_N_SCAN // 32]
-    endpoints = []
-    global_max = w_max
-    for idx in starts:
-        th, w = _width_ascent(body, dirs[idx])
-        endpoints.append((th, w))
-        global_max = max(global_max, w)
+    starts = np.argsort(widths)[::-1][:_N_SCAN // 32]
+    th = dirs[starts]
+    best, best_w = th.copy(), widths[starts]
+    live = np.arange(len(th))
+    for _ in range(_ASCENT_ITERS):
+        if not live.size:
+            break
+        step = body.support_point(th[live]) - body.support_point(-th[live])
+        n = np.linalg.norm(step, axis=1)
+        live, new = live[n > 0], step[n > 0] / n[n > 0, None]
+        w = body.width(new)
+        up = w > best_w[live]
+        best[live[up]], best_w[live[up]] = new[up], w[up]
+        moved = np.linalg.norm(new - th[live], axis=1) >= 1e-15
+        th[live] = new
+        live = live[moved]
 
-    keep = [(th, w) for th, w in endpoints if w >= global_max - tol]
+    global_max = float(np.max(best_w))
+    keep = best[best_w >= global_max - tol]
+    # antipodal pairs: the first component above 1e-8 in size is positive
+    lead = keep[np.arange(len(keep)), np.argmax(np.abs(keep) > 1e-8, axis=1)]
+    keep = np.where((lead < 0)[:, None], -keep, keep)
     clusters: list[np.ndarray] = []
-    for th, _ in keep:
-        th = _canonical_antipodal(th)
-        if not any(np.arccos(np.clip(abs(th @ c), -1, 1)) < 1e-3 for c in clusters):
-            clusters.append(th)
+    for d in keep:
+        if not any(np.arccos(np.clip(abs(d @ c), -1, 1)) < 1e-3 for c in clusters):
+            clusters.append(d)
         if len(clusters) > _MAX_CLUSTERS:
             raise DegenerateBodyError("diameter directions are not isolated")
     return DiameterSet(directions=np.array(clusters), length=global_max, tol=tol)

@@ -20,7 +20,7 @@ import numpy as np
 from .bodies import Body4, PolytopeShape, body_from_spec, body_to_spec
 from .errors import (CongrulabError, CongruenceHypothesisFailed,
                      DegenerateBodyError, DiameterHypothesisFailed,
-                     InsufficientDataError, SpecParseError, StarShapednessLost)
+                     SpecParseError, StarShapednessLost)
 from .polylab import (MIN_VERTICES, approximation_rate, detect_rigid_symmetries,
                       project_polytope, random_subspace_bases)
 from .sphere import unit
@@ -249,14 +249,6 @@ def main(argv=None) -> int:
         payload = {"error": type(exc).__name__, "detail": str(exc)}
         print(json.dumps(payload), file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except SpecParseError as exc:
-        print(json.dumps({"error": "SpecParseError", "detail": str(exc)}),
-              file=sys.stderr)
-        return EXIT_INTERNAL
-    except InsufficientDataError as exc:
-        print(json.dumps({"error": "InsufficientData", "detail": str(exc)}),
-              file=sys.stderr)
-        return EXIT_INTERNAL
     except CongrulabError as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
               file=sys.stderr)

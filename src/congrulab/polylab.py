@@ -22,8 +22,9 @@ from scipy.optimize import minimize
 from scipy.spatial import ConvexHull
 
 from .bodies import Body4, PolytopeShape, polytope
-from .errors import (BudgetExhaustedError, DegenerateProjectionError,
-                     InsufficientDataError, TooFewVerticesError)
+from .errors import (BudgetExhaustedError, ConfigInvalidError,
+                     DegenerateProjectionError, InsufficientDataError,
+                     TooFewVerticesError)
 from .sphere import ORTHO_TOL, random_directions
 
 LLOYD_ITERS = 15
@@ -75,14 +76,11 @@ def _spread_directions(count: int, seed: int) -> np.ndarray:
         chosen[k] = pool[idx]
         best_dot = np.maximum(best_dot, pool @ chosen[k])
     for _ in range(LLOYD_ITERS):
-        owner = np.argmax(pool @ chosen.T, axis=1)
-        for k in range(count):
-            members = pool[owner == k]
-            if len(members):
-                m = members.sum(axis=0)
-                n = np.linalg.norm(m)
-                if n > 1e-12:
-                    chosen[k] = m / n
+        sums = np.zeros_like(chosen)
+        np.add.at(sums, np.argmax(pool @ chosen.T, axis=1), pool)
+        n = np.linalg.norm(sums, axis=1)
+        moved = n > 1e-12          # an empty or cancelling cell keeps its centre
+        chosen[moved] = sums[moved] / n[moved, None]
     return chosen
 
 
@@ -255,6 +253,13 @@ def _rigid_maps(X: np.ndarray, Y: np.ndarray, prune_tol: float):
         yield phi, tuple(int(p) for p in perm), float(np.max(d[np.arange(m), perm]))
 
 
+def _require_tol(tol: float):
+    # a nonpositive or nan tol admits no map and certifies false asymmetry;
+    # an infinite one admits every map
+    if not (np.isfinite(tol) and tol > 0):
+        raise ConfigInvalidError(f"tol must be finite and positive, got {tol!r}")
+
+
 def _symmetry_scan(Q: Polytope3, tol: float, prune_tol: float):
     """(symmetries within tol, smallest nonidentity residual) from one scan.
 
@@ -262,6 +267,7 @@ def _symmetry_scan(Q: Polytope3, tol: float, prune_tol: float):
     1e-8 of the identity are skipped, symmetries are deduplicated by
     permutation, and each record is re-verified on the raw vertices.
     """
+    _require_tol(tol)
     V = np.asarray(Q.vertices, dtype=float)
     if len(V) < 4:
         raise TooFewVerticesError("need at least 4 vertices")
@@ -302,6 +308,7 @@ def asymmetry_margin(Q: Polytope3, tol: float = 1e-8) -> float:
 def match_congruent(Q1: Polytope3, Q2: Polytope3, tol: float = 1e-8,
                     proper_only: bool = True):
     """Rigid motion (phi, shift, perm) with phi Q1 + shift = Q2, or None."""
+    _require_tol(tol)
     A = np.asarray(Q1.vertices, dtype=float)
     B = np.asarray(Q2.vertices, dtype=float)
     if len(A) != len(B) or len(A) < 4:

@@ -35,6 +35,7 @@ _SUCCESS_OUTCOMES = (OUTCOME_EQUAL, OUTCOME_REFLECTED, OUTCOME_BOTH, OUTCOME_ZER
 
 
 DIAMETER_MARGIN = 0.05  # least |w . d| to a diameter d off the pole, for a working w
+FLIP_REASON = "flip-type registrations present"
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,7 @@ def aggregate_labels(classifications, odd_sup: float, tol_abs: float):
                 f"no rotation registers at {none_count} sampled directions "
                 f"(worst residual {worst:.3e})")
     if any(c.label == FLIP_POLE for c in classifications):
-        return (OUTCOME_INCONCLUSIVE, "flip-type registrations present")
+        return (OUTCOME_INCONCLUSIVE, FLIP_REASON)
     has0 = has1 = False
     for c in classifications:
         if c.alpha == 0.0:
@@ -286,7 +287,7 @@ def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *
     classifications = [c.odd for c in checks]
     outcome, reason = aggregate_labels(classifications, odd_sup, tol_abs)
 
-    if outcome == OUTCOME_INCONCLUSIVE and reason == "flip-type registrations present":
+    if outcome == OUTCOME_INCONCLUSIVE and reason == FLIP_REASON:
         # flips contradict the no-half-turn-symmetry hypotheses; report the
         # violated hypothesis with concrete witnesses instead of resolving
         flips = [c for c in classifications if c.label == FLIP_POLE][:3]
@@ -301,8 +302,8 @@ def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *
                               "self_flip_axis": axis,
                               "residual": c.witness.residual})
         report["flip_witnesses"] = witnesses
-        reason = ("flip-type registrations present; excluded in exact arithmetic "
-                  "by the no-symmetry hypotheses, which the data violates")
+        reason = (f"{FLIP_REASON}; excluded in exact arithmetic by the "
+                  "no-symmetry hypotheses, which the data violates")
         return Verdict(OUTCOME_INCONCLUSIVE, reason=reason,
                        classifications=classifications, report=report, tol=tol_abs)
 
@@ -343,17 +344,13 @@ def _admissible_w_sample(pole, diams_k: DiameterSet, diams_l: DiameterSet,
     sphere of the pool, the unfiltered pool is used and ``fallback`` is True.
     """
     pool = directions_orthogonal_to(pole, int(config.w_samples * 1.5) + 16)
-    extra = [d for d in np.vstack([diams_k.directions, diams_l.directions])
-             if abs(float(d @ pole)) < 1.0 - 1e-9]
-    keep = []
-    for w in pool:
-        if all(abs(float(w @ d)) > DIAMETER_MARGIN for d in extra):
-            keep.append(w)
-        if len(keep) == config.w_samples:
-            break
-    if not keep:
-        return np.asarray(pool[:config.w_samples]), True
-    return np.asarray(keep), False
+    extra = np.vstack([diams_k.directions, diams_l.directions])
+    extra = extra[np.abs(extra @ pole) < 1.0 - 1e-9]
+    clear = np.all(np.abs(pool @ extra.T) > DIAMETER_MARGIN, axis=1)
+    keep = pool[clear][:config.w_samples]
+    if not len(keep):
+        return pool[:config.w_samples], True
+    return keep, False
 
 
 def verify_projection_theorem(K: Body4, L: Body4, pole,

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
-from congrulab.bodies import (Body4, BumpShape, BumpTerm, EllipsoidShape,
-                              PolytopeShape, ball, body_from_spec, body_to_spec,
+from congrulab.bodies import (_ASCENT_ITERS, Body4, BumpShape, BumpTerm,
+                              EllipsoidShape, PolytopeShape, ball,
+                              body_from_spec, body_to_spec,
                               cube, diameter_segment, ellipsoid, find_diameters,
                               polytope, project_support, section_radial,
                               shape_to_spec)
@@ -163,16 +164,60 @@ def test_find_diameters_cube_against_brute_force():
                    for u in dirs)
 
 
-def test_find_diameters_planted_against_brute_force():
-    for seed in range(4):
-        pole = unit(np.random.default_rng(seed + 40).standard_normal(4))
-        K = planted_polytope(seed, pole)
-        ds = find_diameters(K)
-        dmax, dirs = brute_force_diameters(K.shape.vertices)
-        assert ds.length == pytest.approx(dmax, rel=1e-12)
-        assert len(ds.directions) == len(dirs) == 1
-        assert min(np.linalg.norm(ds.directions[0] - dirs[0]),
-                   np.linalg.norm(ds.directions[0] + dirs[0])) < 1e-6
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), planted=st.booleans())
+def test_find_diameters_planted_against_brute_force(seed, planted):
+    # planted polytopes have one diameter by construction; a random vertex
+    # cloud has whatever the vertex-pair oracle finds
+    rng = np.random.default_rng(seed)
+    if planted:
+        K = planted_polytope(seed % 1000, unit(rng.standard_normal(4)))
+    else:
+        K = polytope(rng.standard_normal((30, 4)))
+    ds = find_diameters(K)
+    dmax, dirs = brute_force_diameters(K.shape.vertices)
+    assert ds.length == pytest.approx(dmax, rel=1e-12)
+    assert len(ds.directions) == len(dirs)
+    if planted:
+        assert len(dirs) == 1
+    for d in ds.directions:
+        assert any(min(np.linalg.norm(d - u), np.linalg.norm(d + u)) < 1e-6
+                   for u in dirs)
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), ratio=st.floats(1.25, 4.0))
+def test_find_diameters_rotated_ellipsoid(seed, ratio):
+    # the diameter is the largest semiaxis, doubled, when it is unique
+    rng = np.random.default_rng(seed)
+    semiaxes = rng.uniform(0.5, 1.0, 4) * 10.0 ** rng.uniform(-1.0, 1.0)
+    top = int(rng.integers(4))
+    semiaxes[top] = ratio * np.max(np.delete(semiaxes, top))
+    U = random_orthogonal(rng)
+    E = ellipsoid(semiaxes, U).translate(rng.uniform(-1.0, 1.0, 4))
+    ds = find_diameters(E)
+    assert abs(ds.length - 2 * semiaxes[top]) <= 1e-12 * 2 * semiaxes[top]
+    assert len(ds.directions) == 1
+    axis = U.matrix[:, top]
+    d = ds.directions[0]
+    assert min(np.linalg.norm(d - axis), np.linalg.norm(d + axis)) < 1e-7
+
+
+@pytest.mark.parametrize("body", [cube(), ellipsoid([2, 1, 1, 1])],
+                         ids=["cube", "ellipsoid"])
+def test_find_diameters_ascends_in_one_batch(monkeypatch, body):
+    # every start ascends in the same step, so each step makes two
+    # support-point calls (theta and -theta) whatever the number of starts
+    calls = []
+    support_point = Body4.support_point
+
+    def counted(self, theta):
+        calls.append(theta)
+        return support_point(self, theta)
+
+    monkeypatch.setattr(Body4, "support_point", counted)
+    find_diameters(body)
+    assert 0 < len(calls) <= 2 * _ASCENT_ITERS
 
 
 def test_find_diameters_ball_degenerate():
@@ -314,7 +359,7 @@ def test_polytope_shape_validation():
     PolytopeShape(flat, require_full_dim=False)    # deferred validation
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
+@settings(max_examples=30)
 @given(kind=st.sampled_from(["polytope", "ellipsoid"]),
        seed=st.integers(0, 2**32 - 1),
        chain=st.lists(st.sampled_from(["rot", "shift"]), max_size=5))

@@ -99,7 +99,7 @@ def _random_spec(kind: str, seed: int, chain: list) -> dict:
     return {"kind": "convex", "shape": shape, "transforms": transforms}
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
+@settings(max_examples=30)
 @given(kind=st.sampled_from(["polytope", "ellipsoid", "zonal_bump"]),
        seed=st.integers(0, 2**32 - 1),
        chain=st.lists(st.sampled_from(["rot", "shift"]), max_size=4))
@@ -202,9 +202,19 @@ def test_verify_csv_format(tmp_path):
     assert len(lines) == 1 + 24
 
 
-def test_verify_tol_out_of_range_is_config_error(tmp_path, capsys):
-    pk = write_body(tmp_path, "K.json", planted_polytope(11, POLE))
-    rc = main(["verify", "projections", pk, pk, "--zeta", "0,0,0,1", "--tol", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "projections", "{body}", "{body}", "--zeta", "0,0,0,1", "--tol", "inf"],
+    ["symmetry", "{cube}", "--sample", "3", "--tol", "0"],
+    ["symmetry", "{cube}", "--sample", "3", "--tol", "-1"],
+    ["symmetry", "{cube}", "--sample", "3", "--tol", "nan"],
+    ["symmetry", "{cube}", "--sample", "3", "--tol", "inf"],
+], ids=["verify-inf", "symmetry-0", "symmetry-neg", "symmetry-nan", "symmetry-inf"])
+def test_verify_tol_out_of_range_is_config_error(tmp_path, capsys, argv):
+    # a symmetry tol that admits no map would certify asymmetry falsely;
+    # an infinite one would accept every candidate map
+    body = write_body(tmp_path, "K.json", planted_polytope(11, POLE))
+    cube_body = write_body(tmp_path, "cube.json", cube())
+    rc = main([a.format(body=body, cube=cube_body) for a in argv])
     assert rc == 1
     last = capsys.readouterr().err.strip().splitlines()[-1]
     assert json.loads(last)["error"] == "ConfigInvalidError"

@@ -157,7 +157,7 @@ def test_registration_recovery_random_family():
         assert wit.residual <= 1e-8
 
 
-@settings(derandomize=True, deadline=None, max_examples=20)
+@settings(max_examples=20)
 @given(frame_seed=st.integers(0, 2**32 - 1), field_seed=st.integers(0, 2**32 - 1),
        angle=st.floats(0.0, 2 * np.pi, exclude_max=True),
        beta=st.floats(0.0, np.pi, exclude_max=True))

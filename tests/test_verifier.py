@@ -315,7 +315,7 @@ SMALL_CFG = VerifyConfig(n_t=8, n_azimuth=32, w_samples=4, out_of_sample=256)
 _vector = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
+@settings(max_examples=30)
 @given(pole=_vector.filter(lambda v: np.linalg.norm(v) > 0.1),
        seed=st.integers(0, 2**16), b=_vector, reflect=st.booleans(),
        section=st.booleans())
