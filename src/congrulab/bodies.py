@@ -204,6 +204,20 @@ def _shape_support_point(shape, theta):
     raise UnsupportedKindError(f"unknown shape {type(shape).__name__}")
 
 
+def _facet_major_max(rows, theta, scale=None):
+    """Max over the m rows of rows_j . theta, times scale_j when given.
+
+    One (m, points) product per call: the max runs down its leading axis, so
+    each step is one contiguous pass over every point.  theta of shape
+    (..., 4) gives shape (...), and a single direction gives a scalar.
+    """
+    flat = theta.reshape(-1, theta.shape[-1])
+    prod = rows @ flat.T
+    if scale is not None:
+        prod *= scale[:, None]
+    return np.max(prod, axis=0).reshape(theta.shape[:-1])[()]
+
+
 @dataclass(frozen=True)
 class Body4:
     """A convex or star body: exact shape data K0 placed as R K0 + b.
@@ -229,21 +243,23 @@ class Body4:
 
     @cached_property
     def _radial_facet_data(self):
-        # world-space facet ray data: radial(theta) = 1 / max(theta @ M * s)
+        # world-space facet rows: radial(theta) = 1 / max_f (rows_f . theta) / rhs_f.
+        # The rows are a view of the C-ordered (4, m) product: BLAS picks its
+        # single-direction kernel by layout, and this one keeps those values
+        # bitwise equal to a point-major theta @ (R A^T).
         A, off = self.shape.facets
         R, b = self.folded
         e = R.T @ b
         rhs = A @ e - off
         if np.min(rhs) <= ORIGIN_MARGIN:
             raise OriginOutsideError("origin is not interior to the polytope")
-        M = R @ A.T                       # coef = theta @ M
-        return M, 1.0 / rhs
+        return (R @ A.T).T, 1.0 / rhs
 
     def support(self, theta):
         """Support value(s) h(theta) = max {theta . y : y in body}."""
         theta = np.asarray(theta, dtype=float)
         if isinstance(self.shape, PolytopeShape):
-            return np.max(theta @ self._world_vertices.T, axis=-1)
+            return _facet_major_max(self._world_vertices, theta)
         R, b = self.folded
         return _shape_support(self.shape, theta @ R) + theta @ b
 
@@ -266,10 +282,10 @@ class Body4:
         """
         theta = np.asarray(theta, dtype=float)
         if isinstance(self.shape, PolytopeShape):
-            M, inv_rhs = self._radial_facet_data
             # every rhs is positive (origin interior), so facets with
             # nonpositive ray coefficient never realize the max
-            rho = 1.0 / np.max((theta @ M) * inv_rhs, axis=-1)
+            rows, inv_rhs = self._radial_facet_data
+            rho = 1.0 / _facet_major_max(rows, theta, inv_rhs)
             return rho if rho.ndim else float(rho)
         R, b = self.folded
         d = theta @ R          # R^T theta

@@ -110,7 +110,7 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return _jsonable(obj.tolist())     # a 0-d array gives a scalar
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return obj

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +73,45 @@ def test_support_sublinearity_sampled():
         ns = np.linalg.norm(s, axis=1)
         lhs = ns * K.support(s / ns[:, None])
         assert np.all(lhs <= K.support(u) + K.support(v) + 1e-10)
+
+
+def _ulps(got, want):
+    return np.max(np.abs(got - want) / np.spacing(np.abs(want)), initial=0.0)
+
+
+def _exact_dot(t, v):
+    return sum(Fraction(a) * Fraction(b) for a, b in zip(t, v))
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(), (1,), (6,), (2, 5)]))
+def test_polytope_fields_match_brute_force(seed, shape):
+    # a planted star polytope, rotated and shifted by at most 0.1; before the
+    # shift the origin is 0.16 inside the cross-polytope around the centre
+    rng = np.random.default_rng(seed)
+    K = planted_polytope(seed, unit(rng.standard_normal(4)), through_origin=True,
+                         kind="star")
+    K = K.apply(random_orthogonal(rng), 0.1 * rng.uniform() * unit(rng.standard_normal(4)))
+    assert K.contains_origin_interior()
+    R, b = K.folded
+    A, off = K.shape.facets
+    V = K.shape.vertices @ R.T + b
+    M = R @ A.T                              # column f: world facet normal
+    rhs = A @ (R.T @ b) - off
+    theta = random_directions(int(np.prod(shape)), rng).reshape(shape + (4,))
+    flat = theta.reshape(-1, 4)
+    # exact rationals, rounded once: the brute-force maxima of the float data
+    sup = [float(max(_exact_dot(t, v) for v in V)) for t in flat]
+    rad = [float(1 / max(_exact_dot(t, m) / Fraction(r) for m, r in zip(M.T, rhs)))
+           for t in flat]
+
+    h, rho, w = K.support(theta), K.radial(theta), K.width(theta)
+    assert np.shape(h) == np.shape(rho) == np.shape(w) == shape
+    assert _ulps(np.reshape(h, -1), np.array(sup)) <= 4
+    assert _ulps(np.reshape(rho, -1), np.array(rad)) <= 4
+    if shape == ():
+        assert type(h) is np.float64 and type(w) is np.float64
+        assert type(rho) is float
 
 
 def test_radial_values():
