@@ -252,6 +252,19 @@ def test_projection_unrelated_bodies_rejected():
         verify_projection_theorem(K, L, POLE, BODY_CFG)
 
 
+def test_projection_verdict_stable_under_refinement():
+    K = planted_polytope(115, POLE)
+    b = 0.2 * unit(RNG.standard_normal(4))
+    L = K.apply(pole_reflection(POLE), b)
+    coarse = VerifyConfig(n_t=16, n_azimuth=64, w_samples=16,
+                          circle_nodes=64, out_of_sample=256)
+    fine = VerifyConfig(n_t=32, n_azimuth=128, w_samples=16,
+                        circle_nodes=128, out_of_sample=256)
+    v1 = verify_projection_theorem(K, L, POLE, coarse)
+    v2 = verify_projection_theorem(K, L, POLE, fine)
+    assert v1.outcome == v2.outcome == OUTCOME_REFLECTED
+
+
 def test_projection_both_for_reflection_symmetric_body():
     # a body built symmetric under the pole reflection: both relations hold
     rng = np.random.default_rng(7)
@@ -373,3 +386,15 @@ def test_section_alignment_classifications_reused(monkeypatch):
     v = verify_section_theorem(K, L, POLE, cfg)
     assert v.outcome == OUTCOME_REFLECTED
     assert calls[0] == 2 * w + 6
+
+
+def test_section_verdict_stable_under_refinement():
+    K = planted_polytope(124, POLE, through_origin=True, kind="star")
+    L = K.translate(0.04 * 2.0 * POLE)
+    coarse = VerifyConfig(n_t=16, n_azimuth=64, w_samples=12,
+                          circle_nodes=64, out_of_sample=256)
+    fine = VerifyConfig(n_t=32, n_azimuth=128, w_samples=12,
+                        circle_nodes=128, out_of_sample=256)
+    assert (verify_section_theorem(K, L, POLE, coarse).outcome
+            == verify_section_theorem(K, L, POLE, fine).outcome
+            == OUTCOME_EQUAL)
