@@ -10,6 +10,11 @@ and yields each map's nearest-image vertex permutation with its residual.
 Symmetry detection, the asymmetry margin and congruence matching are
 filters over those maps.  An exhaustive permutation search stays available
 in the tests as the oracle for small vertex counts.
+
+The inscribed approximation spreads its directions by Lloyd steps that
+assign the pool to centres in row blocks.  The dense Lloyd loop, one
+``(pool, count)`` product and ``np.add.at`` per step, stays in the tests
+as the oracle that the blocked step must match bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .errors import (BudgetExhaustedError, ConfigInvalidError,
                      TooFewVerticesError)
 from .sphere import ORTHO_TOL, random_directions
 
+ASSIGN_ROWS = 128           # pool rows per Lloyd assignment block
 LLOYD_ITERS = 15
 MIN_VERTICES = 5            # fewest vertices of an inscribed 4D polytope
 PERTURB_ROUNDS = 8
@@ -65,7 +71,13 @@ def hausdorff_distance(K: Body4, L: Body4, n_sample: int = 8192,
 
 def _spread_directions(count: int, seed: int) -> np.ndarray:
     """Well-separated directions on S^3: farthest-point greedy seeding from a
-    random pool, then Lloyd-style spreading (cells by nearest center)."""
+    random pool, then Lloyd-style spreading (cells by nearest center).
+
+    Each Lloyd step assigns the pool to its nearest centres in blocks of
+    ``ASSIGN_ROWS`` rows, so no ``(pool, count)`` product is held at once.
+    The assignment and the pool-order cell sums match the dense
+    ``argmax(pool @ chosen.T)`` step exactly, bit for bit.
+    """
     rng = np.random.default_rng(seed)
     pool = random_directions(max(4000, 30 * count), rng)
     chosen = np.empty((count, 4))
@@ -74,10 +86,17 @@ def _spread_directions(count: int, seed: int) -> np.ndarray:
     for k in range(1, count):
         idx = int(np.argmin(best_dot))
         chosen[k] = pool[idx]
-        best_dot = np.maximum(best_dot, pool @ chosen[k])
+        np.maximum(best_dot, pool @ chosen[k], out=best_dot)
+    buf = np.empty((ASSIGN_ROWS, count))
+    cell = np.empty(len(pool), dtype=np.intp)
     for _ in range(LLOYD_ITERS):
-        sums = np.zeros_like(chosen)
-        np.add.at(sums, np.argmax(pool @ chosen.T, axis=1), pool)
+        for s in range(0, len(pool), ASSIGN_ROWS):
+            block = buf[:len(pool) - s]
+            np.matmul(pool[s:s + ASSIGN_ROWS], chosen.T, out=block)
+            np.argmax(block, axis=1, out=cell[s:s + ASSIGN_ROWS])
+        # bincount adds each cell's rows in pool order, the oracle's order
+        sums = np.column_stack([np.bincount(cell, weights=c, minlength=count)
+                                for c in pool.T])
         n = np.linalg.norm(sums, axis=1)
         moved = n > 1e-12          # an empty or cancelling cell keeps its centre
         chosen[moved] = sums[moved] / n[moved, None]
@@ -118,6 +137,12 @@ def approximation_rate(K: Body4, v_list, seed: int = 0,
     for i, v in enumerate(v_list):
         P = inscribe_polytope(K, v, seed=seed + i)
         deltas.append(hausdorff_distance(K, P, n_sample=n_sample, seed=seed + 1000 + i))
+    exact = [v for v, d in zip(v_list, deltas) if d == 0.0]
+    if exact:
+        # log(0) would make the fitted exponent nan
+        raise InsufficientDataError(
+            f"the inscribed polytope reproduces the body exactly (delta = 0) "
+            f"at vertex budgets {exact}; no rate to fit")
     x = np.log(np.asarray(v_list, dtype=float))
     y = np.log(np.asarray(deltas))
     A = np.column_stack([x, np.ones_like(x)])

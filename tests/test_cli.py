@@ -276,6 +276,20 @@ def test_rate_single_v_insufficient(tmp_path, capsys, v_list):
     assert "InsufficientData" in capsys.readouterr().err
 
 
+def test_rate_exact_polytope_is_insufficient(tmp_path, capsys):
+    # every inscribed polytope of the 4-cube at these budgets is the cube
+    # itself: delta = 0 leaves no rate, and no nan reaches the JSON output
+    pk = write_body(tmp_path, "cube.json", cube())
+    out = tmp_path / "rate.json"
+    rc = main(["rate", pk, "--v-list", "40,80", "--format", "json",
+               "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "InsufficientDataError"
+    assert "[40, 80]" in err["detail"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "projections", "{body}", "{body}", "--zeta", "a,b,c,d"],
     ["verify", "projections", "{body}", "{body}", "--zeta", "0,0,0,0"],

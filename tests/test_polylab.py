@@ -7,11 +7,12 @@ from congrulab.bodies import (Body4, BumpShape, BumpTerm, EllipsoidShape, ball,
                               cube, ellipsoid, polytope)
 from congrulab.errors import (BudgetExhaustedError, DegenerateProjectionError,
                               InsufficientDataError, TooFewVerticesError)
-from congrulab.polylab import (Polytope3, approximation_rate, asymmetry_margin,
-                               detect_rigid_symmetries, hausdorff_distance,
-                               inscribe_polytope, match_congruent,
-                               perturb_to_asymmetric, project_polytope,
-                               random_subspace_bases)
+from congrulab.polylab import (ASSIGN_ROWS, LLOYD_ITERS, Polytope3,
+                               _spread_directions, approximation_rate,
+                               asymmetry_margin, detect_rigid_symmetries,
+                               hausdorff_distance, inscribe_polytope,
+                               match_congruent, perturb_to_asymmetric,
+                               project_polytope, random_subspace_bases)
 from congrulab.sphere import random_directions, unit
 
 from helpers import brute_force_symmetries
@@ -59,6 +60,43 @@ def test_hausdorff_cube_vs_cross_polytope_dense_oracle():
 # -- inscribed approximation -----------------------------------------------------
 
 
+def dense_spread_directions(count, seed):
+    # the oracle: greedy seeding, then Lloyd steps that form the whole
+    # (pool, count) product and add each cell's rows with np.add.at
+    rng = np.random.default_rng(seed)
+    pool = random_directions(max(4000, 30 * count), rng)
+    chosen = np.empty((count, 4))
+    chosen[0] = pool[0]
+    best_dot = pool @ chosen[0]
+    for k in range(1, count):
+        chosen[k] = pool[int(np.argmin(best_dot))]
+        best_dot = np.maximum(best_dot, pool @ chosen[k])
+    for _ in range(LLOYD_ITERS):
+        sums = np.zeros_like(chosen)
+        np.add.at(sums, np.argmax(pool @ chosen.T, axis=1), pool)
+        n = np.linalg.norm(sums, axis=1)
+        moved = n > 1e-12
+        chosen[moved] = sums[moved] / n[moved, None]
+    return chosen
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 1000, 1001, 1002, 1003, 1004])
+def test_spread_directions_match_dense_oracle(seed):
+    # a pool of 4000 rows (v <= 133) ends in a partial block
+    assert 4000 % ASSIGN_ROWS
+    for v in (40, 80, 160, 320, 640):
+        got = _spread_directions(v, seed)
+        assert got.tobytes() == dense_spread_directions(v, seed).tobytes()
+
+
+@settings(max_examples=25)
+@given(count=st.integers(5, 200), seed=st.integers(0, 2**32 - 1))
+def test_spread_directions_match_dense_oracle_property(count, seed):
+    got = _spread_directions(count, seed)
+    assert got.shape == (count, 4)
+    assert got.tobytes() == dense_spread_directions(count, seed).tobytes()
+
+
 def test_inscribe_vertices_on_boundary():
     E = ellipsoid([1.5, 1.2, 1.0, 0.8])
     P = inscribe_polytope(E, 40, seed=3)
@@ -85,6 +123,13 @@ def test_inscribe_delta_decreases_on_ball():
 def test_rate_requires_enough_data():
     with pytest.raises(InsufficientDataError):
         approximation_rate(ball(), [40])
+
+
+def test_rate_rejects_exact_reproduction():
+    # the 4-cube's 16 vertices are all support points at these budgets, so
+    # each inscribed polytope is the cube and log(delta) is undefined
+    with pytest.raises(InsufficientDataError, match=r"\[40, 80\]"):
+        approximation_rate(cube(), [40, 80])
 
 
 def test_rate_scale_invariance():
