@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bodies import Body4, PolytopeShape, body_from_spec, body_to_spec
+from .bodies import PolytopeShape, body_from_spec, body_to_spec
 from .errors import (CongrulabError, CongruenceHypothesisFailed,
                      DegenerateBodyError, DiameterHypothesisFailed,
                      SpecParseError, StarShapednessLost)
@@ -39,15 +39,16 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _load_body(path: str) -> Body4:
+def _load_body(path: str, build=body_from_spec):
+    """build(spec) of the JSON spec at path; a spec it cannot build is a SpecParseError."""
     try:
         with open(path) as fh:
             spec = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SpecParseError(f"{path}: {exc}") from exc
     try:
-        return body_from_spec(spec)
-    except (KeyError, ValueError, TypeError) as exc:
+        return build(spec)
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise SpecParseError(f"{path}: invalid body spec: {exc}") from exc
 
 
@@ -102,12 +103,7 @@ def _canonical_json(obj) -> str:
 
 
 def cmd_gen_body(args) -> int:
-    try:
-        with open(args.spec) as fh:
-            spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SpecParseError(f"{args.spec}: {exc}") from exc
-    canonical, warnings = canonicalize_spec(spec)
+    canonical, warnings = _load_body(args.spec, canonicalize_spec)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     _emit(_canonical_json(canonical), args.out)

@@ -27,8 +27,8 @@ class Orthogonal4:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError("expected a 4x4 matrix")
+        if m.shape != (4, 4) or not np.all(np.isfinite(m)):
+            raise ValueError("expected a 4x4 matrix of finite numbers")
         if np.max(np.abs(m.T @ m - np.eye(4))) > ORTHO_TOL:
             raise ValueError("matrix is not orthogonal")
         m.setflags(write=False)

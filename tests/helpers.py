@@ -4,8 +4,9 @@ Everything here is deliberately independent of the library's computation
 paths: Legendre values come from the classical recurrences, 3D rotations
 from the axis-angle formula, symmetry counts from exhaustive permutation
 search with an orthogonal Procrustes fit, diameters from brute-force
-vertex-pair enumeration, and the even-part comparison from great circles
-sampled apart from the verifier's grid.
+vertex-pair enumeration, the even-part comparison from great circles
+sampled apart from the verifier's grid, and bump convexity from a
+central-difference Hessian of the per-term power formula.
 """
 
 from __future__ import annotations
@@ -275,3 +276,43 @@ def radial_by_bisection(contains, thetas, hi: float, iters: int = 64):
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
     return 0.5 * (lo + hi)
+
+
+# -- bump oracles -------------------------------------------------------------------
+
+
+def bump_support_by_powers(shape, theta):
+    """Bump support value, each term as c * (d . theta) ** m with a pow() call."""
+    theta = np.asarray(theta, dtype=float)
+    base = shape.base
+    U = np.eye(4) if base.orientation is None else base.orientation.matrix
+    out = 0.0
+    for term in shape.terms:
+        out = out + term.coeff * (theta @ term.direction) ** term.degree
+    h_base = np.sqrt(np.sum((theta @ U * base.semiaxes) ** 2, axis=-1))
+    return h_base + shape.epsilon * out
+
+
+def stencil_min_hessian_eigenvalue(support, samples: int = 160, seed: int = 0xBE11,
+                                   step: float = 1e-4) -> float:
+    """Smallest tangent Hessian eigenvalue of x -> |x| support(x/|x|).
+
+    Central differences with the given step at the same fixed unit directions
+    as the library's check, every stencil point in one batch; the Hessian is
+    restricted to each direction's tangent space through an SVD basis.
+    """
+    dirs = random_directions(samples, np.random.default_rng(seed))
+    eye = np.eye(4)
+    iu, ju = np.triu_indices(4)
+    plus = step * (eye[iu] + eye[ju])
+    minus = step * (eye[iu] - eye[ju])
+    x = dirs[:, None, None, :] + np.stack([plus, minus, -minus, -plus], axis=1)
+    n = np.linalg.norm(x, axis=-1)
+    H = n * support(x / n[..., None])                     # (samples, 10, 4)
+    upper = (H[..., 0] - H[..., 1] - H[..., 2] + H[..., 3]) / (4 * step * step)
+    hess = np.empty((len(dirs), 4, 4))
+    hess[:, iu, ju] = upper
+    hess[:, ju, iu] = upper
+    basis = np.linalg.svd(eye - dirs[:, :, None] * dirs[:, None, :])[0][..., :3]
+    vals = np.linalg.eigvalsh(np.swapaxes(basis, 1, 2) @ hess @ basis)
+    return float(np.min(vals[:, 0]))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,17 +8,18 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from congrulab.bodies import (_ASCENT_ITERS, Body4, BumpShape, BumpTerm,
-                              EllipsoidShape, PolytopeShape, ball,
-                              body_from_spec, body_to_spec,
+                              EllipsoidShape, PolytopeShape, _min_hessian_eigenvalue,
+                              ball, body_from_spec, body_to_spec,
                               cube, diameter_segment, ellipsoid, find_diameters,
                               polytope, project_support, section_radial,
-                              shape_to_spec)
+                              shape_from_spec, shape_to_spec)
 from congrulab.errors import (DegenerateBodyError, NonOrthogonalError,
                               OriginOutsideError, UnsupportedKindError)
 from congrulab.orthogonal import Orthogonal4, pole_reflection
 from congrulab.sphere import complement_basis, random_directions, unit
 
-from helpers import brute_force_diameters, planted_polytope
+from helpers import (brute_force_diameters, bump_support_by_powers, planted_polytope,
+                     stencil_min_hessian_eigenvalue)
 
 RNG = np.random.default_rng(303)
 
@@ -181,6 +183,143 @@ def test_bump_support_point_on_boundary():
     sp = K.support_point(thetas)
     # the support point realizes the support value: theta . sp = h(theta)
     assert np.max(np.abs(np.sum(sp * thetas, axis=1) - K.support(thetas))) < 1e-12
+
+
+# The convexity certificate of a bump: the closed-form tangent Hessian against
+# the central-difference stencil of the per-term power formula.  A plain
+# namespace stands in for a BumpShape, so the eigenvalue of a shape that fails
+# the certificate can be compared too.
+CONVEXITY_THR = -1e-7          # times the largest base semiaxis, which is 1 below
+BOUNDARY_BASE = EllipsoidShape(np.array([1.0, 0.8, 0.7, 0.6]))
+BOUNDARY_TERMS = (BumpTerm(np.array([0.3, -0.5, 0.2, 0.8]), 4, 1.0),
+                  BumpTerm(np.array([-0.6, 0.1, 0.7, 0.2]), 3, -0.7))
+
+
+def _bump_like(base, epsilon, terms):
+    return SimpleNamespace(base=base, epsilon=epsilon, terms=tuple(terms))
+
+
+def _stencil_lambda(shape):
+    return stencil_min_hessian_eigenvalue(lambda t: bump_support_by_powers(shape, t))
+
+
+def _random_bump(seed, degrees, epsilon):
+    rng = np.random.default_rng(seed)
+    base = EllipsoidShape(rng.uniform(0.5, 1.5, 4), random_orthogonal(rng))
+    terms = [BumpTerm(rng.standard_normal(4), m, float(rng.uniform(-1.0, 1.0)))
+             for m in degrees]
+    return _bump_like(base, epsilon, terms)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1),
+       degrees=st.lists(st.integers(1, 5), max_size=4),
+       epsilon=st.floats(0.0, 0.3))
+def test_bump_hessian_closed_form_matches_stencil(seed, degrees, epsilon):
+    shape = _random_bump(seed, degrees, epsilon)
+    assert abs(_min_hessian_eigenvalue(shape) - _stencil_lambda(shape)) <= 1e-6
+
+
+def test_bump_certificate_decides_as_stencil_on_epsilon_sweep():
+    decided = set()
+    for eps in np.linspace(0.0, 0.6, 49):
+        lam = _stencil_lambda(_bump_like(BOUNDARY_BASE, eps, BOUNDARY_TERMS))
+        if abs(lam - CONVEXITY_THR) <= 1e-6:
+            continue
+        try:
+            BumpShape(base=BOUNDARY_BASE, epsilon=eps, terms=BOUNDARY_TERMS)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == (lam >= CONVEXITY_THR), eps
+        decided.add(accepted)
+    assert decided == {True, False}
+
+
+@pytest.mark.parametrize("eps, accepted", [(0.25921, True), (0.25922, False)])
+def test_bump_certificate_at_the_threshold(eps, accepted):
+    # the boundary sits at epsilon = 0.2592109..., where the smallest eigenvalue
+    # falls by about 2.4 per unit of epsilon: 0.25921 clears -1e-7 by 2.2e-6,
+    # 0.25922 misses it by 2.1e-5
+    lam = _min_hessian_eigenvalue(_bump_like(BOUNDARY_BASE, eps, BOUNDARY_TERMS))
+    assert (lam >= CONVEXITY_THR) == accepted
+    assert abs(lam - CONVEXITY_THR) > 1e-6
+    assert (_stencil_lambda(_bump_like(BOUNDARY_BASE, eps, BOUNDARY_TERMS))
+            >= CONVEXITY_THR) == accepted
+    if accepted:
+        BumpShape(base=BOUNDARY_BASE, epsilon=eps, terms=BOUNDARY_TERMS)
+    else:
+        with pytest.raises(ValueError, match="breaks convexity"):
+            BumpShape(base=BOUNDARY_BASE, epsilon=eps, terms=BOUNDARY_TERMS)
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (7,), (64, 256)])
+def test_bump_support_matches_power_formula(batch):
+    rng = np.random.default_rng(len(batch) + sum(batch))
+    shape = BumpShape(base=EllipsoidShape(np.array([1.0, 0.8, 0.7, 0.6]),
+                                          random_orthogonal(rng)),
+                      epsilon=0.01,
+                      terms=[BumpTerm(rng.standard_normal(4), m, c) for m, c
+                             in zip(range(1, 6), (0.9, -0.6, 0.8, 0.5, -0.7))])
+    thetas = unit(rng.standard_normal(batch + (4,)))
+    got = Body4(kind="convex", shape=shape).support(thetas)
+    want = bump_support_by_powers(shape, thetas)
+    assert np.shape(got) == batch
+    assert np.max(np.abs(got - want)) <= 4 * np.spacing(np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("terms", [(), ((0.2, -0.4, 0.8, 0.1), 1, 0.7)],
+                         ids=["term-free", "degree-1"])
+def test_bump_support_point_realizes_support(terms):
+    terms = (BumpTerm(np.array(terms[0]), terms[1], terms[2]),) if terms else ()
+    K = Body4(kind="convex",
+              shape=BumpShape(base=EllipsoidShape(np.array([1.2, 1.0, 0.9, 0.7])),
+                              epsilon=0.05, terms=terms))
+    thetas = random_directions(100, RNG)
+    sp = K.support_point(thetas)
+    assert np.max(np.abs(np.sum(sp * thetas, axis=1) - K.support(thetas))) < 1e-12
+
+
+def test_bump_without_terms_is_its_base_ellipsoid():
+    base = EllipsoidShape(np.array([1.2, 1.0, 0.9, 0.7]))
+    K = Body4(kind="convex", shape=BumpShape(base=base, epsilon=0.05, terms=()))
+    thetas = random_directions(50, RNG)
+    assert np.array_equal(K.support(thetas),
+                          Body4(kind="convex", shape=base).support(thetas))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_shape_parameters_must_be_finite(bad):
+    axis = np.array([0.3, -0.5, 0.2, 0.8])
+    with pytest.raises(ValueError, match="semiaxes"):
+        EllipsoidShape(np.array([1.0, 1.0, 1.0, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        Orthogonal4(np.diag([1.0, 1.0, 1.0, bad]))
+    with pytest.raises(ValueError, match="epsilon"):
+        BumpShape(base=EllipsoidShape(np.ones(4)), epsilon=bad,
+                  terms=(BumpTerm(axis, 3, 1.0),))
+    with pytest.raises(ValueError, match="finite"):
+        BumpTerm(axis, 3, bad)
+    with pytest.raises(ValueError, match="finite"):
+        BumpTerm(np.array([0.3, -0.5, 0.2, bad]), 3, 1.0)
+    with pytest.raises(ValueError, match="degree"):
+        BumpTerm(axis, bad, 1.0)
+
+
+@pytest.mark.parametrize("degree", [0, -2, 3.7, 0.5])
+def test_bump_degree_must_be_integer_at_least_one(degree):
+    with pytest.raises(ValueError, match="degree"):
+        BumpTerm(np.ones(4), degree, 1.0)
+    spec = {"type": "zonal_bump", "base": {"type": "ellipsoid", "semiaxes": [1.0] * 4},
+            "epsilon": 0.01, "terms": [{"axis": [1.0, 0, 0, 0], "degree": degree,
+                                        "coeff": 1.0}]}
+    with pytest.raises(ValueError, match="degree"):
+        shape_from_spec(spec)
+
+
+def test_bump_integral_float_degree_reads_as_int():
+    term = BumpTerm(np.ones(4), 3.0, 1.0)
+    assert term.degree == 3 and isinstance(term.degree, int)
 
 
 # -- diameters ----------------------------------------------------------------

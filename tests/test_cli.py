@@ -118,6 +118,22 @@ def test_gen_body_malformed(tmp_path, capsys):
     assert "SpecParseError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "convex", "shape": {"type": "blob"}},
+    {"kind": "convex",
+     "shape": {"type": "zonal_bump", "base": {"type": "ellipsoid", "semiaxes": [1.0] * 4},
+               "epsilon": float("nan"), "terms": []}},
+    [],
+], ids=["unknown-type", "nan-epsilon", "not-an-object"])
+def test_gen_body_spec_that_builds_no_body(tmp_path, capsys, spec):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    rc = main(["gen-body", str(bad)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SpecParseError"
+
+
 # -- verify ---------------------------------------------------------------------
 
 
