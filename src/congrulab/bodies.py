@@ -27,6 +27,7 @@ _SCAN_SEED = 0x51CA7
 _MAX_CLUSTERS = 64  # more diameter directions than this are not isolated
 _ASCENT_ITERS = 80
 _HESSIAN_SAMPLES = 160
+MAX_BUMP_DEGREE = 64  # an evaluation multiplies degree - 1 times per term
 ORIGIN_MARGIN = 1e-12  # "origin interior": facet offset or ellipsoid gauge slack
 
 _IDENTITY = (np.eye(4), np.zeros(4))
@@ -85,7 +86,8 @@ class EllipsoidShape:
 
 @dataclass(frozen=True)
 class BumpTerm:
-    """One perturbation term c * (d . theta)^degree with d = axis / |axis|.
+    """One perturbation term c * (d . theta)^degree with d = axis / |axis|,
+    1 <= degree <= MAX_BUMP_DEGREE.
 
     ``axis`` is kept as given, so a spec reads back byte for byte (normalizing
     an already normalized vector can change its last digit); evaluation reads
@@ -101,8 +103,9 @@ class BumpTerm:
         a = np.array(self.axis, dtype=float)
         if not (np.all(np.isfinite(a)) and np.isfinite(self.coeff)):
             raise ValueError("bump axis and coeff must be finite")
-        if not (float(self.degree).is_integer() and self.degree >= 1):
-            raise ValueError(f"degree must be an integer >= 1, got {self.degree!r}")
+        if not (float(self.degree).is_integer() and 1 <= self.degree <= MAX_BUMP_DEGREE):
+            raise ValueError(f"degree must be an integer in [1, {MAX_BUMP_DEGREE}], "
+                             f"got {self.degree!r}")
         d = unit(a)
         a.setflags(write=False)
         d.setflags(write=False)
@@ -118,8 +121,8 @@ class BumpShape:
     h(theta) = h_base(theta) + epsilon * sum_k c_k (d_k . theta)^{m_k}.
     epsilon must be finite and small enough to keep the body convex:
     construction rejects the shape when the closed-form tangent Hessian of
-    the 1-homogeneous extension, at 160 fixed directions, has an eigenvalue
-    below -1e-7 times the largest base semiaxis.
+    the 1-homogeneous extension, at 160 fixed directions and at +-d_k of
+    every term, has an eigenvalue below -1e-7 times the largest base semiaxis.
     """
 
     base: EllipsoidShape
@@ -138,7 +141,8 @@ class BumpShape:
 
 def _min_hessian_eigenvalue(shape: BumpShape) -> float:
     """Smallest tangent Hessian eigenvalue of the homogeneous support
-    extension H(x) = |x| h(x/|x|), over 160 fixed unit directions x.
+    extension H(x) = |x| h(x/|x|), over 160 fixed unit directions x and the
+    axes +-d_k of the terms, near which a term's curvature is most negative.
 
     H is linear along rays, so convexity needs its Hessian nonnegative on the
     tangent space at x.  In closed form that Hessian is (M - g g^T)/h for the
@@ -146,7 +150,9 @@ def _min_hessian_eigenvalue(shape: BumpShape) -> float:
     c [m(m-1) u^(m-2) d d^T + (1-m) u^m I] per term, u = d . x.  The tangent
     basis T is rows 1..3 of the Householder reflection swapping e_0 and -+x.
     """
-    x = random_directions(_HESSIAN_SAMPLES, np.random.default_rng(0xBE11))
+    d = np.array([t.direction for t in shape.terms]).reshape(-1, 4)
+    x = np.concatenate([random_directions(_HESSIAN_SAMPLES, np.random.default_rng(0xBE11)),
+                        d, -d])
     v = x + np.where(x[:, :1] < 0, -1.0, 1.0) * np.eye(4)[0]
     T = (np.eye(4) - 2 * v[:, :, None] * v[:, None, :]
          / np.sum(v * v, axis=1)[:, None, None])[:, 1:]
@@ -323,8 +329,12 @@ class Body4:
         return body
 
     def translate(self, a) -> "Body4":
+        """Return body + a; a must be finite."""
+        a = np.asarray(a, dtype=float)
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"translation must be finite, got {a}")
         R, b = self.folded
-        return replace(self, folded=(R, b + np.asarray(a, dtype=float)))
+        return replace(self, folded=(R, b + a))
 
     def contains_origin_interior(self) -> bool:
         R, b = self.folded

@@ -112,7 +112,7 @@ def cmd_gen_body(args) -> int:
 
 def _config_from_args(args) -> VerifyConfig:
     return VerifyConfig(tol=args.tol, n_t=args.grid_t, n_azimuth=args.grid_az,
-                        w_samples=args.w_samples, seed=args.seed).validate()
+                        w_samples=args.w_samples, seed=args.seed)
 
 
 def cmd_verify(args) -> int:

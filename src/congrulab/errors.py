@@ -17,10 +17,6 @@ class GridMismatchError(CongrulabError, ValueError):
     """Two grid functions do not share the same grid."""
 
 
-class AsymmetricRingsError(CongrulabError, ValueError):
-    """Latitude nodes are not symmetric about 0, so ring mirroring is undefined."""
-
-
 class UnsupportedKindError(CongrulabError, ValueError):
     """The requested evaluation is not available for this body kind/shape."""
 

@@ -52,8 +52,7 @@ def _require_same_grid(f: GridFunction, g: GridFunction):
     gf, gg = f.grid, g.grid
     if gf is gg:
         return
-    same = (gf.n_azimuth == gg.n_azimuth
-            and np.array_equal(gf.t_nodes, gg.t_nodes)
+    same = ((gf.n_t, gf.n_azimuth) == (gg.n_t, gg.n_azimuth)
             and np.allclose(gf.frame.basis, gg.frame.basis, atol=1e-14))
     if not same:
         raise GridMismatchError("grid functions do not share a grid")
@@ -115,12 +114,11 @@ class _ShiftObjective:
 def _mirrored_spectrum(f: GridFunction) -> np.ndarray:
     """Ring spectrum of f reindexed to (ring -t, azimuth -phi).
 
-    Reversing a real ring's azimuths conjugates its rfft, so this needs no
-    transform beyond f's own; latitudes must be symmetric about 0.
+    Gauss rings are symmetric about the equator, so ring -t_i is ring
+    n_t - 1 - i and the rings read in reverse; reversing a real ring's
+    azimuths conjugates its rfft, so this needs no transform beyond f's own.
     """
-    grid = f.grid
-    order = [grid.mirror_index(i) for i in range(grid.n_t)]
-    return np.conj(f.spectrum[order])
+    return np.conj(f.spectrum[::-1])
 
 
 def _parabolic_step(curve: np.ndarray, s: int) -> float:
@@ -210,8 +208,9 @@ def register_pole_flip(f: GridFunction, g: GridFunction) -> RotationWitness:
     A half-turn about the axis at azimuth beta sends (ring t, azimuth phi) to
     (ring -t, azimuth 2*beta - phi), so after mirroring f in latitude and
     azimuth the search is again over circular shifts, with the shift angle
-    equal to -2*beta.  Latitude nodes must be symmetric about 0; the axis is
-    reported in [0, pi) (an axis and its antipode are the same rotation).
+    equal to -2*beta.  Ring -t is the ring read in reverse order, since
+    Gauss rings are symmetric about the equator.  The axis is reported in
+    [0, pi) (an axis and its antipode are the same rotation).
     """
     objective, s0, angle = _register(f, _mirrored_spectrum(f), g)
     beta = _to_beta(angle)

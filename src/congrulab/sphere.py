@@ -136,48 +136,29 @@ def make_frame(pole, normal) -> SphereFrame:
 
 @lru_cache(maxsize=32)
 def gauss_latitude_nodes(n_t: int):
-    """Gauss-Legendre nodes and weights on (-1, 1), computed once per n_t.
-
-    The cached arrays are shared by every caller, so they are read-only.
-    """
+    """Increasing Gauss-Legendre nodes on (-1, 1), exactly symmetric about 0,
+    computed once per n_t and shared by every caller, so read-only."""
     if n_t < 1:
         raise ValueError("need at least one latitude node")
-    t, w = np.polynomial.legendre.leggauss(n_t)
+    t = np.polynomial.legendre.leggauss(n_t)[0]
     t.setflags(write=False)
-    w.setflags(write=False)
-    return t, w
+    return t
 
 
 @dataclass(frozen=True)
 class SphereGrid:
-    """Product grid (latitude rings x uniform azimuths) on a working sphere."""
+    """Working-sphere grid: its frame, n_t Gauss-Legendre latitude rings
+    ``t_nodes``, symmetric about the equator so that a flip reads them in
+    reverse, and n_azimuth uniform azimuths."""
 
     frame: SphereFrame
-    t_nodes: np.ndarray
-    t_weights: np.ndarray
+    n_t: int
     n_azimuth: int
 
     def __post_init__(self):
-        t = np.array(self.t_nodes, dtype=float)
-        w = np.array(self.t_weights, dtype=float)
-        if t.ndim != 1 or t.shape != w.shape:
-            raise ValueError("t_nodes and t_weights must be 1-d arrays of equal length")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("t_nodes must be strictly increasing")
-        if np.any(np.abs(t) >= 1.0):
-            raise ValueError("t_nodes must lie in (-1, 1)")
-        if np.any(w <= 0):
-            raise ValueError("t_weights must be positive")
         if self.n_azimuth < 8 or self.n_azimuth % 2:
             raise ValueError("n_azimuth must be even and >= 8")
-        t.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "t_nodes", t)
-        object.__setattr__(self, "t_weights", w)
-
-    @property
-    def n_t(self) -> int:
-        return len(self.t_nodes)
+        object.__setattr__(self, "t_nodes", gauss_latitude_nodes(self.n_t))
 
     @cached_property
     def azimuths(self):
@@ -193,25 +174,10 @@ class SphereGrid:
         pts.setflags(write=False)
         return pts
 
-    def point(self, i_t: int, j_az: int):
-        """Single grid point; raises IndexError on out-of-range indices."""
-        if not (0 <= i_t < self.n_t and 0 <= j_az < self.n_azimuth):
-            raise IndexError(f"grid index ({i_t}, {j_az}) out of range")
-        return self.points[i_t, j_az]
-
-    def mirror_index(self, i_t: int) -> int:
-        """Ring index at latitude -t_nodes[i_t] (requires symmetric nodes)."""
-        j = self.n_t - 1 - i_t
-        if abs(self.t_nodes[i_t] + self.t_nodes[j]) > 1e-9:
-            from .errors import AsymmetricRingsError
-            raise AsymmetricRingsError("t_nodes are not symmetric about 0")
-        return j
-
 
 def gauss_grid(frame: SphereFrame, n_t: int = 64, n_azimuth: int = 256) -> SphereGrid:
     """Default grid: Gauss-Legendre latitudes x uniform azimuths."""
-    t, w = gauss_latitude_nodes(n_t)
-    return SphereGrid(frame=frame, t_nodes=t, t_weights=w, n_azimuth=n_azimuth)
+    return SphereGrid(frame=frame, n_t=n_t, n_azimuth=n_azimuth)
 
 
 def great_circle_nodes(frame: SphereFrame, n: int):

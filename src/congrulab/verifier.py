@@ -46,7 +46,8 @@ class VerifyConfig:
     n_t Gauss latitudes by n_azimuth uniform azimuths; ``w_samples`` working
     spheres are classified per decision.  Every check reads that grid, so the
     even-part circles have n_azimuth nodes: ``circle_nodes`` is None or
-    n_azimuth, and any other value is rejected.
+    n_azimuth, and any other value is rejected.  A config that fails these
+    checks cannot be built: construction raises ConfigInvalidError.
     """
 
     tol: float = 1e-6
@@ -57,7 +58,7 @@ class VerifyConfig:
     seed: int = 0
     out_of_sample: int = 2048
 
-    def validate(self):
+    def __post_init__(self):
         if not (0.0 < self.tol < 1.0):
             raise ConfigInvalidError("tol is relative to the data sup: it must lie in (0, 1)")
         if self.n_t < 2 or self.n_azimuth < 8 or self.n_azimuth % 2:
@@ -68,7 +69,6 @@ class VerifyConfig:
             raise ConfigInvalidError(
                 "circle_nodes must equal n_azimuth: the even parts are compared "
                 "on the working-sphere grid")
-        return self
 
 
 @dataclass
@@ -241,7 +241,7 @@ def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *
     those spheres; a given classification is that sphere's congruence
     certificate.  Entries are consumed.
     """
-    config = (config or VerifyConfig()).validate()
+    config = config or VerifyConfig()
     pole = unit(pole)
     if w_dirs is None:
         w_dirs = directions_orthogonal_to(pole, config.w_samples)
@@ -363,7 +363,7 @@ def verify_projection_theorem(K: Body4, L: Body4, pole,
     admissible working sphere (certifying the congruence hypothesis) and the
     functional-equation decision runs on the centered support functions.
     """
-    config = (config or VerifyConfig()).validate()
+    config = config or VerifyConfig()
     pole = unit(pole)
     if K.kind != "convex" or L.kind != "convex":
         raise DiameterHypothesisFailed("projection congruence requires convex bodies")
@@ -446,7 +446,7 @@ def verify_section_theorem(K: Body4, L: Body4, pole,
     direct and the reversed alignment by which one actually registers, and
     star-shapedness of the translated body is checked before deciding.
     """
-    config = (config or VerifyConfig()).validate()
+    config = config or VerifyConfig()
     pole = unit(pole)
 
     diams_k, _ = _assert_pole_diameter(K, pole, config.tol, "K")

@@ -293,15 +293,18 @@ def bump_support_by_powers(shape, theta):
     return h_base + shape.epsilon * out
 
 
-def stencil_min_hessian_eigenvalue(support, samples: int = 160, seed: int = 0xBE11,
-                                   step: float = 1e-4) -> float:
+def stencil_min_hessian_eigenvalue(support, axes=(), samples: int = 160,
+                                   seed: int = 0xBE11, step: float = 1e-4) -> float:
     """Smallest tangent Hessian eigenvalue of x -> |x| support(x/|x|).
 
-    Central differences with the given step at the same fixed unit directions
-    as the library's check, every stencil point in one batch; the Hessian is
-    restricted to each direction's tangent space through an SVD basis.
+    Central differences with the given step at the same unit directions as
+    the library's check (the fixed random ones, then +-each unit axis in
+    ``axes``), every stencil point in one batch; the Hessian is restricted
+    to each direction's tangent space through an SVD basis.
     """
-    dirs = random_directions(samples, np.random.default_rng(seed))
+    axes = np.asarray(axes, dtype=float).reshape(-1, 4)
+    dirs = np.concatenate([random_directions(samples, np.random.default_rng(seed)),
+                           axes, -axes])
     eye = np.eye(4)
     iu, ju = np.triu_indices(4)
     plus = step * (eye[iu] + eye[ju])

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
-from congrulab.bodies import (_ASCENT_ITERS, Body4, BumpShape, BumpTerm,
-                              EllipsoidShape, PolytopeShape, _min_hessian_eigenvalue,
-                              ball, body_from_spec, body_to_spec,
+from congrulab.bodies import (_ASCENT_ITERS, MAX_BUMP_DEGREE, Body4, BumpShape,
+                              BumpTerm, EllipsoidShape, PolytopeShape,
+                              _min_hessian_eigenvalue, ball, body_from_spec, body_to_spec,
                               cube, diameter_segment, ellipsoid, find_diameters,
                               polytope, project_support, section_radial,
                               shape_from_spec, shape_to_spec)
@@ -200,7 +200,8 @@ def _bump_like(base, epsilon, terms):
 
 
 def _stencil_lambda(shape):
-    return stencil_min_hessian_eigenvalue(lambda t: bump_support_by_powers(shape, t))
+    return stencil_min_hessian_eigenvalue(lambda t: bump_support_by_powers(shape, t),
+                                          [t.direction for t in shape.terms])
 
 
 def _random_bump(seed, degrees, epsilon):
@@ -236,11 +237,11 @@ def test_bump_certificate_decides_as_stencil_on_epsilon_sweep():
     assert decided == {True, False}
 
 
-@pytest.mark.parametrize("eps, accepted", [(0.25921, True), (0.25922, False)])
+@pytest.mark.parametrize("eps, accepted", [(0.21813, True), (0.21814, False)])
 def test_bump_certificate_at_the_threshold(eps, accepted):
-    # the boundary sits at epsilon = 0.2592109..., where the smallest eigenvalue
-    # falls by about 2.4 per unit of epsilon: 0.25921 clears -1e-7 by 2.2e-6,
-    # 0.25922 misses it by 2.1e-5
+    # the smallest eigenvalue sits at a term axis; the boundary is at
+    # epsilon = 0.2181357..., where it falls by about 3.1 per unit of
+    # epsilon: 0.21813 clears -1e-7 by 1.8e-5, 0.21814 misses it by 1.3e-5
     lam = _min_hessian_eigenvalue(_bump_like(BOUNDARY_BASE, eps, BOUNDARY_TERMS))
     assert (lam >= CONVEXITY_THR) == accepted
     assert abs(lam - CONVEXITY_THR) > 1e-6
@@ -306,7 +307,8 @@ def test_shape_parameters_must_be_finite(bad):
         BumpTerm(axis, bad, 1.0)
 
 
-@pytest.mark.parametrize("degree", [0, -2, 3.7, 0.5])
+# and at most MAX_BUMP_DEGREE: each evaluation multiplies degree - 1 times per term
+@pytest.mark.parametrize("degree", [0, -2, 3.7, 0.5, MAX_BUMP_DEGREE + 1, 1e9])
 def test_bump_degree_must_be_integer_at_least_one(degree):
     with pytest.raises(ValueError, match="degree"):
         BumpTerm(np.ones(4), degree, 1.0)
@@ -315,6 +317,29 @@ def test_bump_degree_must_be_integer_at_least_one(degree):
                                         "coeff": 1.0}]}
     with pytest.raises(ValueError, match="degree"):
         shape_from_spec(spec)
+
+
+@pytest.mark.parametrize("degree, epsilon", [(MAX_BUMP_DEGREE, 0.02), (200, 0.01)])
+def test_bump_certificate_samples_term_axes(degree, epsilon):
+    # on the unit ball a high-degree term is flat away from its axis d, and
+    # none of the fixed random directions comes near enough to d to see its
+    # curvature; at d the tangent eigenvalue is 1 + epsilon (1 - degree) < 0
+    d = np.array([1.0, 0.0, 0.0, 0.0])
+    term = SimpleNamespace(direction=d, degree=degree, coeff=1.0)
+    shape = _bump_like(EllipsoidShape(np.ones(4)), epsilon, (term,))
+
+    def H(x):
+        n = np.linalg.norm(x)
+        return n * float(bump_support_by_powers(shape, x / n))
+
+    h, t = 0.01, np.array([0.0, 1.0, 0.0, 0.0])
+    assert H(d + h * t) + H(d - h * t) - 2 * H(d) < 0      # not convex
+    assert stencil_min_hessian_eigenvalue(lambda x: bump_support_by_powers(shape, x)) > 0
+    assert _min_hessian_eigenvalue(shape) == pytest.approx(1 + epsilon * (1 - degree),
+                                                           abs=1e-12)
+    if degree <= MAX_BUMP_DEGREE:
+        with pytest.raises(ValueError, match="breaks convexity"):
+            BumpShape(base=shape.base, epsilon=epsilon, terms=(BumpTerm(d, degree, 1.0),))
 
 
 def test_bump_integral_float_degree_reads_as_int():
@@ -528,6 +553,19 @@ def test_apply_rotation_radial_identity():
     EU = E.apply(U)
     thetas = random_directions(100, RNG)
     assert np.max(np.abs(EU.radial(thetas @ U.matrix.T) - E.radial(thetas))) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_translation_must_be_finite(bad):
+    E = ellipsoid([1.5, 1.2, 1.0, 0.8])
+    a = np.array([0.1, 0.0, bad, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        E.translate(a)
+    with pytest.raises(ValueError, match="finite"):
+        E.apply(Orthogonal4(np.eye(4)), a)
+    with pytest.raises(ValueError, match="finite"):
+        body_from_spec({"kind": "convex", "shape": shape_to_spec(E.shape),
+                        "transforms": [{"shift": a.tolist()}]})
 
 
 def test_polytope_shape_validation():

@@ -124,7 +124,11 @@ def test_gen_body_malformed(tmp_path, capsys):
      "shape": {"type": "zonal_bump", "base": {"type": "ellipsoid", "semiaxes": [1.0] * 4},
                "epsilon": float("nan"), "terms": []}},
     [],
-], ids=["unknown-type", "nan-epsilon", "not-an-object"])
+    {"kind": "convex", "shape": {"type": "ellipsoid", "semiaxes": [1.0] * 4},
+     "transforms": [{"shift": [0.0, 0.0, 0.0, float("nan")]}]},
+    {"kind": "convex", "shape": {"type": "ellipsoid", "semiaxes": [1.0] * 4},
+     "transforms": [{"shift": [float("inf"), 0.0, 0.0, 0.0]}]},
+], ids=["unknown-type", "nan-epsilon", "not-an-object", "nan-shift", "inf-shift"])
 def test_gen_body_spec_that_builds_no_body(tmp_path, capsys, spec):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(spec))

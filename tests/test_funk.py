@@ -247,7 +247,7 @@ def test_funk_linearity():
 
 def test_even_parts_equal_identical():
     f = band_limited_field(31)
-    t_nodes, _ = gauss_latitude_nodes(12)
+    t_nodes = gauss_latitude_nodes(12)
     res = even_parts_equal(f, f, POLE, t_nodes, tol=1e-10)
     assert res.passed
     assert res.transform_dev == 0.0 and res.direct_dev == 0.0
@@ -257,7 +257,7 @@ def test_even_parts_equal_reflected():
     f = band_limited_field(32)
     refl = pole_reflection(POLE)
     g = compose_with_matrix(f, refl.matrix)
-    t_nodes, _ = gauss_latitude_nodes(12)
+    t_nodes = gauss_latitude_nodes(12)
     res = even_parts_equal(f, g, POLE, t_nodes, tol=1e-10)
     assert res.passed
     assert res.direct_dev < 1e-12 * max(res.f_sup, 1.0)
@@ -286,7 +286,7 @@ def test_even_parts_invariance_per_preserved_circle():
     # the transform route agrees on that sphere's own circle family
     f = band_limited_field(34)
     rng = np.random.default_rng(17)
-    t_nodes, _ = gauss_latitude_nodes(8)
+    t_nodes = gauss_latitude_nodes(8)
     for _ in range(5):
         fr = random_frame(rng)
         rot = pole_rotation(fr, rng.uniform(0, 2 * np.pi))
@@ -304,7 +304,7 @@ def test_even_parts_invariance_per_preserved_circle():
 def test_even_parts_equal_detects_even_difference():
     f = band_limited_field(35)
     g = lambda x: f(x) + 0.05 * (np.asarray(x) @ POLE) ** 2
-    t_nodes, _ = gauss_latitude_nodes(8)
+    t_nodes = gauss_latitude_nodes(8)
     res = even_parts_equal(f, g, POLE, t_nodes, tol=1e-8)
     assert not res.passed
     assert res.direct_dev > 1e-3 and res.transform_dev > 1e-3

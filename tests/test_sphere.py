@@ -32,30 +32,23 @@ def test_frame_rejects_non_orthogonal_pair():
 
 def test_grid_point_values():
     fr = random_frame(RNG)
-    t_nodes = np.array([-0.5, 0.0, 0.5])
-    weights = np.ones(3)
-    grid = SphereGrid(frame=fr, t_nodes=t_nodes, t_weights=weights, n_azimuth=16)
-    assert np.allclose(grid.point(1, 0), fr.e1, atol=1e-14)
-    assert np.allclose(grid.point(1, 4), fr.e2, atol=1e-14)
+    grid = gauss_grid(fr, 3, 16)
+    # the middle of three Gauss nodes is the equator
+    assert grid.t_nodes[1] == 0.0
+    assert grid.points.shape == (3, 16, 4)
+    assert np.allclose(grid.points[1, 0], fr.e1, atol=1e-14)
+    assert np.allclose(grid.points[1, 4], fr.e2, atol=1e-14)
     norms = np.linalg.norm(grid.points, axis=-1)
     assert np.max(np.abs(norms - 1)) < 1e-12
-    with pytest.raises(IndexError):
-        grid.point(3, 0)
-    with pytest.raises(IndexError):
-        grid.point(0, 16)
+    assert np.max(np.abs(grid.points @ fr.normal)) < 1e-14
 
 
 def test_grid_invariants_enforced():
     fr = random_frame(RNG)
-    with pytest.raises(ValueError):
-        SphereGrid(frame=fr, t_nodes=np.array([0.5, -0.5]),
-                   t_weights=np.ones(2), n_azimuth=16)
-    with pytest.raises(ValueError):
-        SphereGrid(frame=fr, t_nodes=np.array([-0.5, 0.5]),
-                   t_weights=np.array([1.0, -1.0]), n_azimuth=16)
-    with pytest.raises(ValueError):
-        SphereGrid(frame=fr, t_nodes=np.array([-0.5, 0.5]),
-                   t_weights=np.ones(2), n_azimuth=15)
+    assert SphereGrid(frame=fr, n_t=1, n_azimuth=8).points.shape == (1, 8, 4)
+    for n_t, n_azimuth in [(0, 16), (-1, 16), (4, 15), (4, 6), (4, 0)]:
+        with pytest.raises(ValueError):
+            SphereGrid(frame=fr, n_t=n_t, n_azimuth=n_azimuth)
 
 
 def test_great_circle_nodes_small_case():
@@ -99,30 +92,33 @@ def test_circle_quadrature_empty_input():
         circle_quadrature(np.array([]))
 
 
-def test_gauss_nodes_integrate_polynomials():
-    t, w = gauss_latitude_nodes(16)
-    # exact for polynomials of degree < 32
-    for deg in range(0, 31):
-        val = float(np.sum(w * t ** deg))
-        expect = 0.0 if deg % 2 else 2.0 / (deg + 1)
-        assert abs(val - expect) < 1e-13
+def test_gauss_nodes_symmetric_bitwise():
+    # a flip reads ring n_t - 1 - i for ring i, which needs t[::-1] == -t exactly
+    for n_t in range(1, 513):
+        t = gauss_latitude_nodes(n_t)
+        assert t.shape == (n_t,)
+        assert np.array_equal(t[::-1], -t), n_t
+        assert np.all(np.diff(t) > 0) and np.all(np.abs(t) < 1.0), n_t
 
 
 def test_gauss_nodes_cached_read_only():
-    t1, w1 = gauss_latitude_nodes(16)
-    t2, w2 = gauss_latitude_nodes(16)
-    assert t1 is t2 and w1 is w2
-    assert not t1.flags.writeable and not w1.flags.writeable
+    t1 = gauss_latitude_nodes(16)
+    t2 = gauss_latitude_nodes(16)
+    assert t1 is t2
+    assert not t1.flags.writeable
     with pytest.raises(ValueError):
         t1[0] = 0.0
 
 
 def test_gauss_grid_defaults_symmetric():
     fr = random_frame(RNG)
-    grid = gauss_grid(fr, 64, 256)
+    grid = gauss_grid(fr)
     assert grid.n_t == 64 and grid.n_azimuth == 256
-    for i in range(64):
-        assert grid.mirror_index(i) == 63 - i
+    assert grid.t_nodes is gauss_latitude_nodes(64)
+    assert np.array_equal(grid.t_nodes[::-1], -grid.t_nodes)
+    # ring 63 - i is ring i reflected through the equator
+    mirrored = grid.points[::-1] - 2 * (grid.points[::-1] @ fr.pole)[..., None] * fr.pole
+    assert np.max(np.abs(mirrored - grid.points)) < 1e-14
 
 
 def test_directions_orthogonal_to():

@@ -102,11 +102,11 @@ def test_decide_config_invalid():
             decide_functional_equation(band_limited_field(1), band_limited_field(1),
                                        POLE, VerifyConfig(tol=tol))
     with pytest.raises(ConfigInvalidError):
-        VerifyConfig(n_azimuth=13).validate()
+        VerifyConfig(n_azimuth=13)
     # the even parts are compared on the working-sphere grid itself
-    VerifyConfig(n_azimuth=128, circle_nodes=128).validate()
+    VerifyConfig(n_azimuth=128, circle_nodes=128)
     with pytest.raises(ConfigInvalidError):
-        VerifyConfig(n_azimuth=128, circle_nodes=128 + 2).validate()
+        VerifyConfig(n_azimuth=128, circle_nodes=128 + 2)
 
 
 def _counting(field):
@@ -144,7 +144,7 @@ def test_even_devs_match_reference_check():
     w_dirs = directions_orthogonal_to(POLE, 8)
     cfg = VerifyConfig(n_t=16, n_azimuth=64, out_of_sample=256)
     v = decide_functional_equation(K.support, L.support, POLE, cfg, w_dirs=w_dirs)
-    t_nodes, _ = gauss_latitude_nodes(cfg.n_t)
+    t_nodes = gauss_latitude_nodes(cfg.n_t)
     ref = even_parts_equal(K.support, L.support, POLE, t_nodes, w_dirs,
                            circle_nodes=cfg.n_azimuth)
     assert ref.direct_dev > 0 and ref.transform_dev > 0
