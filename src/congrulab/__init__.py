@@ -7,8 +7,8 @@ from .bodies import (Body4, BumpShape, BumpTerm, DiameterSet, EllipsoidShape,
                      project_support, section_radial)
 from .funk import (GridFunction, ParityPair, funk_transform, parity_decompose,
                    sample_on_sphere)
-from .orthogonal import (AxisRotation, Orthogonal4, compose, equator_flip,
-                         identity, pole_reflection, pole_rotation)
+from .orthogonal import (Orthogonal4, compose, equator_flip, identity,
+                         pole_reflection, pole_rotation)
 from .polylab import (Polytope3, SymmetryRecord, approximation_rate,
                       detect_rigid_symmetries, hausdorff_distance,
                       inscribe_polytope, match_congruent, perturb_to_asymmetric,

@@ -255,17 +255,14 @@ class Body4:
 
     @cached_property
     def _radial_facet_data(self):
-        # world-space facet rows: radial(theta) = 1 / max_f (rows_f . theta) / rhs_f.
-        # The rows are a view of the C-ordered (4, m) product: BLAS picks its
-        # single-direction kernel by layout, and this one keeps those values
-        # bitwise equal to a point-major theta @ (R A^T).
+        # world-space facet rows: radial(theta) = 1 / max_f (rows_f . theta) / rhs_f
         A, off = self.shape.facets
         R, b = self.folded
         e = R.T @ b
         rhs = A @ e - off
         if np.min(rhs) <= ORIGIN_MARGIN:
             raise OriginOutsideError("origin is not interior to the polytope")
-        return (R @ A.T).T, 1.0 / rhs
+        return A @ R.T, 1.0 / rhs
 
     def support(self, theta):
         """Support value(s) h(theta) = max {theta . y : y in body}."""
@@ -308,8 +305,8 @@ class Body4:
             D = (d @ U) * inv
             E = (e @ U) * inv
             a2 = np.sum(D * D, axis=-1)
-            ab = np.sum(D * E, axis=-1) if E.ndim == D.ndim else D @ E
-            c2 = float(E @ E) if E.ndim == 1 else np.sum(E * E, axis=-1)
+            ab = D @ E
+            c2 = float(E @ E)
             if c2 >= 1.0 - ORIGIN_MARGIN:
                 raise OriginOutsideError("origin is not interior to the ellipsoid")
             disc = ab * ab - a2 * (c2 - 1.0)

@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from .bodies import PolytopeShape, body_from_spec, body_to_spec
-from .errors import (CongrulabError, CongruenceHypothesisFailed,
+from .errors import (CongrulabError, CongruenceHypothesisFailed, ConfigInvalidError,
                      DegenerateBodyError, DiameterHypothesisFailed,
                      SpecParseError, StarShapednessLost)
 from .polylab import (MIN_VERTICES, approximation_rate, detect_rigid_symmetries,
@@ -240,6 +240,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigInvalidError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except _HYPOTHESIS_ERRORS as exc:
         payload = {"error": type(exc).__name__, "detail": str(exc)}

@@ -8,8 +8,7 @@ and negates its orthogonal complement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,54 +75,20 @@ def pole_reflection(pole) -> Orthogonal4:
     return Orthogonal4(2.0 * np.outer(p, p) - np.eye(4))
 
 
-@dataclass(frozen=True)
-class AxisRotation:
-    """A rotation of the working sphere of ``frame``, materialized on demand.
-
-    kind FIX_POLE: rotation about the pole by ``parameter`` radians (positive
-    angle turns e1 toward e2).  kind FLIP_POLE: half-turn about the equatorial
-    axis at azimuth ``parameter``; it reverses the pole and is an involution.
-    Both fix the frame normal, so they restrict to rotations of the sphere.
-    """
-
-    frame: SphereFrame
-    kind: str
-    parameter: float
-
-    def __post_init__(self):
-        if self.kind not in (FIX_POLE, FLIP_POLE):
-            raise ValueError(f"unknown rotation kind {self.kind!r}")
-        object.__setattr__(self, "parameter", float(self.parameter) % (2.0 * np.pi))
-
-    @cached_property
-    def matrix(self) -> Orthogonal4:
-        f = self.frame
-        if self.kind == FIX_POLE:
-            a = self.parameter
-            m = (np.cos(a) * (np.outer(f.e1, f.e1) + np.outer(f.e2, f.e2))
-                 + np.sin(a) * (np.outer(f.e2, f.e1) - np.outer(f.e1, f.e2))
-                 + np.outer(f.normal, f.normal) + np.outer(f.pole, f.pole))
-        else:
-            u = f.circle_point(self.parameter)
-            m = (2.0 * np.outer(u, u) + 2.0 * np.outer(f.normal, f.normal)
-                 - np.eye(4))
-        return Orthogonal4(m)
-
-    def apply(self, points):
-        return self.matrix.apply(points)
-
-    def axis(self):
-        """The fixed equatorial axis (FLIP_POLE) or the pole (FIX_POLE)."""
-        if self.kind == FIX_POLE:
-            return self.frame.pole
-        return self.frame.circle_point(self.parameter)
+def pole_rotation(frame: SphereFrame, angle: float) -> Orthogonal4:
+    """Rotation of the working sphere of ``frame`` about its pole by ``angle``
+    radians; a positive angle turns e1 toward e2.  Fixes the frame normal."""
+    a = float(angle) % (2.0 * np.pi)
+    e1, e2, n, p = frame.e1, frame.e2, frame.normal, frame.pole
+    return Orthogonal4(np.cos(a) * (np.outer(e1, e1) + np.outer(e2, e2))
+                       + np.sin(a) * (np.outer(e2, e1) - np.outer(e1, e2))
+                       + np.outer(n, n) + np.outer(p, p))
 
 
-def pole_rotation(frame: SphereFrame, angle: float) -> AxisRotation:
-    """Rotation of the working sphere about its pole by ``angle`` radians."""
-    return AxisRotation(frame=frame, kind=FIX_POLE, parameter=angle)
-
-
-def equator_flip(frame: SphereFrame, axis_azimuth: float) -> AxisRotation:
-    """Half-turn about the equatorial axis at ``axis_azimuth``; reverses the pole."""
-    return AxisRotation(frame=frame, kind=FLIP_POLE, parameter=axis_azimuth)
+def equator_flip(frame: SphereFrame, axis_azimuth: float) -> Orthogonal4:
+    """Half-turn of the working sphere of ``frame`` about the equatorial axis
+    at ``axis_azimuth``; it reverses the pole, fixes the frame normal and is
+    an involution."""
+    u = frame.circle_point(float(axis_azimuth) % (2.0 * np.pi))
+    return Orthogonal4(2.0 * np.outer(u, u) + 2.0 * np.outer(frame.normal, frame.normal)
+                       - np.eye(4))

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .funk import GridFunction, sample_on_sphere
-from .orthogonal import FIX_POLE, FLIP_POLE, pole_rotation
-from .sphere import SphereFrame, evaluate_field, gauss_grid, make_frame
+from .orthogonal import FIX_POLE, FLIP_POLE
+from .sphere import SphereFrame, gauss_grid, make_frame
 
 LABEL_NONE = "none"  # no family registers; the others are FIX_POLE and FLIP_POLE
 
@@ -56,6 +56,13 @@ def _require_same_grid(f: GridFunction, g: GridFunction):
             and np.allclose(gf.frame.basis, gg.frame.basis, atol=1e-14))
     if not same:
         raise GridMismatchError("grid functions do not share a grid")
+
+
+def _shifted(spec: np.ndarray, angle: float, n: int) -> np.ndarray:
+    """Length-n rings with rfft ``spec`` read at azimuth phi + ``angle``: exact
+    at grid azimuths, the trigonometric interpolant between them."""
+    k = np.arange(spec.shape[-1])
+    return np.fft.irfft(spec * np.exp(1j * k * angle), n=n, axis=-1)
 
 
 class _ShiftObjective:
@@ -104,8 +111,7 @@ class _ShiftObjective:
         return self.taylor(angle)[0]
 
     def resample(self, angle: float) -> np.ndarray:
-        k = np.arange(self.spec.shape[-1])
-        return np.fft.irfft(self.spec * np.exp(1j * k * angle), n=self.n, axis=-1)
+        return _shifted(self.spec, angle, self.n)
 
     def sup(self, angle: float) -> float:
         return float(np.max(np.abs(self.resample(angle) - self.G)))
@@ -298,14 +304,11 @@ def classify_direction(fg: GridFunction, gg: GridFunction, tol: float) -> Classi
 
 
 def pole_rotation_symmetry_defect(f, sphere_normal, pole, angle: float) -> float:
-    """sup |f(rot x) - f(x)| over a grid of the sphere orthogonal to sphere_normal,
-    for the rotation about ``pole`` by ``angle`` radians."""
-    frame = make_frame(pole, sphere_normal)
-    grid = gauss_grid(frame, *DETECTOR_GRID)
-    rot = pole_rotation(frame, angle)
-    pts = grid.points
-    return float(np.max(np.abs(evaluate_field(f, rot.apply(pts))
-                               - evaluate_field(f, pts))))
+    """sup |f(rot x) - f(x)| on the DETECTOR_GRID of the sphere orthogonal to
+    sphere_normal, rot turning it about ``pole`` by ``angle``: f is sampled once
+    and rotated by shifting its ring spectra, exact at grid azimuths such as pi."""
+    fg = sample_on_sphere(f, gauss_grid(make_frame(pole, sphere_normal), *DETECTOR_GRID))
+    return float(np.max(np.abs(_shifted(fg.spectrum, angle, DETECTOR_GRID[1]) - fg.values)))
 
 
 def find_equator_flip_symmetry(f, frame: SphereFrame, tol: float):

@@ -19,9 +19,8 @@ from .errors import (CongruenceHypothesisFailed, ConfigInvalidError,
                      DiameterHypothesisFailed, StarShapednessLost)
 from .funk import sample_on_sphere
 from .orthogonal import FLIP_POLE, pole_reflection
-from .registration import (LABEL_NONE, Classification,
-                           classify_direction, find_equator_flip_symmetry,
-                           pole_rotation_symmetry_defect)
+from .registration import (LABEL_NONE, Classification, classify_direction,
+                           register_pole_flip)
 from .sphere import (circle_quadrature, directions_orthogonal_to, evaluate_field,
                      gauss_grid, make_frame, random_directions, unit)
 
@@ -46,8 +45,10 @@ class VerifyConfig:
     n_t Gauss latitudes by n_azimuth uniform azimuths; ``w_samples`` working
     spheres are classified per decision.  Every check reads that grid, so the
     even-part circles have n_azimuth nodes: ``circle_nodes`` is None or
-    n_azimuth, and any other value is rejected.  A config that fails these
-    checks cannot be built: construction raises ConfigInvalidError.
+    n_azimuth, and any other value is rejected.  ``out_of_sample`` probes,
+    at least one, are drawn from ``seed`` + 0x0DD5, and the seed must be
+    non-negative.  A config that fails these checks cannot be built:
+    construction raises ConfigInvalidError.
     """
 
     tol: float = 1e-6
@@ -63,8 +64,10 @@ class VerifyConfig:
             raise ConfigInvalidError("tol is relative to the data sup: it must lie in (0, 1)")
         if self.n_t < 2 or self.n_azimuth < 8 or self.n_azimuth % 2:
             raise ConfigInvalidError("grid must have n_t >= 2 and even n_azimuth >= 8")
-        if self.w_samples < 1:
-            raise ConfigInvalidError("w_samples must be positive")
+        if self.w_samples < 1 or self.out_of_sample < 1:
+            raise ConfigInvalidError("w_samples and out_of_sample must be positive")
+        if self.seed < 0:
+            raise ConfigInvalidError("seed must be a non-negative integer")
         if self.circle_nodes is not None and self.circle_nodes != self.n_azimuth:
             raise ConfigInvalidError(
                 "circle_nodes must equal n_azimuth: the even parts are compared "
@@ -179,6 +182,7 @@ class _SphereChecks:
     even_transform_dev: float
     congruence: Classification | None
     odd: Classification | None
+    flip_witness: dict | None
 
 
 def _sample_sphere(f, g, pole, w, config: VerifyConfig):
@@ -197,7 +201,8 @@ def _check_sphere(w, fg, gg, congruence, config: VerifyConfig, certify: bool,
     azimuth half-turn of the grid, so the parity split needs no new samples.
     The odd parts are registered unless ``odd_sup`` already vanishes at this
     sphere's data scale, which forces the ``both`` branch (the decision scale
-    is at least this sphere's).
+    is at least this sphere's).  An odd flip label gets a witness from f's
+    grid: the pole half-turn moves f by twice its odd part, and f self-flips.
     """
     sup = max(fg.sup, gg.sup)
     if certify:
@@ -209,13 +214,20 @@ def _check_sphere(w, fg, gg, congruence, config: VerifyConfig, certify: bool,
     ge, go = gg.parity()
     transform_dev = np.max(np.abs(circle_quadrature(fg.values)
                                   - circle_quadrature(gg.values)))
-    odd = None
+    odd = witness = None
     if odd_sup > 0.1 * (config.tol * sup):
         odd = classify_direction(fo, go, config.tol)
+    if odd is not None and odd.label == FLIP_POLE:
+        self_flip = register_pole_flip(fg, fg)
+        witness = {"w": [float(x) for x in odd.w], "flip_axis": float(odd.axis_azimuth),
+                   "pole_half_turn_defect": 2.0 * fo.sup,
+                   "self_flip_axis": self_flip.parameter
+                   if self_flip.residual <= config.tol * max(fg.sup, 1e-300) else None,
+                   "residual": odd.witness.residual}
     return _SphereChecks(sup=sup,
                          even_direct_dev=float(np.max(np.abs(fe.values - ge.values))),
                          even_transform_dev=float(transform_dev),
-                         congruence=congruence, odd=odd)
+                         congruence=congruence, odd=odd, flip_witness=witness)
 
 
 def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *,
@@ -233,8 +245,9 @@ def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *
     default ``config.w_samples`` quasi-uniform normals orthogonal to the
     pole.  f and g are sampled once per working sphere and once at the
     out-of-sample probes and their pole reflections; every check reads those
-    samples.  ``certify_congruence`` also registers the full restrictions on
-    each sphere, raising CongruenceHypothesisFailed for the first sphere in
+    samples, the ``flip_witnesses`` of the first three flip spheres too.
+    ``certify_congruence`` also registers the full restrictions on each
+    sphere, raising CongruenceHypothesisFailed for the first sphere in
     order where neither family registers; the worst residual is reported as
     ``congruence_residual``.  ``sampled`` maps sphere indices to triples
     (f grid, g grid, ``classify_direction`` of the two or None) computed on
@@ -290,18 +303,7 @@ def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *
     if outcome == OUTCOME_INCONCLUSIVE and reason == FLIP_REASON:
         # flips contradict the no-half-turn-symmetry hypotheses; report the
         # violated hypothesis with concrete witnesses instead of resolving
-        flips = [c for c in classifications if c.label == FLIP_POLE][:3]
-        witnesses = []
-        for c in flips:
-            frame = make_frame(pole, c.w)
-            defect = pole_rotation_symmetry_defect(f, c.w, pole, np.pi)
-            axis = find_equator_flip_symmetry(f, frame, config.tol)
-            witnesses.append({"w": [float(x) for x in c.w],
-                              "flip_axis": float(c.axis_azimuth),
-                              "pole_half_turn_defect": defect,
-                              "self_flip_axis": axis,
-                              "residual": c.witness.residual})
-        report["flip_witnesses"] = witnesses
+        report["flip_witnesses"] = [c.flip_witness for c in checks if c.flip_witness][:3]
         reason = (f"{FLIP_REASON}; excluded in exact arithmetic by the "
                   "no-symmetry hypotheses, which the data violates")
         return Verdict(OUTCOME_INCONCLUSIVE, reason=reason,
@@ -458,16 +460,14 @@ def verify_section_theorem(K: Body4, L: Body4, pole,
 
     scale = diams_k.length
 
-    # radial values at (+pole, -pole): the axis chord
-    chord_k = [float(K.radial(pole)), float(K.radial(-pole))]
-    chord_l = [float(L.radial(pole)), float(L.radial(-pole))]
+    # radial values at (+pole, -pole) are the axis chord; the support values
+    # there agree with them iff the pole-parallel diameter passes through the
+    # origin, so their gap is its distance from the pole axis
+    axis = np.stack([pole, -pole])
+    chord_k, chord_l = K.radial(axis), L.radial(axis)
 
     def axis_deviation(body, chord):
-        # distance of the pole-parallel diameter from the pole axis: support
-        # and radial values in the +-pole directions agree iff the support
-        # chord passes through the origin
-        return max(abs(float(body.support(pole)) - chord[0]),
-                   abs(float(body.support(-pole)) - chord[1]))
+        return float(np.max(np.abs(body.support(axis) - chord)))
 
     # hypothesis: the distinguished diameter of K contains the origin; the
     # matching property of L is a consequence of section congruence and is

@@ -2,7 +2,8 @@
 
 Everything here is deliberately independent of the library's computation
 paths: Legendre values come from the classical recurrences, 3D rotations
-from the axis-angle formula, symmetry counts from exhaustive permutation
+from the axis-angle formula, symmetry defects from re-evaluating the field
+at rotated points, symmetry counts from exhaustive permutation
 search with an orthogonal Procrustes fit, diameters from brute-force
 vertex-pair enumeration, the even-part comparison from great circles
 sampled apart from the verifier's grid, and bump convexity from a
@@ -20,8 +21,8 @@ from scipy.linalg import orthogonal_procrustes
 from congrulab.bodies import polytope
 from congrulab.errors import NonOrthogonalError
 from congrulab.sphere import (ORTHO_TOL, circle_quadrature, directions_orthogonal_to,
-                              evaluate_field, great_circle_nodes, make_frame,
-                              random_directions, unit)
+                              evaluate_field, gauss_grid, great_circle_nodes,
+                              make_frame, random_directions, unit)
 
 
 def wrap_err(a: float, b: float, period: float) -> float:
@@ -68,6 +69,17 @@ def embed_rotation(frame, rot3: np.ndarray) -> np.ndarray:
     """Embed a 3x3 map of span{e1, e2, pole} into R^4, fixing the frame normal."""
     B = np.column_stack([frame.e1, frame.e2, frame.pole])
     return B @ rot3 @ B.T + np.outer(frame.normal, frame.normal)
+
+
+def rotated_point_defect(f, sphere_normal, pole, angle: float, n_t: int = 24,
+                         n_azimuth: int = 128) -> float:
+    """sup |f(rot x) - f(x)| over the Gauss grid of the sphere orthogonal to
+    sphere_normal, with f evaluated again at the rotated grid points; rot
+    turns the sphere about ``pole`` by ``angle`` (axis-angle formula)."""
+    frame = make_frame(pole, sphere_normal)
+    pts = gauss_grid(frame, n_t, n_azimuth).points
+    rot = embed_rotation(frame, rodrigues([0.0, 0.0, 1.0], angle))
+    return float(np.max(np.abs(evaluate_field(f, pts @ rot.T) - evaluate_field(f, pts))))
 
 
 # -- symmetry oracle ------------------------------------------------------------

@@ -217,13 +217,13 @@ def test_criterion_5_registration_recovery():
         F = sample_on_sphere(f, grid)
         if trial % 2 == 0:
             angle = float(rng.uniform(0, 2 * np.pi))
-            g = compose_with_matrix(f, pole_rotation(frame, angle).matrix.matrix)
+            g = compose_with_matrix(f, pole_rotation(frame, angle).matrix)
             wit = register_pole_rotation(F, sample_on_sphere(g, grid))
             coarse = wrap_err(wit.coarse_parameter, angle, 2 * np.pi)
             fine = wrap_err(wit.parameter, angle, 2 * np.pi)
         else:
             beta = float(rng.uniform(0, np.pi))
-            g = compose_with_matrix(f, equator_flip(frame, beta).matrix.matrix)
+            g = compose_with_matrix(f, equator_flip(frame, beta).matrix)
             wit = register_pole_flip(F, sample_on_sphere(g, grid))
             coarse = wrap_err(wit.coarse_parameter, beta, np.pi)
             fine = wrap_err(wit.parameter, beta, np.pi)
@@ -250,8 +250,7 @@ def test_criterion_6_half_turn_composition():
         nrm = rng.standard_normal(4)
         frame = make_frame(pole, nrm - (nrm @ pole) * pole)
         b1, b2 = rng.uniform(0, np.pi, 2)
-        got = compose(equator_flip(frame, b1).matrix,
-                      equator_flip(frame, b2).matrix)
+        got = compose(equator_flip(frame, b1), equator_flip(frame, b2))
         # axis-angle oracle: rotation by 2*(b1-b2) about the common normal
         # of the two axes (the pole), built independently
         expect = embed_rotation(frame, rodrigues([0.0, 0.0, 1.0], 2 * (b1 - b2)))

@@ -116,6 +116,24 @@ def test_polytope_fields_match_brute_force(seed, shape):
         assert type(rho) is float
 
 
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_polytope_field_rows_independent_of_batch_size(seed):
+    # a direction's value is the same in every batch of two or more
+    # directions; a single direction takes another BLAS kernel
+    rng = np.random.default_rng(seed)
+    K = planted_polytope(seed, unit(rng.standard_normal(4)), through_origin=True,
+                         kind="star")
+    K = K.apply(random_orthogonal(rng), 0.1 * rng.uniform() * unit(rng.standard_normal(4)))
+    theta = random_directions(16384, rng)
+    for field in (K.support, K.radial):
+        full = field(theta)
+        for size in (2, 7):
+            for start in (0, int(rng.integers(0, len(theta) - size))):
+                rows = slice(start, start + size)
+                assert np.array_equal(field(theta[rows]), full[rows])
+
+
 def test_radial_values():
     assert ball().radial(unit(RNG.standard_normal(4))) == pytest.approx(1.0)
     assert ellipsoid([2, 1, 1, 1]).radial([1, 0, 0, 0]) == pytest.approx(2.0)

@@ -240,6 +240,20 @@ def test_verify_tol_out_of_range_is_config_error(tmp_path, capsys, argv):
     assert json.loads(last)["error"] == "ConfigInvalidError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "projections", "{body}", "{body}", "--zeta", "0,0,0,1"],
+    ["symmetry", "{body}", "--sample", "3"],
+    ["rate", "{body}", "--v-list", "40,80"],
+], ids=["verify", "symmetry", "rate"])
+def test_negative_seed_is_config_error(tmp_path, capsys, argv):
+    body = write_body(tmp_path, "K.json", planted_polytope(11, POLE))
+    rc = main([a.format(body=body) for a in argv] + ["--seed", "-1"])
+    assert rc == 1
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    error = json.loads(last)
+    assert error["error"] == "ConfigInvalidError" and "--seed" in error["detail"]
+
+
 # -- symmetry ----------------------------------------------------------------------
 
 

@@ -8,16 +8,17 @@ from congrulab.errors import GridMismatchError
 from congrulab.funk import GridFunction, compose_with_matrix, sample_on_sphere
 from congrulab.orthogonal import (FIX_POLE, FLIP_POLE, equator_flip, pole_reflection,
                                   pole_rotation)
-from congrulab.registration import (LABEL_NONE, _mirrored_spectrum, _ShiftObjective,
-                                    classify_direction,
+from congrulab.registration import (DETECTOR_GRID, LABEL_NONE, _mirrored_spectrum,
+                                    _ShiftObjective, classify_direction,
                                     classifications_to_csv,
                                     find_equator_flip_symmetry,
                                     pole_rotation_symmetry_defect,
                                     register_pole_flip, register_pole_rotation,
                                     snap_alpha)
-from congrulab.sphere import gauss_grid, make_frame, unit
+from congrulab.sphere import directions_orthogonal_to, gauss_grid, make_frame, unit
 
-from helpers import band_limited_field, odd_field, wrap_err
+from helpers import (band_limited_field, odd_field, planted_polytope,
+                     rotated_point_defect, wrap_err)
 
 RNG = np.random.default_rng(505)
 
@@ -48,7 +49,7 @@ def classify(f, g, tol=1e-6):
 def test_rotation_exact_grid_shift():
     f = band_limited_field(60)
     angle = 2 * np.pi * 17 / 256
-    g = compose_with_matrix(f, pole_rotation(FR, angle).matrix.matrix)
+    g = compose_with_matrix(f, pole_rotation(FR, angle).matrix)
     F, G = sample_pair(f, g)
     wit = register_pole_rotation(F, G)
     assert wrap_err(wit.parameter, angle, 2 * np.pi) < 1e-3
@@ -60,7 +61,7 @@ def test_rotation_fractional_angles():
     f = band_limited_field(61)
     F = sample_on_sphere(f, GRID)
     for angle in (0.1, 1.23456789, 2.9, 4.4, 6.1):
-        g = compose_with_matrix(f, pole_rotation(FR, angle).matrix.matrix)
+        g = compose_with_matrix(f, pole_rotation(FR, angle).matrix)
         G = sample_on_sphere(g, GRID)
         wit = register_pole_rotation(F, G)
         assert wrap_err(wit.coarse_parameter, angle, 2 * np.pi) <= 2 * np.pi / 256
@@ -100,7 +101,7 @@ def test_flip_recovery():
     f = band_limited_field(65)
     F = sample_on_sphere(f, GRID)
     for beta in (0.0, 0.3, 0.87654321, 1.6, 2.9):
-        g = compose_with_matrix(f, equator_flip(FR, beta).matrix.matrix)
+        g = compose_with_matrix(f, equator_flip(FR, beta).matrix)
         G = sample_on_sphere(g, GRID)
         wit = register_pole_flip(F, G)
         assert wrap_err(wit.parameter, beta, np.pi) < 1e-3
@@ -135,13 +136,13 @@ def test_registration_recovery_random_family():
         F = sample_on_sphere(f, grid)
         if rng.random() < 0.5:
             angle = rng.uniform(0, 2 * np.pi)
-            g = compose_with_matrix(f, pole_rotation(FR, angle).matrix.matrix)
+            g = compose_with_matrix(f, pole_rotation(FR, angle).matrix)
             wit = register_pole_rotation(F, sample_on_sphere(g, grid))
             assert wrap_err(wit.coarse_parameter, angle, 2 * np.pi) <= 2 * np.pi / 256
             assert wrap_err(wit.parameter, angle, 2 * np.pi) < 1e-3
         else:
             beta = rng.uniform(0, np.pi)
-            g = compose_with_matrix(f, equator_flip(FR, beta).matrix.matrix)
+            g = compose_with_matrix(f, equator_flip(FR, beta).matrix)
             wit = register_pole_flip(F, sample_on_sphere(g, grid))
             assert wrap_err(wit.coarse_parameter, beta, np.pi) <= np.pi / 256
             assert wrap_err(wit.parameter, beta, np.pi) < 1e-3
@@ -158,10 +159,10 @@ def test_registration_recovers_planted_parameter(frame_seed, field_seed, angle, 
     grid = gauss_grid(frame, n_t, 128)
     f = band_limited_field(field_seed)
     F = sample_on_sphere(f, grid)
-    g = compose_with_matrix(f, pole_rotation(frame, angle).matrix.matrix)
+    g = compose_with_matrix(f, pole_rotation(frame, angle).matrix)
     wit = register_pole_rotation(F, sample_on_sphere(g, grid))
     assert wrap_err(wit.parameter, angle, 2 * np.pi) < 1e-12
-    g = compose_with_matrix(f, equator_flip(frame, beta).matrix.matrix)
+    g = compose_with_matrix(f, equator_flip(frame, beta).matrix)
     wit = register_pole_flip(F, sample_on_sphere(g, grid))
     assert wrap_err(wit.parameter, beta, np.pi) < 1e-12
 
@@ -209,10 +210,10 @@ def test_closed_form_objective_identity(family):
 
 def test_residual_invariant_under_simultaneous_rotation():
     # the objective depends only on the relative shift
-    psi = pole_rotation(FR, 2 * np.pi * 37 / 256).matrix.matrix
+    psi = pole_rotation(FR, 2 * np.pi * 37 / 256).matrix
     f = band_limited_field(70)
     angle = 1.7
-    g = compose_with_matrix(f, pole_rotation(FR, angle).matrix.matrix)
+    g = compose_with_matrix(f, pole_rotation(FR, angle).matrix)
     F, G = sample_pair(f, g)
     Fp, Gp = sample_pair(compose_with_matrix(f, psi), compose_with_matrix(g, psi))
     wa = register_pole_rotation(F, G)
@@ -249,7 +250,7 @@ def test_classify_equal_and_reflected():
 
 def test_classify_flip():
     f = odd_field(73, FR.pole)
-    g = compose_with_matrix(f, equator_flip(FR, 1.1).matrix.matrix)
+    g = compose_with_matrix(f, equator_flip(FR, 1.1).matrix)
     c = classify(f, g)
     assert c.label == FLIP_POLE
     assert wrap_err(c.axis_azimuth, 1.1, np.pi) < 1e-3
@@ -270,7 +271,7 @@ def test_classify_registers_each_family_once(monkeypatch):
     for name in ("register_pole_rotation", "register_pole_flip"):
         monkeypatch.setattr(registration, name, counting(name))
     f = odd_field(73, FR.pole)
-    g = compose_with_matrix(f, equator_flip(FR, 1.1).matrix.matrix)
+    g = compose_with_matrix(f, equator_flip(FR, 1.1).matrix)
     assert classify(f, g).label == FLIP_POLE
     assert sorted(calls) == ["register_pole_flip", "register_pole_rotation"]
 
@@ -299,6 +300,28 @@ def test_pole_rotation_symmetry_zonal():
         assert pole_rotation_symmetry_defect(f, FR.normal, FR.pole, angle) <= 1e-10
 
 
+def test_pole_rotation_symmetry_defect_matches_rotated_points():
+    # the spectral shift against f evaluated again at the rotated points, on
+    # the side spheres of an asymmetry certificate of planted polytopes
+    pole = unit(RNG.standard_normal(4))
+    for seed, star in ((130, False), (131, True)):
+        K = planted_polytope(seed, pole, through_origin=star,
+                             kind="star" if star else "convex")
+        field = K.radial if star else K.support
+        for w in directions_orthogonal_to(pole, 50):
+            sup = np.max(np.abs(sample_on_sphere(
+                field, gauss_grid(make_frame(pole, w), *DETECTOR_GRID)).values))
+            got = pole_rotation_symmetry_defect(field, w, pole, np.pi)
+            want = rotated_point_defect(field, w, pole, np.pi, *DETECTOR_GRID)
+            assert abs(got - want) <= 1e-13 * sup
+    # band-limited data shifts exactly between grid azimuths too
+    f = band_limited_field(79)
+    for angle in (0.7, 2.2):
+        got = pole_rotation_symmetry_defect(f, FR.normal, FR.pole, angle)
+        assert got > 1e-3
+        assert abs(got - rotated_point_defect(f, FR.normal, FR.pole, angle)) <= 1e-12 * got
+
+
 def test_pole_rotation_symmetry_identity_always():
     f = band_limited_field(77)
     assert pole_rotation_symmetry_defect(f, FR.normal, FR.pole, 0.0) <= 1e-12
@@ -316,7 +339,7 @@ def test_pole_rotation_symmetry_bump_rejected():
 def test_equator_flip_symmetry_detector():
     f = band_limited_field(78)
     assert find_equator_flip_symmetry(f, FR, tol=1e-6) is None
-    M = equator_flip(FR, 0.6).matrix.matrix
+    M = equator_flip(FR, 0.6).matrix
     fs = lambda x: f(x) + f(np.asarray(x) @ M.T)
     axis = find_equator_flip_symmetry(fs, FR, tol=1e-6)
     assert axis is not None

@@ -9,11 +9,12 @@ from congrulab import verifier
 from congrulab.bodies import ball, cube, ellipsoid, polytope
 from congrulab.errors import (CongruenceHypothesisFailed, ConfigInvalidError,
                               DegenerateBodyError, DiameterHypothesisFailed)
-from congrulab.funk import compose_with_matrix
-from congrulab.orthogonal import identity, pole_reflection
-from congrulab.registration import Classification
-from congrulab.sphere import (complement_basis, directions_orthogonal_to,
-                              gauss_latitude_nodes, random_directions, unit)
+from congrulab.funk import compose_with_matrix, sample_on_sphere
+from congrulab.orthogonal import equator_flip, identity, pole_reflection
+from congrulab.registration import Classification, register_pole_flip
+from congrulab.sphere import (complement_basis, directions_orthogonal_to, gauss_grid,
+                              gauss_latitude_nodes, make_frame, random_directions,
+                              unit)
 from congrulab.verifier import (OUTCOME_BOTH, OUTCOME_EQUAL,
                                 OUTCOME_INCONCLUSIVE, OUTCOME_REFLECTED,
                                 OUTCOME_ZERO_ODD, Verdict, VerifyConfig,
@@ -22,7 +23,7 @@ from congrulab.verifier import (OUTCOME_BOTH, OUTCOME_EQUAL,
                                 verify_section_theorem)
 
 from helpers import (band_limited_field, even_field, even_parts_equal, odd_field,
-                     planted_polytope)
+                     planted_polytope, wrap_err)
 
 RNG = np.random.default_rng(606)
 POLE = unit(RNG.standard_normal(4))
@@ -76,20 +77,25 @@ def test_decide_unrelated_inconclusive():
     assert "no rotation registers" in v.reason
 
 
-def test_decide_flip_family_surfaced():
-    # a global half-turn u0-axis map realizes flips on every working sphere
-    # orthogonal to u0; restricted to those spheres the pipeline must report
-    # the violated symmetry hypotheses instead of resolving
+def _flip_fixture():
+    """(f, g, working-sphere normals, config): a global half-turn u0-axis map
+    realizes flips on every working sphere orthogonal to u0."""
     f = odd_field(96, POLE)
     basis = complement_basis(POLE)
     u0 = basis[0]
     M = 2.0 * np.outer(u0, u0) - np.eye(4)
-    g = compose_with_matrix(f, M)
     b1, b2 = basis[1], basis[2]
     ts = np.linspace(0, 2 * np.pi, 12, endpoint=False)
     w_ring = tuple(tuple(np.cos(t) * b1 + np.sin(t) * b2) for t in ts)
     cfg = VerifyConfig(n_t=16, n_azimuth=128, w_samples=12, circle_nodes=128,
                        out_of_sample=512)
+    return f, compose_with_matrix(f, M), w_ring, cfg
+
+
+def test_decide_flip_family_surfaced():
+    # restricted to the flip spheres the pipeline must report the violated
+    # symmetry hypotheses instead of resolving
+    f, g, w_ring, cfg = _flip_fixture()
     v = decide_functional_equation(f, g, POLE, cfg, w_dirs=w_ring)
     assert v.outcome == OUTCOME_INCONCLUSIVE
     assert "flip-type registrations" in v.reason
@@ -107,6 +113,10 @@ def test_decide_config_invalid():
     VerifyConfig(n_azimuth=128, circle_nodes=128)
     with pytest.raises(ConfigInvalidError):
         VerifyConfig(n_azimuth=128, circle_nodes=128 + 2)
+    # the probes are drawn from seed + 0x0DD5, and at least one is needed
+    for bad in ({"seed": -1}, {"out_of_sample": 0}):
+        with pytest.raises(ConfigInvalidError):
+            VerifyConfig(**bad)
 
 
 def _counting(field):
@@ -136,6 +146,49 @@ def test_decide_samples_each_field_once_per_sphere():
         # the odd part and the certificate of the winning relation
         probe_points = sum(int(np.prod(s)) for s in shapes if s != grid_shape)
         assert probe_points == 2 * cfg.out_of_sample
+
+
+def test_decide_flip_witnesses_read_each_sphere_grid():
+    base_f, base_g, w_ring, cfg = _flip_fixture()
+    f, f_shapes = _counting(base_f)
+    g, g_shapes = _counting(base_g)
+    v = decide_functional_equation(f, g, POLE, cfg, w_dirs=w_ring)
+    assert "flip-type registrations" in v.reason
+    # the witnesses take no samples beyond the working-sphere grids and probes
+    for shapes in (f_shapes, g_shapes):
+        assert sum(int(np.prod(s)) for s in shapes) == (
+            len(w_ring) * cfg.n_t * cfg.n_azimuth + 2 * cfg.out_of_sample)
+    witnesses = v.report["flip_witnesses"]
+    assert len(witnesses) == 3
+    grids = {tuple(fr.normal): gauss_grid(fr, cfg.n_t, cfg.n_azimuth)
+             for fr in (make_frame(unit(POLE), w) for w in w_ring)}
+    for wit in witnesses:
+        fg = sample_on_sphere(base_f, grids[tuple(wit["w"])])
+        half_turn = np.roll(fg.values, cfg.n_azimuth // 2, axis=1)
+        assert wit["pole_half_turn_defect"] == float(np.max(np.abs(half_turn - fg.values)))
+        self_flip = register_pole_flip(fg, fg)
+        keep = self_flip.residual <= cfg.tol * fg.sup
+        assert wit["self_flip_axis"] == (self_flip.parameter if keep else None)
+
+
+def test_flip_witness_reports_self_flip_axis():
+    # f is an equatorial half-turn symmetric field up to 1e-9 of its scale
+    # and g is its image under another half-turn: the flip family registers
+    # exactly, the pole rotations only to 1e-9, and the witness finds the
+    # symmetry axis of f on the sphere's own grid
+    w = complement_basis(POLE)[0]
+    frame = make_frame(unit(POLE), w)
+    h, q = odd_field(98, POLE), odd_field(99, POLE)
+    s = lambda x: h(x) + compose_with_matrix(h, equator_flip(frame, 0.4).matrix)(x)
+    f = lambda x: s(x) + 1e-9 * q(x)
+    g = compose_with_matrix(f, equator_flip(frame, 1.3).matrix)
+    v = decide_functional_equation(f, g, POLE, FIELD_CFG, w_dirs=[w])
+    assert "flip-type registrations" in v.reason
+    (wit,) = v.report["flip_witnesses"]
+    assert wrap_err(wit["flip_axis"], 1.3, np.pi) < 1e-6
+    assert wrap_err(wit["self_flip_axis"], 0.4, np.pi) < 1e-6
+    fg = sample_on_sphere(f, gauss_grid(frame, FIELD_CFG.n_t, FIELD_CFG.n_azimuth))
+    assert wit["self_flip_axis"] == register_pole_flip(fg, fg).parameter
 
 
 def test_even_devs_match_reference_check():
@@ -309,6 +362,10 @@ def test_section_planted_axis_translation():
     residual = v.translation - (v.translation @ POLE) * POLE
     assert np.linalg.norm(residual) <= 1e-9
     assert v.report["w_sample_fallback"] is False
+    # the axis chords are one two-direction batch per body
+    axis = np.stack([unit(POLE), -unit(POLE)])
+    assert np.array_equal(v.report["axis_chord_K"], K.radial(axis))
+    assert np.array_equal(v.report["axis_chord_L"], L.radial(axis))
 
 
 def test_section_planted_reflection():
