@@ -16,7 +16,7 @@ import numpy as np
 
 from .bodies import Body4, DiameterSet, diameter_segment, find_diameters
 from .errors import (CongruenceHypothesisFailed, ConfigInvalidError,
-                     DiameterHypothesisFailed, StarShapednessLost)
+                     DiameterHypothesisFailed, EmptyInputError, StarShapednessLost)
 from .funk import sample_on_sphere
 from .orthogonal import FLIP_POLE, pole_reflection
 from .registration import (LABEL_NONE, Classification, classify_direction,
@@ -185,29 +185,27 @@ class _SphereChecks:
     flip_witness: dict | None
 
 
-def _sample_sphere(f, g, pole, w, config: VerifyConfig):
-    grid = gauss_grid(make_frame(pole, w), n_t=config.n_t, n_azimuth=config.n_azimuth)
-    return sample_on_sphere(f, grid), sample_on_sphere(g, grid), None
-
-
-def _check_sphere(w, fg, gg, congruence, config: VerifyConfig, certify: bool,
+def _check_sphere(f, g, pole, w, config: VerifyConfig, certify: bool,
                   odd_sup: float) -> _SphereChecks:
     """Every per-sphere check, read from one grid of f and one of g.
 
-    With ``certify``, the full restrictions are registered first (unless
-    ``congruence`` holds that classification) and the congruence hypothesis
-    fails here when neither family registers.  The even parts are compared
-    by ring sums (the Funk route) and pointwise; the pole reflection is the
-    azimuth half-turn of the grid, so the parity split needs no new samples.
+    The sphere orthogonal to ``w`` gets its Gauss grid, and f and g are
+    sampled on it once.  With ``certify``, the full restrictions are
+    registered first and the congruence hypothesis fails here when neither
+    family registers.  The even parts are compared by ring sums (the Funk
+    route) and pointwise; the pole reflection is the azimuth half-turn of
+    the grid, so the parity split needs no new samples.
     The odd parts are registered unless ``odd_sup`` already vanishes at this
     sphere's data scale, which forces the ``both`` branch (the decision scale
     is at least this sphere's).  An odd flip label gets a witness from f's
     grid: the pole half-turn moves f by twice its odd part, and f self-flips.
     """
+    grid = gauss_grid(make_frame(pole, w), n_t=config.n_t, n_azimuth=config.n_azimuth)
+    fg, gg = sample_on_sphere(f, grid), sample_on_sphere(g, grid)
     sup = max(fg.sup, gg.sup)
+    congruence = None
     if certify:
-        if congruence is None:
-            congruence = classify_direction(fg, gg, config.tol)
+        congruence = classify_direction(fg, gg, config.tol)
         if congruence.label == LABEL_NONE:
             raise CongruenceHypothesisFailed(w, congruence.witness.residual)
     fe, fo = fg.parity()
@@ -231,8 +229,7 @@ def _check_sphere(w, fg, gg, congruence, config: VerifyConfig, certify: bool,
 
 
 def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *,
-                               w_dirs=None, certify_congruence: bool = False,
-                               sampled: dict | None = None) -> Verdict:
+                               w_dirs=None, certify_congruence: bool = False) -> Verdict:
     """Decide between f = g and f = g o reflect on S^3 from per-sphere rotations.
 
     Steps: (1) compare even parts (transform route and direct route); (2)
@@ -249,24 +246,19 @@ def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *
     ``certify_congruence`` also registers the full restrictions on each
     sphere, raising CongruenceHypothesisFailed for the first sphere in
     order where neither family registers; the worst residual is reported as
-    ``congruence_residual``.  ``sampled`` maps sphere indices to triples
-    (f grid, g grid, ``classify_direction`` of the two or None) computed on
-    those spheres; a given classification is that sphere's congruence
-    certificate.  Entries are consumed.
+    ``congruence_residual``.  The section pipeline reads that failure to
+    pick its diameter alignment.  An empty ``w_dirs`` raises EmptyInputError.
     """
     config = config or VerifyConfig()
     pole = unit(pole)
     if w_dirs is None:
         w_dirs = directions_orthogonal_to(pole, config.w_samples)
+    if not len(w_dirs):
+        raise EmptyInputError("w_dirs holds no working-sphere normal")
 
     odd_sup, dev_eq, dev_re = _probe_sups(f, g, pole, config)
-    sampled = {} if sampled is None else sampled
-
-    def one(i, w):
-        fg, gg, congruence = sampled.pop(i, None) or _sample_sphere(f, g, pole, w, config)
-        return _check_sphere(w, fg, gg, congruence, config, certify_congruence, odd_sup)
-
-    checks = [one(i, w) for i, w in enumerate(w_dirs)]
+    checks = [_check_sphere(f, g, pole, w, config, certify_congruence, odd_sup)
+              for w in w_dirs]
 
     scale = max(1e-300, *(c.sup for c in checks))
     tol_abs = config.tol * scale
@@ -324,18 +316,25 @@ def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *
 # -- body-level pipelines -----------------------------------------------------
 
 
-def _assert_pole_diameter(body: Body4, pole, tol: float, who: str):
-    """Check the body has a diameter parallel to the pole.
+def _assert_pole_diameters(K: Body4, L: Body4, pole, tol: float):
+    """Check both bodies have a diameter parallel to the pole, of one length.
 
-    Returns (all diameters, width at the pole).
+    Returns (diameters of K, of L, width of K at the pole, of L).
     """
-    diams = find_diameters(body)
-    width_at_pole = float(body.width(pole))
-    if width_at_pole < diams.length - max(tol * diams.length, diams.tol * 10):
+    found = []
+    for body, who in ((K, "K"), (L, "L")):
+        diams = find_diameters(body)
+        width = float(body.width(pole))
+        if width < diams.length - max(tol * diams.length, diams.tol * 10):
+            raise DiameterHypothesisFailed(
+                f"{who}: width at the pole ({width:.12g}) is below the "
+                f"maximal width ({diams.length:.12g})")
+        found.append((diams, width))
+    (diams_k, width_k), (diams_l, width_l) = found
+    if abs(diams_k.length - diams_l.length) > tol * diams_k.length:
         raise DiameterHypothesisFailed(
-            f"{who}: width at the pole ({width_at_pole:.12g}) is below the "
-            f"maximal width ({diams.length:.12g})")
-    return diams, width_at_pole
+            f"diameter lengths differ: {diams_k.length:.12g} vs {diams_l.length:.12g}")
+    return diams_k, diams_l, width_k, width_l
 
 
 def _admissible_w_sample(pole, diams_k: DiameterSet, diams_l: DiameterSet,
@@ -370,11 +369,7 @@ def verify_projection_theorem(K: Body4, L: Body4, pole,
     if K.kind != "convex" or L.kind != "convex":
         raise DiameterHypothesisFailed("projection congruence requires convex bodies")
 
-    diams_k, width_k = _assert_pole_diameter(K, pole, config.tol, "K")
-    diams_l, width_l = _assert_pole_diameter(L, pole, config.tol, "L")
-    if abs(diams_k.length - diams_l.length) > config.tol * diams_k.length:
-        raise DiameterHypothesisFailed(
-            f"diameter lengths differ: {diams_k.length:.12g} vs {diams_l.length:.12g}")
+    diams_k, diams_l, width_k, width_l = _assert_pole_diameters(K, L, pole, config.tol)
 
     zk_lo, zk_hi = diameter_segment(K, pole)
     zl_lo, zl_hi = diameter_segment(L, pole)
@@ -407,52 +402,26 @@ def verify_projection_theorem(K: Body4, L: Body4, pole,
     return replace(verdict, translation=translation, report=report)
 
 
-def _choose_alignment(K: Body4, L: Body4, alignments, pole, probe_ws,
-                      config: VerifyConfig):
-    """The translate L + a that registers best against K on the probe spheres.
-
-    Returns (residual, a, L + a, sampled), where ``sampled`` maps each probe
-    index to its (K grid, L + a grid, classification) triple.  The probe
-    spheres are the first working spheres, so the decision reuses them
-    instead of sampling and registering again.  Ties keep the first alignment.
-    """
-    grids = [gauss_grid(make_frame(pole, w), n_t=config.n_t, n_azimuth=config.n_azimuth)
-             for w in probe_ws]
-    k_probes = [sample_on_sphere(K.radial, grid) for grid in grids]
-    best = None
-    for a in alignments:
-        La = L.translate(a)
-        if not La.contains_origin_interior():
-            continue
-        l_probes = [sample_on_sphere(La.radial, grid) for grid in grids]
-        checks = [classify_direction(kg, lg, config.tol)
-                  for kg, lg in zip(k_probes, l_probes)]
-        worst = max(c.witness.residual for c in checks)
-        if best is None or worst < best[0]:
-            best = (worst, a, La, dict(enumerate(zip(k_probes, l_probes, checks))))
-    if best is None:
-        raise StarShapednessLost(
-            "no diameter alignment keeps the origin interior; the mixed "
-            "alignment case contradicts the congruence hypotheses")
-    return best
-
-
 def verify_section_theorem(K: Body4, L: Body4, pole,
                            config: VerifyConfig | None = None) -> Verdict:
     """Decide K = L + b or K = reflect(L) + b (b parallel to the pole) from
     3D slice congruence of star bodies.
 
-    Requires K to have a diameter through the origin parallel to the pole;
-    the matching property of L is verified rather than assumed.  The
-    candidate translation aligning the diameters is chosen between the
-    direct and the reversed alignment by which one actually registers, and
-    star-shapedness of the translated body is checked before deciding.
+    Requires both bodies to have diameters parallel to the pole, of equal
+    lengths (congruent sections force that), and K's to pass through the
+    origin; the matching property of L is verified rather than assumed.  L
+    is translated along the pole so its axis chord lies on K's, either as it
+    stands (direct) or reversed.  The decision runs on the first of the two
+    translates that keeps the origin interior, and its congruence
+    certificate on every working sphere picks the alignment: when it fails,
+    the other translate is decided, and when both fail the failure with the
+    smaller residual is raised.  StarShapednessLost when neither keeps the
+    origin.
     """
     config = config or VerifyConfig()
     pole = unit(pole)
 
-    diams_k, _ = _assert_pole_diameter(K, pole, config.tol, "K")
-    diams_l, _ = _assert_pole_diameter(L, pole, config.tol, "L")
+    diams_k, diams_l, _, _ = _assert_pole_diameters(K, L, pole, config.tol)
 
     for body, who in ((K, "K"), (L, "L")):
         if not body.contains_origin_interior():
@@ -484,17 +453,28 @@ def verify_section_theorem(K: Body4, L: Body4, pole,
     a_reverse = (chord_k[1] - chord_l[0]) * pole
 
     w_dirs, w_fallback = _admissible_w_sample(pole, diams_k, diams_l, config)
-    align_res, a, La, sampled = _choose_alignment(K, L, (a_direct, a_reverse),
-                                                  pole, w_dirs[:6], config)
-    verdict = decide_functional_equation(K.radial, La.radial, pole, config,
-                                         w_dirs=w_dirs, certify_congruence=True,
-                                         sampled=sampled)
+    failures = []
+    for a in (a_direct, a_reverse):
+        La = L.translate(a)
+        if not La.contains_origin_interior():
+            continue
+        try:
+            verdict = decide_functional_equation(K.radial, La.radial, pole, config,
+                                                 w_dirs=w_dirs, certify_congruence=True)
+            break
+        except CongruenceHypothesisFailed as exc:
+            failures.append(exc)
+    else:
+        if failures:
+            raise min(failures, key=lambda exc: exc.residual)
+        raise StarShapednessLost(
+            "no diameter alignment keeps the origin interior; the mixed "
+            "alignment case contradicts the congruence hypotheses")
 
     report = dict(verdict.report)
     report.update({
         "diameter_length": diams_k.length,
         "alignment": [float(x) for x in a],
-        "alignment_residual": align_res,
         "axis_deviation_K": dev_k,
         "axis_deviation_L": dev_l,
         "axis_chord_K": chord_k,

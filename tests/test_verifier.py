@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from congrulab import verifier
 from congrulab.bodies import ball, cube, ellipsoid, polytope
 from congrulab.errors import (CongruenceHypothesisFailed, ConfigInvalidError,
-                              DegenerateBodyError, DiameterHypothesisFailed)
+                              DegenerateBodyError, DiameterHypothesisFailed,
+                              EmptyInputError, StarShapednessLost)
 from congrulab.funk import compose_with_matrix, sample_on_sphere
 from congrulab.orthogonal import equator_flip, identity, pole_reflection
 from congrulab.registration import Classification, register_pole_flip
@@ -117,6 +118,12 @@ def test_decide_config_invalid():
     for bad in ({"seed": -1}, {"out_of_sample": 0}):
         with pytest.raises(ConfigInvalidError):
             VerifyConfig(**bad)
+
+
+def test_decide_rejects_empty_w_dirs():
+    f = band_limited_field(1)
+    with pytest.raises(EmptyInputError, match="w_dirs"):
+        decide_functional_equation(f, f, POLE, FIELD_CFG, w_dirs=np.zeros((0, 4)))
 
 
 def _counting(field):
@@ -412,37 +419,92 @@ def test_planted_recovery_property(pole, seed, b, reflect, section):
 def test_section_off_axis_shift_breaks_congruence():
     K = planted_polytope(122, POLE, through_origin=True, kind="star")
     basis = complement_basis(POLE)
-    shift = 0.08 * 2.0 * basis[0]
-    L = K.translate(shift)
     with pytest.raises(CongruenceHypothesisFailed):
-        verify_section_theorem(K, L, POLE, BODY_CFG)
+        verify_section_theorem(K, K.translate(0.08 * 2.0 * basis[0]), POLE, BODY_CFG)
+    # a shift as large as the origin's cross-polytope moves the origin out
+    with pytest.raises(StarShapednessLost):
+        verify_section_theorem(K, K.translate(0.3 * 2.0 * basis[0]), POLE, BODY_CFG)
 
 
 def test_section_requires_origin_diameter():
     K = planted_polytope(123, POLE)    # diameter not through the origin
     with pytest.raises(DiameterHypothesisFailed):
         verify_section_theorem(K, K, POLE, BODY_CFG)
+    # congruent sections force equal diameter lengths
+    K = planted_polytope(123, POLE, through_origin=True, kind="star")
+    for length in (1.5, 2.5):
+        L = planted_polytope(123, POLE, length=length, through_origin=True, kind="star")
+        with pytest.raises(DiameterHypothesisFailed, match="diameter lengths differ"):
+            verify_section_theorem(K, L, POLE, BODY_CFG)
 
 
-def test_section_alignment_classifications_reused(monkeypatch):
-    # the alignment search registers both alignments on the 6 probe spheres;
-    # the decision certifies from the chosen one's 6 and registers the other
-    # w - 6 full restrictions and all w odd parts
-    calls = [0]
-    classify = verifier.classify_direction
+def test_section_samples_and_registers_each_sphere_once(monkeypatch):
+    # the direct alignment certifies, so the decision runs once: each body
+    # is sampled once per working sphere, and each sphere registers its full
+    # restrictions and its odd parts
+    counts = {"classify_direction": 0, "sample_on_sphere": 0}
 
-    def counted(*args):
-        calls[0] += 1
-        return classify(*args)
+    def counting(name):
+        inner = getattr(verifier, name)
 
-    monkeypatch.setattr(verifier, "classify_direction", counted)
+        def counted(*args):
+            counts[name] += 1
+            return inner(*args)
+
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(verifier, name, counting(name))
     K = planted_polytope(125, POLE, through_origin=True, kind="star")
     L = K.apply(pole_reflection(POLE), 0.05 * POLE)
     w = 12
     cfg = VerifyConfig(n_t=16, n_azimuth=64, w_samples=w, out_of_sample=256)
     v = verify_section_theorem(K, L, POLE, cfg)
     assert v.outcome == OUTCOME_REFLECTED
-    assert calls[0] == 2 * w + 6
+    assert counts == {"classify_direction": 2 * w, "sample_on_sphere": 2 * w}
+
+
+def test_section_falls_back_to_reversed_alignment(monkeypatch):
+    # the direct translate fails its congruence certificate: the reversed
+    # one is decided, and the verdict and its alignment come from it
+    K = planted_polytope(126, POLE, through_origin=True, kind="star")
+    L = K.translate(0.05 * POLE)
+    decided = []
+
+    def direct_fails(f, g, *args, **kwargs):
+        decided.append(g.__self__)
+        if len(decided) == 1:
+            raise CongruenceHypothesisFailed(POLE, 0.5)
+        return Verdict(OUTCOME_EQUAL, report={"congruence_residual": 0.0})
+
+    monkeypatch.setattr(verifier, "decide_functional_equation", direct_fails)
+    v = verify_section_theorem(K, L, POLE, BODY_CFG)
+    chord_k, chord_l = v.report["axis_chord_K"], v.report["axis_chord_L"]
+    a_direct, a_reverse = (chord_k[0] - chord_l[0]) * POLE, (chord_k[1] - chord_l[0]) * POLE
+    assert not np.allclose(a_direct, a_reverse)
+    assert len(decided) == 2
+    probe = random_directions(64, np.random.default_rng(3))
+    for body, a in zip(decided, (a_direct, a_reverse)):
+        assert np.array_equal(body.radial(probe), L.translate(a).radial(probe))
+    assert v.outcome == OUTCOME_EQUAL
+    assert np.array_equal(v.report["alignment"], a_reverse)
+    assert np.array_equal(v.translation, -a_reverse)
+
+
+@pytest.mark.parametrize("residuals", [(0.3, 0.2), (0.2, 0.3)])
+def test_section_raises_smaller_residual_failure(monkeypatch, residuals):
+    K = planted_polytope(126, POLE, through_origin=True, kind="star")
+    L = K.translate(0.05 * POLE)
+    pending = list(residuals)
+
+    def both_fail(*args, **kwargs):
+        raise CongruenceHypothesisFailed(POLE, pending.pop(0))
+
+    monkeypatch.setattr(verifier, "decide_functional_equation", both_fail)
+    with pytest.raises(CongruenceHypothesisFailed) as failure:
+        verify_section_theorem(K, L, POLE, BODY_CFG)
+    assert not pending
+    assert failure.value.residual == 0.2
 
 
 def test_section_verdict_stable_under_refinement():
