@@ -3,8 +3,7 @@ sections of convex and star bodies in R^4."""
 
 from .bodies import (Body4, BumpShape, BumpTerm, DiameterSet, EllipsoidShape,
                      PolytopeShape, ball, body_from_spec, body_to_spec, cube,
-                     diameter_segment, ellipsoid, find_diameters, polytope,
-                     project_support, section_radial)
+                     diameter_segment, ellipsoid, find_diameters, polytope)
 from .funk import (GridFunction, ParityPair, funk_transform, parity_decompose,
                    sample_on_sphere)
 from .orthogonal import (Orthogonal4, compose, equator_flip, identity,

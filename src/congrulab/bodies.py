@@ -14,10 +14,9 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .errors import (DegenerateBodyError, NonOrthogonalError,
-                     OriginOutsideError, UnsupportedKindError)
+from .errors import DegenerateBodyError, OriginOutsideError, UnsupportedKindError
 from .orthogonal import Orthogonal4
-from .sphere import ORTHO_TOL, random_directions, unit
+from .sphere import random_directions, unit
 
 CONVEX = "convex"
 STAR = "star"
@@ -371,42 +370,6 @@ def cube(half_width: float = 1.0) -> Body4:
                         for sx in (-1, 1) for sy in (-1, 1)
                         for sz in (-1, 1) for sw in (-1, 1)], dtype=float)
     return polytope(half_width * corners)
-
-
-# -- projections and sections ------------------------------------------------
-
-
-def project_support(body: Body4, w):
-    """Support function of the shadow on the hyperplane orthogonal to w.
-
-    Projection leaves support values unchanged on that hyperplane, so this is
-    the restriction of the body's support function; the returned field checks
-    that its arguments are orthogonal to w.
-    """
-    if body.kind != CONVEX:
-        raise UnsupportedKindError("projections require a convex body")
-    w = unit(w)
-
-    def field(points):
-        pts = np.asarray(points, dtype=float)
-        if np.max(np.abs(pts @ w)) > ORTHO_TOL:
-            raise NonOrthogonalError("points are not orthogonal to w")
-        return body.support(pts)
-
-    return field
-
-
-def section_radial(body: Body4, w):
-    """Radial function of the slice by the hyperplane orthogonal to w."""
-    w = unit(w)
-
-    def field(points):
-        pts = np.asarray(points, dtype=float)
-        if np.max(np.abs(pts @ w)) > ORTHO_TOL:
-            raise NonOrthogonalError("points are not orthogonal to w")
-        return body.radial(pts)
-
-    return field
 
 
 # -- diameters ---------------------------------------------------------------

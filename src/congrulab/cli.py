@@ -102,6 +102,17 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def classifications_to_csv(rows) -> str:
+    """One CSV line per classified working sphere: its normal, label and the
+    winning witness's parameter and residual (empty without a witness)."""
+    out = ["w1,w2,w3,w4,label,parameter,residual"]
+    for c in rows:
+        par = "" if c.witness is None else _fmt(c.witness.parameter)
+        res = "" if c.witness is None else _fmt(c.witness.residual)
+        out.append(",".join(_fmt(x) for x in c.w) + f",{c.label},{par},{res}")
+    return "\n".join(out) + "\n"
+
+
 def cmd_gen_body(args) -> int:
     canonical, warnings = _load_body(args.spec, canonicalize_spec)
     for w in warnings:
@@ -131,7 +142,6 @@ def cmd_verify(args) -> int:
                        "w_samples": config.w_samples,
                        "circle_nodes": config.n_azimuth}
     if args.format == "csv":
-        from .registration import classifications_to_csv
         _emit(classifications_to_csv(verdict.classifications), args.out)
     else:
         _emit(_canonical_json(payload), args.out)

@@ -8,21 +8,14 @@ field over a great circle orthogonal to the pole.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .orthogonal import pole_reflection
 from .sphere import (SphereGrid, circle_quadrature, evaluate_field,
-                     great_circle_nodes, make_frame, unit)
-
-
-def reflect_through_pole(points, pole):
-    """Image of (..., 4) points under the pole reflection 2 p p^T - I."""
-    points = np.asarray(points, dtype=float)
-    pole = unit(pole)
-    return 2.0 * (points @ pole)[..., None] * pole - points
+                     great_circle_nodes, make_frame)
 
 
 @dataclass(frozen=True)
@@ -39,17 +32,13 @@ def parity_decompose(f, pole) -> ParityPair:
     even(x) = (f(x) + f(Rx)) / 2 and odd(x) = (f(x) - f(Rx)) / 2 where R is
     the reflection fixing ``pole``.  Both are returned as fields.
     """
-    pole = unit(pole)
+    reflected = compose_with_matrix(f, pole_reflection(pole).matrix)
 
     def even(points):
-        pts = np.asarray(points, dtype=float)
-        return 0.5 * (evaluate_field(f, pts)
-                      + evaluate_field(f, reflect_through_pole(pts, pole)))
+        return 0.5 * (evaluate_field(f, points) + reflected(points))
 
     def odd(points):
-        pts = np.asarray(points, dtype=float)
-        return 0.5 * (evaluate_field(f, pts)
-                      - evaluate_field(f, reflect_through_pole(pts, pole)))
+        return 0.5 * (evaluate_field(f, points) - reflected(points))
 
     return ParityPair(even=even, odd=odd)
 
@@ -93,16 +82,6 @@ class GridFunction:
         even = GridFunction(self.grid, 0.5 * (self.values + refl))
         odd = GridFunction(self.grid, 0.5 * (self.values - refl))
         return even, odd
-
-    def to_csv(self) -> str:
-        """CSV rows (t, azimuth, value) at full precision."""
-        buf = io.StringIO()
-        buf.write("t,azimuth,value\n")
-        az = self.grid.azimuths
-        for i, t in enumerate(self.grid.t_nodes):
-            for j in range(self.grid.n_azimuth):
-                buf.write(f"{t:.17g},{az[j]:.17g},{self.values[i, j]:.17g}\n")
-        return buf.getvalue()
 
 
 def sample_on_sphere(f, grid: SphereGrid) -> GridFunction:

@@ -41,9 +41,6 @@ class Orthogonal4:
         """Apply to a 4-vector or an (..., 4) array of row vectors."""
         return np.asarray(points, dtype=float) @ self.matrix.T
 
-    def transpose(self) -> "Orthogonal4":
-        return Orthogonal4(self.matrix.T)
-
     def to_flat(self) -> list:
         """Row-major 16-number list (JSON wire format)."""
         return [float(x) for x in self.matrix.reshape(-1)]

@@ -7,9 +7,9 @@ question.  It prunes candidate vertex triples by centroid distance and
 pairwise-distance signatures, solves for the unique map from each triple
 onto a fixed well-conditioned base triple, keeps the near-orthogonal ones,
 and yields each map's nearest-image vertex permutation with its residual.
-Symmetry detection, the asymmetry margin and congruence matching are
-filters over those maps.  An exhaustive permutation search stays available
-in the tests as the oracle for small vertex counts.
+Symmetry detection, the perturbation's symmetry scan and congruence
+matching are filters over those maps.  An exhaustive permutation search
+stays available in the tests as the oracle for small vertex counts.
 
 The inscribed approximation spreads its directions by Lloyd steps that
 assign the pool to centres in row blocks.  The dense Lloyd loop, one
@@ -318,16 +318,6 @@ def detect_rigid_symmetries(Q: Polytope3, tol: float = 1e-8):
     is re-verified on the raw vertices.
     """
     return _symmetry_scan(Q, tol, tol)[0]
-
-
-def asymmetry_margin(Q: Polytope3, tol: float = 1e-8) -> float:
-    """Smallest full-match residual over nonidentity orthogonal candidates.
-
-    A large margin certifies that no rigid motion symmetry is anywhere near;
-    returns inf when no candidate map at all survives the orthogonality
-    screen.  Candidates are pruned at max(tol, 1e-6).
-    """
-    return _symmetry_scan(Q, tol, max(tol, 1e-6))[1]
 
 
 def match_congruent(Q1: Polytope3, Q2: Polytope3, tol: float = 1e-8,

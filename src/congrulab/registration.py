@@ -260,15 +260,6 @@ class Classification:
         }
 
 
-def classifications_to_csv(rows) -> str:
-    out = ["w1,w2,w3,w4,label,parameter,residual"]
-    for c in rows:
-        par = "" if c.witness is None else f"{c.witness.parameter:.17g}"
-        res = "" if c.witness is None else f"{c.witness.residual:.17g}"
-        out.append(",".join([f"{x:.17g}" for x in c.w]) + f",{c.label},{par},{res}")
-    return "\n".join(out) + "\n"
-
-
 def snap_alpha(angle: float) -> float:
     """Angle about the pole, in units of pi, snapped to 0 or 1 within SNAP_TOL rad."""
     a = angle % (2.0 * np.pi)
@@ -318,6 +309,11 @@ def find_equator_flip_symmetry(f, frame: SphereFrame, tol: float):
     identity in this family).  Degenerate (zonal) data registers everywhere
     and tie-breaks to azimuth 0.
     """
-    fg = sample_on_sphere(f, gauss_grid(frame, *DETECTOR_GRID))
+    return _self_flip_axis(sample_on_sphere(f, gauss_grid(frame, *DETECTOR_GRID)), tol)
+
+
+def _self_flip_axis(fg: GridFunction, tol: float):
+    """Axis azimuth of the flip registering ``fg`` onto itself within
+    ``tol`` relative to its sup, or None."""
     wit = register_pole_flip(fg, fg)
     return wit.parameter if wit.residual <= tol * max(fg.sup, 1e-300) else None

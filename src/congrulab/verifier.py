@@ -19,8 +19,8 @@ from .errors import (CongruenceHypothesisFailed, ConfigInvalidError,
                      DiameterHypothesisFailed, EmptyInputError, StarShapednessLost)
 from .funk import sample_on_sphere
 from .orthogonal import FLIP_POLE, pole_reflection
-from .registration import (LABEL_NONE, Classification, classify_direction,
-                           register_pole_flip)
+from .registration import (LABEL_NONE, Classification, _self_flip_axis,
+                           classify_direction)
 from .sphere import (circle_quadrature, directions_orthogonal_to, evaluate_field,
                      gauss_grid, make_frame, random_directions, unit)
 
@@ -216,11 +216,9 @@ def _check_sphere(f, g, pole, w, config: VerifyConfig, certify: bool,
     if odd_sup > 0.1 * (config.tol * sup):
         odd = classify_direction(fo, go, config.tol)
     if odd is not None and odd.label == FLIP_POLE:
-        self_flip = register_pole_flip(fg, fg)
         witness = {"w": [float(x) for x in odd.w], "flip_axis": float(odd.axis_azimuth),
                    "pole_half_turn_defect": 2.0 * fo.sup,
-                   "self_flip_axis": self_flip.parameter
-                   if self_flip.residual <= config.tol * max(fg.sup, 1e-300) else None,
+                   "self_flip_axis": _self_flip_axis(fg, config.tol),
                    "residual": odd.witness.residual}
     return _SphereChecks(sup=sup,
                          even_direct_dev=float(np.max(np.abs(fe.values - ge.values))),
@@ -411,12 +409,12 @@ def verify_section_theorem(K: Body4, L: Body4, pole,
     lengths (congruent sections force that), and K's to pass through the
     origin; the matching property of L is verified rather than assumed.  L
     is translated along the pole so its axis chord lies on K's, either as it
-    stands (direct) or reversed.  The decision runs on the first of the two
-    translates that keeps the origin interior, and its congruence
-    certificate on every working sphere picks the alignment: when it fails,
-    the other translate is decided, and when both fail the failure with the
-    smaller residual is raised.  StarShapednessLost when neither keeps the
-    origin.
+    stands (direct) or reversed; a symmetric axis chord of K makes these
+    one translate.  The decision runs on the first translate that keeps the
+    origin interior, and its congruence certificate on every working sphere
+    picks the alignment: when it fails, the other translate is decided, and
+    when all fail the failure with the smallest residual is raised.
+    StarShapednessLost when no translate keeps the origin.
     """
     config = config or VerifyConfig()
     pole = unit(pole)
@@ -448,13 +446,15 @@ def verify_section_theorem(K: Body4, L: Body4, pole,
             f"origin (axis deviation {dev_k:.3e})")
     dev_l = axis_deviation(L, chord_l)
 
-    # candidate alignments: keep the diameter as-is, or reverse it
+    # candidate alignments: keep the diameter as-is, or reverse it; a
+    # symmetric axis chord makes them one translate, which is decided once
     a_direct = (chord_k[0] - chord_l[0]) * pole
     a_reverse = (chord_k[1] - chord_l[0]) * pole
+    alignments = [a_direct] if np.array_equal(a_direct, a_reverse) else [a_direct, a_reverse]
 
     w_dirs, w_fallback = _admissible_w_sample(pole, diams_k, diams_l, config)
     failures = []
-    for a in (a_direct, a_reverse):
+    for a in alignments:
         La = L.translate(a)
         if not La.contains_origin_interior():
             continue

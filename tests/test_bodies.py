@@ -11,10 +11,8 @@ from congrulab.bodies import (_ASCENT_ITERS, MAX_BUMP_DEGREE, Body4, BumpShape,
                               BumpTerm, EllipsoidShape, PolytopeShape,
                               _min_hessian_eigenvalue, ball, body_from_spec, body_to_spec,
                               cube, diameter_segment, ellipsoid, find_diameters,
-                              polytope, project_support, section_radial,
-                              shape_from_spec, shape_to_spec)
-from congrulab.errors import (DegenerateBodyError, NonOrthogonalError,
-                              OriginOutsideError, UnsupportedKindError)
+                              polytope, shape_from_spec, shape_to_spec)
+from congrulab.errors import DegenerateBodyError, OriginOutsideError, UnsupportedKindError
 from congrulab.orthogonal import Orthogonal4, pole_reflection
 from congrulab.sphere import complement_basis, random_directions, unit
 
@@ -496,15 +494,11 @@ def test_diameter_segment_chord_check_is_scale_free(scale):
 
 
 def test_project_support_is_restriction():
-    C = cube()
+    # the shadow's support function is the body's restricted to w-perp; the
+    # 4-cube's is the l1 norm there
     w = unit(RNG.standard_normal(4))
-    shadow = project_support(C, w)
-    basis = complement_basis(w)
-    th3 = unit(RNG.standard_normal((100, 3)))
-    thetas = th3 @ basis
-    assert np.max(np.abs(shadow(thetas) - C.support(thetas))) == 0.0
-    with pytest.raises(NonOrthogonalError):
-        shadow(unit(w + 0.1 * np.eye(4)[0]))
+    thetas = unit(RNG.standard_normal((100, 3))) @ complement_basis(w)
+    assert np.max(np.abs(cube().support(thetas) - np.abs(thetas).sum(axis=1))) < 1e-14
 
 
 def test_project_support_matches_projected_vertex_oracle():
@@ -516,16 +510,15 @@ def test_project_support_matches_projected_vertex_oracle():
         v3 = K.effective_vertices() @ basis.T
         th3 = unit(np.random.default_rng(seed + 9).standard_normal((200, 3)))
         oracle = np.max(th3 @ v3.T, axis=1)
-        got = project_support(K, w)(th3 @ basis)
+        got = K.support(th3 @ basis)
         assert np.max(np.abs(got - oracle)) < 1e-12
 
 
 def test_section_radial_ball_and_ellipsoid():
     w = unit(RNG.standard_normal(4))
-    assert section_radial(ball(), w)(unit_orth(w)) == pytest.approx(1.0)
+    assert ball().radial(unit_orth(w)) == pytest.approx(1.0)
     E = ellipsoid([2, 1, 1, 1])
-    assert section_radial(E, np.array([1.0, 0, 0, 0]))(np.array([0.0, 1, 0, 0])) \
-        == pytest.approx(1.0)
+    assert E.radial(np.array([0.0, 1, 0, 0])) == pytest.approx(1.0)
 
 
 def unit_orth(w):
@@ -551,7 +544,7 @@ def test_section_radial_translated_cube_vs_halfspace_oracle():
     with np.errstate(divide="ignore"):
         bound = np.where(coef > 1e-14, -off3[None, :] / np.maximum(coef, 1e-300), np.inf)
     oracle = np.min(bound, axis=1)
-    got = section_radial(C, w)(th3 @ basis)
+    got = C.radial(th3 @ basis)
     assert np.max(np.abs(got - oracle)) < 1e-10
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congrulab.bodies import ball, body_to_spec, cube, ellipsoid
-from congrulab.cli import canonicalize_spec, main
+from congrulab.cli import canonicalize_spec, classifications_to_csv, main
+from congrulab.funk import sample_on_sphere
 from congrulab.orthogonal import pole_reflection
-from congrulab.sphere import unit
+from congrulab.registration import classify_direction
+from congrulab.sphere import gauss_grid, make_frame, unit
 
-from helpers import planted_polytope
+from helpers import band_limited_field, planted_polytope
 
 POLE = np.array([0.0, 0.0, 0.0, 1.0])
 
@@ -220,6 +223,16 @@ def test_verify_csv_format(tmp_path):
     lines = Path(out).read_text().strip().splitlines()
     assert lines[0].startswith("w1,w2,w3,w4,label")
     assert len(lines) == 1 + 24
+
+
+def test_classification_csv():
+    grid = gauss_grid(make_frame(POLE, [1.0, 0.0, 0.0, 0.0]), 32, 256)
+    fg = sample_on_sphere(band_limited_field(76), grid)
+    row = classify_direction(fg, fg, 1e-6)
+    lines = classifications_to_csv([row, replace(row, witness=None)]).strip().split("\n")
+    assert lines[0].startswith("w1,w2,w3,w4")
+    assert len(lines) == 3 and ",fix_pole," in lines[1]
+    assert lines[2].endswith(",fix_pole,,")
 
 
 @pytest.mark.parametrize("argv", [

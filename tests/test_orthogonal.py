@@ -77,7 +77,7 @@ def test_compose_identities():
     q, _ = np.linalg.qr(RNG.standard_normal((4, 4)))
     R = Orthogonal4(q)
     assert np.max(np.abs(compose(R, identity()).matrix - R.matrix)) == 0.0
-    assert np.max(np.abs(compose(R, R.transpose()).matrix - np.eye(4))) < 1e-14
+    assert np.max(np.abs(compose(R, Orthogonal4(R.matrix.T)).matrix - np.eye(4))) < 1e-14
 
 
 def test_two_flips_compose_to_double_angle_rotation():

@@ -8,8 +8,8 @@ from congrulab.bodies import (Body4, BumpShape, BumpTerm, EllipsoidShape, ball,
 from congrulab.errors import (BudgetExhaustedError, DegenerateProjectionError,
                               InsufficientDataError, TooFewVerticesError)
 from congrulab.polylab import (ASSIGN_ROWS, LLOYD_ITERS, Polytope3,
-                               _spread_directions, approximation_rate,
-                               asymmetry_margin, detect_rigid_symmetries,
+                               _spread_directions, _symmetry_scan, approximation_rate,
+                               detect_rigid_symmetries,
                                hausdorff_distance, inscribe_polytope,
                                match_congruent, perturb_to_asymmetric,
                                project_polytope, random_subspace_bases)
@@ -203,7 +203,7 @@ def test_skew_tetrahedron_asymmetric():
     Q = Polytope3(vertices=V, basis=ID_BASIS)
     assert detect_rigid_symmetries(Q, 1e-8) == []
     assert len(brute_force_symmetries(V, 1e-8)) == 0
-    assert asymmetry_margin(Q) > 1e-3
+    assert _symmetry_scan(Q, 1e-8, 1e-6)[1] > 1e-3
 
 
 def test_single_vertex_radial_stretch_keeps_axis_symmetry():
@@ -274,7 +274,7 @@ def test_too_few_vertices():
                          ids=["coincident", "planar"])
 def test_flat_vertex_set_raises(V):
     Q = Polytope3(vertices=V, basis=ID_BASIS)
-    for search in (detect_rigid_symmetries, asymmetry_margin,
+    for search in (detect_rigid_symmetries, lambda Q: _symmetry_scan(Q, 1e-8, 1e-6),
                    lambda Q: match_congruent(Q, Q)):
         with pytest.raises(DegenerateProjectionError):
             search(Q)
@@ -345,11 +345,12 @@ def test_perturb_cube_to_asymmetric():
         if len(Q.vertices) <= 8:
             assert len(brute_force_symmetries(Q.vertices, 1e-8)) == 0
         assert detect_rigid_symmetries(Q, 1e-8) == []
-    # the certificate's single scan agrees with the public search functions
+    # the certificate's single scan agrees with the public search and the
+    # smallest residual of the scan at the default tolerance
     for s in cert.subspaces:
         Q = project_polytope(P2, s["basis"])
         assert s["symmetries"] == len(detect_rigid_symmetries(Q, 1e-8))
-        assert s["min_symmetry_residual"] == asymmetry_margin(Q, 1e-8)
+        assert s["min_symmetry_residual"] == _symmetry_scan(Q, 1e-8, 1e-6)[1]
     d = hausdorff_distance(cube(), P2, n_sample=4096)
     assert d <= 1e-2 * diam + 1e-12
 

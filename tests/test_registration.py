@@ -10,7 +10,6 @@ from congrulab.orthogonal import (FIX_POLE, FLIP_POLE, equator_flip, pole_reflec
                                   pole_rotation)
 from congrulab.registration import (DETECTOR_GRID, LABEL_NONE, _mirrored_spectrum,
                                     _ShiftObjective, classify_direction,
-                                    classifications_to_csv,
                                     find_equator_flip_symmetry,
                                     pole_rotation_symmetry_defect,
                                     register_pole_flip, register_pole_rotation,
@@ -280,15 +279,6 @@ def test_classify_none_for_unrelated():
     c = classify(band_limited_field(74), band_limited_field(75))
     assert c.label == LABEL_NONE
     assert c.witness is not None
-
-
-def test_classification_csv():
-    f = band_limited_field(76)
-    rows = [classify(f, f)]
-    csv = classifications_to_csv(rows)
-    lines = csv.strip().split("\n")
-    assert lines[0].startswith("w1,w2,w3,w4")
-    assert len(lines) == 2 and ",fix_pole," in lines[1]
 
 
 # -- symmetry detectors ------------------------------------------------------------------

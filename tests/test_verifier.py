@@ -507,6 +507,26 @@ def test_section_raises_smaller_residual_failure(monkeypatch, residuals):
     assert failure.value.residual == 0.2
 
 
+def test_section_symmetric_axis_chord_decided_once(monkeypatch):
+    # a star ellipsoid's axis chord is symmetric, so the direct and reversed
+    # alignments are one translate: its failed certificate is raised after a
+    # single decision
+    K = ellipsoid([2.0, 1.0, 0.9, 0.8], kind="star")
+    L = ellipsoid([2.0, 1.0, 0.85, 0.8], kind="star")
+    pole = np.array([1.0, 0.0, 0.0, 0.0])
+    decided = []
+
+    def counted(*args, **kwargs):
+        decided.append(args)
+        return decide_functional_equation(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "decide_functional_equation", counted)
+    with pytest.raises(CongruenceHypothesisFailed) as failure:
+        verify_section_theorem(K, L, pole, VerifyConfig(n_t=16, n_azimuth=64, w_samples=8))
+    assert len(decided) == 1
+    assert failure.value.residual == pytest.approx(5.431e-2, abs=1e-5)
+
+
 def test_section_verdict_stable_under_refinement():
     K = planted_polytope(124, POLE, through_origin=True, kind="star")
     L = K.translate(0.04 * 2.0 * POLE)
