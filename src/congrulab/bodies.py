@@ -39,16 +39,13 @@ class PolytopeShape:
     """Convex hull of a finite vertex set in R^4."""
 
     vertices: np.ndarray
-    require_full_dim: bool = True
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 4 or len(v) < 5:
             raise ValueError("polytope needs at least 5 vertices in R^4")
-        if self.require_full_dim:
-            rank = np.linalg.matrix_rank(v - v.mean(axis=0), tol=1e-10)
-            if rank < 4:
-                raise ValueError("polytope vertices do not span R^4 affinely")
+        if np.linalg.matrix_rank(v - v.mean(axis=0), tol=1e-10) < 4:
+            raise ValueError("polytope vertices do not span R^4 affinely")
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
 
@@ -360,9 +357,8 @@ def ellipsoid(semiaxes, orientation: Orthogonal4 | None = None,
     return Body4(kind=kind, shape=EllipsoidShape(np.asarray(semiaxes, float), orientation))
 
 
-def polytope(vertices, kind: str = CONVEX, require_full_dim: bool = True) -> Body4:
-    return Body4(kind=kind, shape=PolytopeShape(np.asarray(vertices, float),
-                                                require_full_dim=require_full_dim))
+def polytope(vertices, kind: str = CONVEX) -> Body4:
+    return Body4(kind=kind, shape=PolytopeShape(np.asarray(vertices, float)))
 
 
 def cube(half_width: float = 1.0) -> Body4:

@@ -93,8 +93,7 @@ def canonicalize_spec(spec: dict):
                 keep.append(v)
         if len(keep) != len(verts):
             warnings.append(f"dropped {len(verts) - len(keep)} duplicate vertices")
-            shape = PolytopeShape(np.asarray(keep),
-                                  require_full_dim=shape.require_full_dim)
+            shape = PolytopeShape(np.asarray(keep))
     return body_to_spec(replace(body, shape=shape)), warnings
 
 

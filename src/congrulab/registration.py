@@ -41,7 +41,6 @@ class RotationWitness:
     refinement.
     """
 
-    frame: SphereFrame
     kind: str
     parameter: float
     residual: float
@@ -203,7 +202,7 @@ def register_pole_rotation(f: GridFunction, g: GridFunction) -> RotationWitness:
     """
     objective, s0, angle = _register(f, f.spectrum, g)
     angle %= 2.0 * np.pi
-    return RotationWitness(frame=f.grid.frame, kind=FIX_POLE, parameter=angle,
+    return RotationWitness(kind=FIX_POLE, parameter=angle,
                            residual=objective.sup(angle),
                            coarse_parameter=2.0 * np.pi * s0 / objective.n)
 
@@ -222,7 +221,7 @@ def register_pole_flip(f: GridFunction, g: GridFunction) -> RotationWitness:
     beta = _to_beta(angle)
     if beta > np.pi - 1e-12:
         beta = 0.0
-    return RotationWitness(frame=f.grid.frame, kind=FLIP_POLE, parameter=beta,
+    return RotationWitness(kind=FLIP_POLE, parameter=beta,
                            residual=objective.sup(angle),
                            coarse_parameter=_to_beta(2.0 * np.pi * s0 / objective.n))
 

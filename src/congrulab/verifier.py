@@ -2,19 +2,22 @@
 
 ``decide_functional_equation`` settles whether two fields on S^3 that agree
 up to an admissible rotation on every working sphere through a fixed pole
-are globally equal, equal up to the pole reflection, or degenerate.  The
-body-level pipelines reduce projection/section congruence to that decision
-applied to support or radial functions after centering the distinguished
-diameter, and translate the answer back into a recovered translation.
+are globally equal, equal up to the pole reflection, or degenerate.  Both
+body theorems run one pipeline: place K and L by translations (m_K, m_L),
+decide the support (projections) or radial (sections) functions of the
+placed bodies, and read the translation back as b = m_L - U m_K, U the
+pole reflection or the identity.  Projections centre both pole diameters;
+sections keep K and move L along the pole onto K's axis chord.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 
-from .bodies import Body4, DiameterSet, diameter_segment, find_diameters
+from .bodies import Body4, diameter_segment, find_diameters
 from .errors import (CongruenceHypothesisFailed, ConfigInvalidError,
                      DiameterHypothesisFailed, EmptyInputError, StarShapednessLost)
 from .funk import sample_on_sphere
@@ -244,8 +247,8 @@ def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *
     ``certify_congruence`` also registers the full restrictions on each
     sphere, raising CongruenceHypothesisFailed for the first sphere in
     order where neither family registers; the worst residual is reported as
-    ``congruence_residual``.  The section pipeline reads that failure to
-    pick its diameter alignment.  An empty ``w_dirs`` raises EmptyInputError.
+    ``congruence_residual``.  The body pipeline reads that failure to move on
+    to its next placement.  An empty ``w_dirs`` raises EmptyInputError.
     """
     config = config or VerifyConfig()
     pole = unit(pole)
@@ -317,115 +320,125 @@ def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *
 def _assert_pole_diameters(K: Body4, L: Body4, pole, tol: float):
     """Check both bodies have a diameter parallel to the pole, of one length.
 
-    Returns (diameters of K, of L, width of K at the pole, of L).
+    Each body's support is read once at (pole, -pole), and the width at the
+    pole is the sum of that pair.  Returns ((diameters of K, of L), (support
+    pair of K, of L)).
     """
+    axis = np.stack([pole, -pole])
     found = []
     for body, who in ((K, "K"), (L, "L")):
         diams = find_diameters(body)
-        width = float(body.width(pole))
+        h = body.support(axis)
+        width = float(h[0] + h[1])
         if width < diams.length - max(tol * diams.length, diams.tol * 10):
             raise DiameterHypothesisFailed(
                 f"{who}: width at the pole ({width:.12g}) is below the "
                 f"maximal width ({diams.length:.12g})")
-        found.append((diams, width))
-    (diams_k, width_k), (diams_l, width_l) = found
+        found.append((diams, h))
+    (diams_k, h_k), (diams_l, h_l) = found
     if abs(diams_k.length - diams_l.length) > tol * diams_k.length:
         raise DiameterHypothesisFailed(
             f"diameter lengths differ: {diams_k.length:.12g} vs {diams_l.length:.12g}")
-    return diams_k, diams_l, width_k, width_l
+    return (diams_k, diams_l), (h_k, h_l)
 
 
-def _admissible_w_sample(pole, diams_k: DiameterSet, diams_l: DiameterSet,
-                         config: VerifyConfig):
-    """Working-sphere normals avoiding spheres that contain extra diameters.
+def _decide_placed(K: Body4, L: Body4, pole, field_of, diams, placements,
+                   config: VerifyConfig) -> Verdict:
+    """Decide field_of(K - m_K) against field_of(L - m_L) for each placement
+    in turn.
 
-    Returns (normals, fallback).  When ``DIAMETER_MARGIN`` rejects every
-    sphere of the pool, the unfiltered pool is used and ``fallback`` is True.
+    ``placements`` is an ordered list of (m_K, m_L, report) with m_K None
+    when K stays where it is.  The first placement whose congruence
+    certificate holds gives the verdict; when every one fails, the failure
+    with the smallest residual is raised.  The verdict's report gains the
+    placement's report and the diameter and working-sphere keys, and its
+    translation is b = m_L - U m_K (U the pole reflection for ``reflected``,
+    else the identity; b = m_L when m_K is None).
+
+    The working spheres avoid those that contain a diameter off the pole;
+    when ``DIAMETER_MARGIN`` rejects every sphere of the pool, the
+    unfiltered pool is used and ``w_sample_fallback`` is reported True.
     """
+    diams_k, diams_l = diams
     pool = directions_orthogonal_to(pole, int(config.w_samples * 1.5) + 16)
     extra = np.vstack([diams_k.directions, diams_l.directions])
     extra = extra[np.abs(extra @ pole) < 1.0 - 1e-9]
     clear = np.all(np.abs(pool @ extra.T) > DIAMETER_MARGIN, axis=1)
-    keep = pool[clear][:config.w_samples]
-    if not len(keep):
-        return pool[:config.w_samples], True
-    return keep, False
+    w_fallback = not clear.any()
+    w_dirs = (pool if w_fallback else pool[clear])[:config.w_samples]
+    failures = []
+    for m_k, m_l, placed in placements:
+        Kp = K if m_k is None else K.translate(-m_k)
+        try:
+            verdict = decide_functional_equation(field_of(Kp), field_of(L.translate(-m_l)),
+                                                 pole, config, w_dirs=w_dirs,
+                                                 certify_congruence=True)
+            break
+        except CongruenceHypothesisFailed as exc:
+            failures.append(exc)
+    else:
+        raise min(failures, key=lambda exc: exc.residual)
+
+    report = {**verdict.report, "diameter_length": diams_k.length, **placed,
+              "w_sample_size": len(w_dirs), "w_sample_fallback": w_fallback}
+    translation = None
+    if verdict.outcome in (OUTCOME_EQUAL, OUTCOME_BOTH, OUTCOME_REFLECTED):
+        translation = m_l
+        if m_k is not None:
+            reflected = verdict.outcome == OUTCOME_REFLECTED
+            translation = m_l - (pole_reflection(pole).apply(m_k) if reflected else m_k)
+    return replace(verdict, translation=translation, report=report)
 
 
 def verify_projection_theorem(K: Body4, L: Body4, pole,
                               config: VerifyConfig | None = None) -> Verdict:
-    """Decide K = L + b or K = reflect(L) + b from 3D shadow congruence.
+    """Decide L = K + b or L = reflect(K) + b from 3D shadow congruence.
 
     Requires the pole to be a diameter direction of both bodies with equal
-    lengths.  Both bodies are translated so those diameters are centered at
-    the origin; the support restrictions are then registered on every
-    admissible working sphere (certifying the congruence hypothesis) and the
-    functional-equation decision runs on the centered support functions.
+    lengths.  The one placement centres both diameters at the origin, and
+    the support functions are decided there.
     """
     config = config or VerifyConfig()
     pole = unit(pole)
     if K.kind != "convex" or L.kind != "convex":
         raise DiameterHypothesisFailed("projection congruence requires convex bodies")
 
-    diams_k, diams_l, width_k, width_l = _assert_pole_diameters(K, L, pole, config.tol)
-
-    zk_lo, zk_hi = diameter_segment(K, pole)
-    zl_lo, zl_hi = diameter_segment(L, pole)
-    mid_k = 0.5 * (zk_lo + zk_hi)
-    mid_l = 0.5 * (zl_lo + zl_hi)
-    Kc = K.translate(-mid_k)
-    Lc = L.translate(-mid_l)
-
-    w_dirs, w_fallback = _admissible_w_sample(pole, diams_k, diams_l, config)
-    verdict = decide_functional_equation(Kc.support, Lc.support, pole, config,
-                                         w_dirs=w_dirs, certify_congruence=True)
-
-    report = dict(verdict.report)
-    report.update({
-        "diameter_length": diams_k.length,
-        "diameter_count_K": len(diams_k.directions),
-        "diameter_count_L": len(diams_l.directions),
+    diams, (h_k, h_l) = _assert_pole_diameters(K, L, pole, config.tol)
+    mid_k, mid_l = (0.5 * np.add(*diameter_segment(body, pole)) for body in (K, L))
+    width_k, width_l = float(h_k[0] + h_k[1]), float(h_l[0] + h_l[1])
+    placed = {
+        "diameter_count_K": len(diams[0].directions),
+        "diameter_count_L": len(diams[1].directions),
         "width_at_pole_K": width_k,
         "width_at_pole_L": width_l,
         "width_match_dev": abs(width_k - width_l),
-        "w_sample_size": len(w_dirs),
-        "w_sample_fallback": w_fallback,
-    })
-
-    translation = None
-    if verdict.outcome in (OUTCOME_EQUAL, OUTCOME_BOTH):
-        translation = mid_l - mid_k
-    elif verdict.outcome == OUTCOME_REFLECTED:
-        translation = mid_l - pole_reflection(pole).apply(mid_k)
-    return replace(verdict, translation=translation, report=report)
+    }
+    return _decide_placed(K, L, pole, attrgetter("support"), diams,
+                          [(mid_k, mid_l, placed)], config)
 
 
 def verify_section_theorem(K: Body4, L: Body4, pole,
                            config: VerifyConfig | None = None) -> Verdict:
-    """Decide K = L + b or K = reflect(L) + b (b parallel to the pole) from
+    """Decide L = K + b or L = reflect(K) + b (b parallel to the pole) from
     3D slice congruence of star bodies.
 
     Requires both bodies to have diameters parallel to the pole, of equal
     lengths (congruent sections force that), and K's to pass through the
-    origin; the matching property of L is verified rather than assumed.  L
-    is translated along the pole so its axis chord lies on K's, either as it
-    stands (direct) or reversed; a symmetric axis chord of K makes these
-    one translate.  The decision runs on the first translate that keeps the
-    origin interior, and its congruence certificate on every working sphere
-    picks the alignment: when it fails, the other translate is decided, and
-    when all fail the failure with the smallest residual is raised.
-    StarShapednessLost when no translate keeps the origin.
+    origin; the matching property of L is verified rather than assumed.  K
+    stays where it is, and each placement translates L by an alignment a
+    along the pole that lays its axis chord on K's, either as it stands
+    (direct) or reversed; a symmetric axis chord of K makes these one
+    translate.  Only translates that keep the origin interior are placed,
+    and StarShapednessLost is raised when none does.
     """
     config = config or VerifyConfig()
     pole = unit(pole)
 
-    diams_k, diams_l, _, _ = _assert_pole_diameters(K, L, pole, config.tol)
+    diams, (h_k, h_l) = _assert_pole_diameters(K, L, pole, config.tol)
 
     for body, who in ((K, "K"), (L, "L")):
         if not body.contains_origin_interior():
             raise StarShapednessLost(f"{who} does not contain the origin interiorly")
-
-    scale = diams_k.length
 
     # radial values at (+pole, -pole) are the axis chord; the support values
     # there agree with them iff the pole-parallel diameter passes through the
@@ -433,59 +446,27 @@ def verify_section_theorem(K: Body4, L: Body4, pole,
     axis = np.stack([pole, -pole])
     chord_k, chord_l = K.radial(axis), L.radial(axis)
 
-    def axis_deviation(body, chord):
-        return float(np.max(np.abs(body.support(axis) - chord)))
-
     # hypothesis: the distinguished diameter of K contains the origin; the
     # matching property of L is a consequence of section congruence and is
     # verified (and reported) rather than assumed
-    dev_k = axis_deviation(K, chord_k)
-    if dev_k > config.tol * scale * 10:
+    dev_k = float(np.max(np.abs(h_k - chord_k)))
+    if dev_k > config.tol * diams[0].length * 10:
         raise DiameterHypothesisFailed(
             "K: the diameter parallel to the pole does not pass through the "
             f"origin (axis deviation {dev_k:.3e})")
-    dev_l = axis_deviation(L, chord_l)
+    axis_report = {"axis_deviation_K": dev_k,
+                   "axis_deviation_L": float(np.max(np.abs(h_l - chord_l))),
+                   "axis_chord_K": chord_k, "axis_chord_L": chord_l}
 
     # candidate alignments: keep the diameter as-is, or reverse it; a
     # symmetric axis chord makes them one translate, which is decided once
     a_direct = (chord_k[0] - chord_l[0]) * pole
     a_reverse = (chord_k[1] - chord_l[0]) * pole
     alignments = [a_direct] if np.array_equal(a_direct, a_reverse) else [a_direct, a_reverse]
-
-    w_dirs, w_fallback = _admissible_w_sample(pole, diams_k, diams_l, config)
-    failures = []
-    for a in alignments:
-        La = L.translate(a)
-        if not La.contains_origin_interior():
-            continue
-        try:
-            verdict = decide_functional_equation(K.radial, La.radial, pole, config,
-                                                 w_dirs=w_dirs, certify_congruence=True)
-            break
-        except CongruenceHypothesisFailed as exc:
-            failures.append(exc)
-    else:
-        if failures:
-            raise min(failures, key=lambda exc: exc.residual)
+    placements = [(None, -a, {"alignment": [float(x) for x in a], **axis_report})
+                  for a in alignments if L.translate(a).contains_origin_interior()]
+    if not placements:
         raise StarShapednessLost(
             "no diameter alignment keeps the origin interior; the mixed "
             "alignment case contradicts the congruence hypotheses")
-
-    report = dict(verdict.report)
-    report.update({
-        "diameter_length": diams_k.length,
-        "alignment": [float(x) for x in a],
-        "axis_deviation_K": dev_k,
-        "axis_deviation_L": dev_l,
-        "axis_chord_K": chord_k,
-        "axis_chord_L": chord_l,
-        "w_sample_size": len(w_dirs),
-        "w_sample_fallback": w_fallback,
-    })
-
-    # K = La  =>  L = K - a;  K = reflect(La)  =>  L = reflect(K) - a
-    # (a is parallel to the pole, so the reflection fixes it)
-    translation = None
-    if verdict.outcome in (OUTCOME_EQUAL, OUTCOME_BOTH, OUTCOME_REFLECTED):
-        translation = -a
-    return replace(verdict, translation=translation, report=report)
+    return _decide_placed(K, L, pole, attrgetter("radial"), diams, placements, config)

@@ -585,7 +585,6 @@ def test_polytope_shape_validation():
     flat = np.hstack([RNG.standard_normal((6, 3)), np.zeros((6, 1))])
     with pytest.raises(ValueError):
         PolytopeShape(flat)                        # not full-dimensional
-    PolytopeShape(flat, require_full_dim=False)    # deferred validation
 
 
 @settings(max_examples=30)

@@ -167,9 +167,16 @@ def test_projection_cannot_add_vertices():
         assert len(Q.vertices) <= 5
 
 
+def _thin_polytope(n: int, seed: int):
+    """A full-dimensional polytope 1e-9 thick in two of its four directions:
+    every 3D shadow of it is flat at the projection's rank tolerance."""
+    rng = np.random.default_rng(seed)
+    return polytope(np.hstack([100.0 * rng.standard_normal((n, 2)),
+                               1e-9 * rng.standard_normal((n, 2))]))
+
+
 def test_degenerate_projection_raises():
-    flat = np.hstack([RNG.standard_normal((8, 2)), np.zeros((8, 2))])
-    K = polytope(flat, require_full_dim=False)
+    K = _thin_polytope(8, seed=0)
     with pytest.raises(DegenerateProjectionError):
         project_polytope(K, np.eye(4)[[0, 2, 3]])
 
@@ -364,8 +371,7 @@ def test_perturb_already_asymmetric_returns_unchanged():
 
 
 def test_perturb_degenerate_input():
-    flat = np.hstack([RNG.standard_normal((10, 2)), np.zeros((10, 2))])
-    P = polytope(flat, require_full_dim=False)
+    P = _thin_polytope(10, seed=1)
     with pytest.raises((DegenerateProjectionError, BudgetExhaustedError)):
         perturb_to_asymmetric(P, random_subspace_bases(4, seed=1), seed=0)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congrulab import verifier
-from congrulab.bodies import ball, cube, ellipsoid, polytope
+from congrulab.bodies import ball, body_from_spec, cube, ellipsoid, polytope
 from congrulab.errors import (CongruenceHypothesisFailed, ConfigInvalidError,
                               DegenerateBodyError, DiameterHypothesisFailed,
                               EmptyInputError, StarShapednessLost)
@@ -217,7 +217,7 @@ def _cl(alpha=None, label="fix_pole", f_sup=1.0, residual=1e-12):
     from congrulab.registration import RotationWitness
     from congrulab.sphere import make_frame
     frame = make_frame(POLE, complement_basis(POLE)[0])
-    wit = RotationWitness(frame=frame, kind="fix_pole",
+    wit = RotationWitness(kind="fix_pole",
                           parameter=0.0 if alpha in (None, 0.0) else np.pi,
                           residual=residual, coarse_parameter=0.0)
     return Classification(w=frame.normal, label=label, witness=wit, tol=1e-6,
@@ -343,7 +343,11 @@ def test_verdict_json_dict():
     d = v.to_json_dict()
     assert d["outcome"] == OUTCOME_EQUAL
     assert isinstance(d["classifications"], list)
-    assert isinstance(d["hypothesis_report"], dict)
+    assert set(d["hypothesis_report"]) == {
+        "scale", "even_transform_dev", "even_direct_dev", "congruence_residual",
+        "odd_sup", "certificate", "diameter_length", "diameter_count_K",
+        "diameter_count_L", "width_at_pole_K", "width_at_pole_L", "width_match_dev",
+        "w_sample_size", "w_sample_fallback"}
     assert len(d["translation"]) == 4
 
 
@@ -373,6 +377,28 @@ def test_section_planted_axis_translation():
     axis = np.stack([unit(POLE), -unit(POLE)])
     assert np.array_equal(v.report["axis_chord_K"], K.radial(axis))
     assert np.array_equal(v.report["axis_chord_L"], L.radial(axis))
+
+
+def test_section_verdict_json_keeps_signed_zeros():
+    # the star ellipsoids of the CI section check: L is K shifted by 0.3 e1;
+    # the alignment is minus that shift, down to the signs of its zeros
+    shape = {"type": "ellipsoid", "semiaxes": [2.0, 1.0, 0.9, 0.8]}
+    K = body_from_spec({"kind": "star", "shape": shape, "transforms": []})
+    L = body_from_spec({"kind": "star", "shape": shape,
+                        "transforms": [{"shift": [0.3, 0.0, 0.0, 0.0]}]})
+    cfg = VerifyConfig(n_t=16, n_azimuth=64, w_samples=8)
+    d = verify_section_theorem(K, L, [1.0, 0.0, 0.0, 0.0], cfg).to_json_dict()
+    report = d["hypothesis_report"]
+    assert d["outcome"] == OUTCOME_BOTH
+    assert set(report) == {
+        "scale", "even_transform_dev", "even_direct_dev", "congruence_residual",
+        "odd_sup", "certificate", "diameter_length", "alignment",
+        "axis_deviation_K", "axis_deviation_L", "axis_chord_K", "axis_chord_L",
+        "w_sample_size", "w_sample_fallback"}
+    assert np.allclose(d["translation"], [0.3, 0, 0, 0], rtol=0.0, atol=1e-12)
+    assert np.allclose(report["alignment"], [-0.3, 0, 0, 0], rtol=0.0, atol=1e-12)
+    assert np.signbit(d["translation"]).tolist() == [False] * 4
+    assert np.signbit(report["alignment"]).tolist() == [True] * 4
 
 
 def test_section_planted_reflection():
