@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import MethodType
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .errors import DegenerateBodyError, OriginOutsideError, UnsupportedKindError
+from .errors import (DegenerateBodyError, NonOrthogonalError, OriginOutsideError,
+                     UnsupportedKindError)
 from .orthogonal import Orthogonal4
-from .sphere import random_directions, unit
+from .sphere import ORTHO_TOL, random_directions, unit
 
 CONVEX = "convex"
 STAR = "star"
@@ -28,6 +30,9 @@ _ASCENT_ITERS = 80
 _HESSIAN_SAMPLES = 160
 MAX_BUMP_DEGREE = 64  # an evaluation multiplies degree - 1 times per term
 ORIGIN_MARGIN = 1e-12  # "origin interior": facet offset or ellipsoid gauge slack
+CONTACT_TOL = 1e-12  # |s| <= this * max |s|: a vertex or facet normal lies in w-perp
+_PRODUCT_BLOCK = 1 << 20  # rows x points of one facet-kernel product (8 MB); a grid of
+                          # 16,384 points over 64 rows is one product
 
 _IDENTITY = (np.eye(4), np.zeros(4))
 _IDENTITY[0].setflags(write=False)
@@ -36,7 +41,15 @@ _IDENTITY[1].setflags(write=False)
 
 @dataclass(frozen=True)
 class PolytopeShape:
-    """Convex hull of a finite vertex set in R^4."""
+    """Convex hull of a finite vertex set in R^4.
+
+    One qhull run gives the outward facet rows ``facets`` and their
+    facet-vertex ``incidence``.  Its facets are triangulated: row f is a
+    simplex whose four vertices are ``vertices[incidence[f]]``, and a facet
+    of the hull with more vertices is several rows with one hyperplane.
+    Input points that are not hull vertices, inside the hull or on its
+    boundary, are in no row.
+    """
 
     vertices: np.ndarray
 
@@ -50,14 +63,22 @@ class PolytopeShape:
         object.__setattr__(self, "vertices", v)
 
     @cached_property
-    def facets(self):
-        """Outward facet data (A, off) with A x + off <= 0 inside the hull."""
+    def _hull(self):
         try:
-            hull = ConvexHull(self.vertices)
+            return ConvexHull(self.vertices)
         except Exception as exc:
             raise DegenerateBodyError(f"hull computation failed: {exc}") from exc
-        eq = hull.equations
+
+    @property
+    def facets(self):
+        """Outward facet data (A, off) with A x + off <= 0 inside the hull."""
+        eq = self._hull.equations
         return eq[:, :4], eq[:, 4]
+
+    @property
+    def incidence(self):
+        """(m, 4) indices into ``vertices`` of each facet row's simplex."""
+        return self._hull.simplices
 
 
 @dataclass(frozen=True)
@@ -212,18 +233,55 @@ def _shape_support_point(shape, theta):
     raise UnsupportedKindError(f"unknown shape {type(shape).__name__}")
 
 
+def _points_per_block(m: int) -> int:
+    """Points per facet-kernel product over m rows: a multiple of 8 that
+    keeps the product within _PRODUCT_BLOCK entries."""
+    return max(8, _PRODUCT_BLOCK // m // 8 * 8)
+
+
 def _facet_major_max(rows, theta, scale=None):
     """Max over the m rows of rows_j . theta, times scale_j when given.
 
-    One (m, points) product per call: the max runs down its leading axis, so
-    each step is one contiguous pass over every point.  theta of shape
-    (..., 4) gives shape (...), and a single direction gives a scalar.
+    The points are taken in blocks of ``_points_per_block(m)``, so that no
+    (m, block) product exceeds 8 MB.  Every block's product is written into
+    one buffer (a fresh product per block measured up to 2.6x slower), and
+    the max runs down its leading axis.  BLAS rounds the points past a
+    product's last full panel of 8 by another path, so a block of two or
+    more points is padded with zero directions to a multiple of 8: a
+    direction then has one value in every batch of two or more.  A single
+    direction is one matrix-vector product, which may round differently.
+    theta of shape (..., 4) gives shape (...), and a single direction gives
+    a scalar.
     """
     flat = theta.reshape(-1, theta.shape[-1])
-    prod = rows @ flat.T
-    if scale is not None:
-        prod *= scale[:, None]
-    return np.max(prod, axis=0).reshape(theta.shape[:-1])[()]
+    out = np.empty(len(flat))
+    step = _points_per_block(len(rows))
+    prod = np.empty((len(rows), min(step, len(flat) + 7)))
+    for lo in range(0, len(flat), step):
+        block = flat[lo:lo + step]
+        n = len(block)
+        if len(flat) > 1 and n % 8:
+            block = np.concatenate([block, np.zeros((-n % 8, block.shape[1]))])
+        part = np.matmul(rows, block.T, out=prod[:, :len(block)])
+        if scale is not None:
+            part *= scale[:, None]
+        np.max(part[:, :n], axis=0, out=out[lo:lo + n])
+    return out.reshape(theta.shape[:-1])[()]
+
+
+def _straddling(group, s, count):
+    """Which of ``count`` groups hold members strictly on both sides of the
+    hyperplane s = 0, or three members in it.
+
+    ``group`` and ``s`` hold one entry per (group, member) pair: the group's
+    index and the member's signed offset.  An offset of at most CONTACT_TOL
+    times the largest |s| counts as in the hyperplane.
+    """
+    tol = CONTACT_TOL * np.max(np.abs(s))
+    above = np.bincount(group, weights=s > tol, minlength=count)
+    below = np.bincount(group, weights=s < -tol, minlength=count)
+    inside = np.bincount(group, minlength=count) - above - below
+    return ((above > 0) & (below > 0)) | (inside >= 3)
 
 
 @dataclass(frozen=True)
@@ -231,12 +289,16 @@ class Body4:
     """A convex or star body: exact shape data K0 placed as R K0 + b.
 
     ``folded = (R, b)`` holds the orthogonal matrix R and the translation b;
-    the default is the identity placement.
+    the default is the identity placement.  ``sphere``, when set, is the
+    normal w of a working sphere: the body's polytope fields then take only
+    directions orthogonal to w, and read only the facet rows (radial) or
+    vertices (support) that can attain their max there (``restrict_field``).
     """
 
     kind: str
     shape: object
     folded: tuple = _IDENTITY
+    sphere: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (CONVEX, STAR):
@@ -250,21 +312,50 @@ class Body4:
         return self.shape.vertices @ R.T + b
 
     @cached_property
+    def _support_rows(self):
+        # on a working sphere, a vertex attains the support max there only
+        # when its normal cone meets w-perp in a 3D cone: its facet normals
+        # lie strictly on both sides of w-perp, or three of them in it
+        V = self._world_vertices
+        if self.sphere is None:
+            return V
+        A, _ = self.shape.facets
+        inc = self.shape.incidence
+        s = np.repeat(A @ (self.folded[0].T @ self.sphere), inc.shape[1])
+        return V[_straddling(inc.ravel(), s, len(V))]
+
+    @cached_property
     def _radial_facet_data(self):
-        # world-space facet rows: radial(theta) = 1 / max_f (rows_f . theta) / rhs_f
+        # world-space facet rows: radial(theta) = 1 / max_f (rows_f . theta) / rhs_f;
+        # on a working sphere, a row attains that max there only when its
+        # simplex crosses w-perp (vertices strictly on both sides) or has a
+        # triangle in it
         A, off = self.shape.facets
         R, b = self.folded
         e = R.T @ b
         rhs = A @ e - off
         if np.min(rhs) <= ORIGIN_MARGIN:
             raise OriginOutsideError("origin is not interior to the polytope")
-        return A @ R.T, 1.0 / rhs
+        rows, inv_rhs = A @ R.T, 1.0 / rhs
+        if self.sphere is None:
+            return rows, inv_rhs
+        inc = self.shape.incidence
+        s = (self._world_vertices @ self.sphere)[inc].ravel()
+        keep = _straddling(np.repeat(np.arange(len(inc)), inc.shape[1]), s, len(inc))
+        return rows[keep], inv_rhs[keep]
+
+    def _on_sphere(self, theta):
+        """theta, checked to lie on the working sphere when there is one."""
+        if self.sphere is not None and np.size(theta) and (
+                np.max(np.abs(theta @ self.sphere)) > ORTHO_TOL):
+            raise NonOrthogonalError("direction is not on the body's working sphere")
+        return theta
 
     def support(self, theta):
         """Support value(s) h(theta) = max {theta . y : y in body}."""
         theta = np.asarray(theta, dtype=float)
         if isinstance(self.shape, PolytopeShape):
-            return _facet_major_max(self._world_vertices, theta)
+            return _facet_major_max(self._support_rows, self._on_sphere(theta))
         R, b = self.folded
         return _shape_support(self.shape, theta @ R) + theta @ b
 
@@ -290,7 +381,7 @@ class Body4:
             # every rhs is positive (origin interior), so facets with
             # nonpositive ray coefficient never realize the max
             rows, inv_rhs = self._radial_facet_data
-            rho = 1.0 / _facet_major_max(rows, theta, inv_rhs)
+            rho = 1.0 / _facet_major_max(rows, self._on_sphere(theta), inv_rhs)
             return rho if rho.ndim else float(rho)
         R, b = self.folded
         d = theta @ R          # R^T theta
@@ -346,6 +437,20 @@ class Body4:
         if not isinstance(self.shape, PolytopeShape):
             raise UnsupportedKindError("only polytopes have vertices")
         return self._world_vertices
+
+
+def restrict_field(f, w):
+    """The field f for directions on the working sphere orthogonal to w.
+
+    A polytope body's ``support`` or ``radial`` becomes the same method of
+    the body with ``sphere`` w, which reads only the rows that can attain
+    the max on that sphere and gives the same values there.  Any other
+    callable, a smooth body's fields included, is its own restriction.
+    """
+    body = getattr(f, "__self__", None)
+    if isinstance(body, Body4) and isinstance(body.shape, PolytopeShape):
+        return MethodType(f.__func__, replace(body, sphere=unit(w)))
+    return f
 
 
 def ball(radius: float = 1.0) -> Body4:

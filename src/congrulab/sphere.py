@@ -96,12 +96,6 @@ class SphereFrame:
         return (np.cos(azimuth)[..., None] * self.e1
                 + np.sin(azimuth)[..., None] * self.e2)
 
-    def sphere_point(self, t, azimuth):
-        """Point(s) of the working sphere at latitude t and azimuth."""
-        t = np.asarray(t, dtype=float)
-        r = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
-        return r[..., None] * self.circle_point(azimuth) + t[..., None] * self.pole
-
 
 def make_frame(pole, normal) -> SphereFrame:
     """Build the deterministic frame for a (pole, normal) pair.
@@ -168,9 +162,17 @@ class SphereGrid:
 
     @cached_property
     def points(self):
-        """All grid points, shape (n_t, n_azimuth, 4)."""
-        pts = self.frame.sphere_point(self.t_nodes[:, None],
-                                      self.azimuths[None, :])
+        """All grid points, shape (n_t, n_azimuth, 4): ring i is r_i times
+        the equatorial circle plus t_i times the pole, r_i = sqrt(1 - t_i^2).
+
+        The ring products are one (n_t, n_azimuth * 4) outer product, so
+        numpy runs them in long rows rather than in rows of 4.
+        """
+        t = self.t_nodes[:, None]
+        r = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
+        circle = self.frame.circle_point(self.azimuths).reshape(1, -1)
+        pts = (r * circle).reshape(self.n_t, self.n_azimuth, 4)
+        pts += (t * self.frame.pole)[:, None, :]
         pts.setflags(write=False)
         return pts
 

@@ -17,7 +17,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .bodies import Body4, diameter_segment, find_diameters
+from .bodies import Body4, diameter_segment, find_diameters, restrict_field
 from .errors import (CongruenceHypothesisFailed, ConfigInvalidError,
                      DiameterHypothesisFailed, EmptyInputError, StarShapednessLost)
 from .funk import sample_on_sphere
@@ -193,18 +193,20 @@ def _check_sphere(f, g, pole, w, config: VerifyConfig, certify: bool,
     """Every per-sphere check, read from one grid of f and one of g.
 
     The sphere orthogonal to ``w`` gets its Gauss grid, and f and g are
-    sampled on it once.  With ``certify``, the full restrictions are
-    registered first and the congruence hypothesis fails here when neither
-    family registers.  The even parts are compared by ring sums (the Funk
-    route) and pointwise; the pole reflection is the azimuth half-turn of
-    the grid, so the parity split needs no new samples.
+    restricted to it (``restrict_field``) and sampled on it once.  With
+    ``certify``, the full restrictions are registered first and the
+    congruence hypothesis fails here when neither family registers.  The
+    even parts are compared by ring sums (the Funk route) and pointwise; the
+    pole reflection is the azimuth half-turn of the grid, so the parity
+    split needs no new samples.
     The odd parts are registered unless ``odd_sup`` already vanishes at this
     sphere's data scale, which forces the ``both`` branch (the decision scale
     is at least this sphere's).  An odd flip label gets a witness from f's
     grid: the pole half-turn moves f by twice its odd part, and f self-flips.
     """
     grid = gauss_grid(make_frame(pole, w), n_t=config.n_t, n_azimuth=config.n_azimuth)
-    fg, gg = sample_on_sphere(f, grid), sample_on_sphere(g, grid)
+    fg = sample_on_sphere(restrict_field(f, w), grid)
+    gg = sample_on_sphere(restrict_field(g, w), grid)
     sup = max(fg.sup, gg.sup)
     congruence = None
     if certify:

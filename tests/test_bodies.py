@@ -9,12 +9,16 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from congrulab.bodies import (_ASCENT_ITERS, MAX_BUMP_DEGREE, Body4, BumpShape,
                               BumpTerm, EllipsoidShape, PolytopeShape,
-                              _min_hessian_eigenvalue, ball, body_from_spec, body_to_spec,
-                              cube, diameter_segment, ellipsoid, find_diameters,
-                              polytope, shape_from_spec, shape_to_spec)
-from congrulab.errors import DegenerateBodyError, OriginOutsideError, UnsupportedKindError
+                              _min_hessian_eigenvalue, _points_per_block, ball,
+                              body_from_spec, body_to_spec, cube, diameter_segment,
+                              ellipsoid, find_diameters, polytope, restrict_field,
+                              shape_from_spec, shape_to_spec)
+from congrulab.errors import (DegenerateBodyError, NonOrthogonalError, OriginOutsideError,
+                              UnsupportedKindError)
+from congrulab.funk import sample_on_sphere
 from congrulab.orthogonal import Orthogonal4, pole_reflection
-from congrulab.sphere import complement_basis, random_directions, unit
+from congrulab.sphere import (complement_basis, directions_orthogonal_to, gauss_grid,
+                              make_frame, random_directions, unit)
 
 from helpers import (brute_force_diameters, bump_support_by_powers, planted_polytope,
                      stencil_min_hessian_eigenvalue)
@@ -114,6 +118,13 @@ def test_polytope_fields_match_brute_force(seed, shape):
         assert type(rho) is float
 
 
+def _rows_read(field):
+    """Facet rows (radial) or vertices (support) a polytope field reads."""
+    body = field.__self__
+    return len(body._radial_facet_data[0] if field.__name__ == "radial"
+               else body._support_rows)
+
+
 @settings(max_examples=10)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_polytope_field_rows_independent_of_batch_size(seed):
@@ -123,13 +134,100 @@ def test_polytope_field_rows_independent_of_batch_size(seed):
     K = planted_polytope(seed, unit(rng.standard_normal(4)), through_origin=True,
                          kind="star")
     K = K.apply(random_orthogonal(rng), 0.1 * rng.uniform() * unit(rng.standard_normal(4)))
-    theta = random_directions(16384, rng)
-    for field in (K.support, K.radial):
+    blocks = [_points_per_block(_rows_read(field)) for field in (K.support, K.radial)]
+    theta = random_directions(2 * max(blocks) + 64, rng)
+    for field, B in zip((K.support, K.radial), blocks):
         full = field(theta)
-        for size in (2, 7):
+        for size in (2, 7, B - 1, B, B + 1, 2 * B + 3):
             for start in (0, int(rng.integers(0, len(theta) - size))):
                 rows = slice(start, start + size)
                 assert np.array_equal(field(theta[rows]), full[rows])
+
+
+def test_polytope_field_of_one_direction_is_one_matrix_vector_product():
+    # a single (4,) direction keeps its matrix-vector product, whose value
+    # may differ from the batched one in the last bit
+    K = planted_polytope(7, np.eye(4)[0], through_origin=True, kind="star")
+    rows, inv_rhs = K._radial_facet_data
+    for t in random_directions(64, np.random.default_rng(7)):
+        assert K.support(t) == np.max(K.effective_vertices() @ t[:, None])
+        assert K.radial(t) == 1.0 / np.max((rows @ t[:, None])[:, 0] * inv_rhs)
+
+
+def _cell24():
+    e = np.eye(4)
+    return np.array([s * e[i] + t * e[j] for i in range(4) for j in range(i + 1, 4)
+                     for s in (-1.0, 1.0) for t in (-1.0, 1.0)])
+
+
+def _assert_restriction_exact(field, pole, w_dirs):
+    """On each working sphere the restricted field gives every grid value of
+    the whole-S^3 field bit for bit; returns the rows it read per sphere."""
+    kept = []
+    for w in w_dirs:
+        grid = gauss_grid(make_frame(pole, w), n_t=24, n_azimuth=128)
+        restricted = restrict_field(field, w)
+        assert restricted.__self__ is not field.__self__
+        assert restricted.__name__ == field.__name__
+        assert np.array_equal(sample_on_sphere(restricted, grid).values,
+                              field(grid.points))
+        kept.append(_rows_read(restricted))
+    assert max(kept) <= _rows_read(field)
+    return kept
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), star=st.booleans(), on_boundary=st.booleans())
+def test_polytope_field_restricted_to_working_spheres_is_exact(seed, star, on_boundary):
+    # a planted polytope (star: radial; convex: support), rotated and shifted,
+    # on the working spheres through a random pole; with ``on_boundary`` it
+    # gains a facet simplex's barycentre and an edge midpoint, points on its
+    # boundary that qhull makes no vertex of, so they are in no facet row
+    rng = np.random.default_rng(seed)
+    pole = unit(rng.standard_normal(4))
+    K = planted_polytope(seed, pole, through_origin=star, kind="star" if star else "convex")
+    V = K.shape.vertices
+    if on_boundary:
+        s = K.shape.incidence[rng.integers(len(K.shape.incidence))]
+        V = np.vstack([V, V[s].mean(axis=0), 0.5 * (V[s[0]] + V[s[1]])])
+    U = random_orthogonal(rng)
+    shift = (0.05 if star else 1.0) * unit(rng.standard_normal(4))
+    K = polytope(V, kind=K.kind).apply(U, shift)
+    if on_boundary:
+        assert not np.isin([len(V) - 2, len(V) - 1], K.shape.incidence).any()
+    pole = U.apply(pole)
+    field = K.radial if star else K.support
+    kept = _assert_restriction_exact(field, pole, directions_orthogonal_to(pole, 8))
+    assert max(kept) < _rows_read(field)
+
+
+@pytest.mark.parametrize("vertices", [cube().shape.vertices, _cell24()],
+                         ids=["4-cube", "24-cell"])
+@pytest.mark.parametrize("axis", range(4))
+def test_polytope_field_restriction_exact_at_degenerate_contacts(vertices, axis):
+    # a pole on a coordinate axis puts facet normals of the 4-cube and
+    # vertices of the 24-cell in every working sphere; spheres normal to the
+    # other axes, or to their sum, put whole facets and ridges in w-perp too
+    pole = np.eye(4)[axis]
+    others = np.delete(np.eye(4), axis, axis=0)
+    w_dirs = np.vstack([directions_orthogonal_to(pole, 8), others, unit(others.sum(0))])
+    K = polytope(vertices)
+    for field in (K.support, K.radial):
+        _assert_restriction_exact(field, pole, w_dirs)
+
+
+def test_restricted_field_rejects_directions_off_its_sphere():
+    K = planted_polytope(3, np.eye(4)[0], through_origin=True, kind="star")
+    w = np.eye(4)[1]
+    for name in ("support", "radial"):
+        restricted = restrict_field(getattr(K, name), w)
+        restricted(np.array([[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]]))
+        with pytest.raises(NonOrthogonalError):
+            restricted(unit(np.array([1.0, 1e-6, 0.0, 0.0])))
+    # smooth fields and plain callables are their own restriction
+    E = ellipsoid([1.0, 0.9, 0.8, 0.7])
+    assert restrict_field(E.support, w) == E.support
+    assert restrict_field(np.sum, w) is np.sum
 
 
 def test_radial_values():

@@ -466,8 +466,8 @@ def test_section_requires_origin_diameter():
 
 def test_section_samples_and_registers_each_sphere_once(monkeypatch):
     # the direct alignment certifies, so the decision runs once: each body
-    # is sampled once per working sphere, and each sphere registers its full
-    # restrictions and its odd parts
+    # is restricted to and sampled on each working sphere once, and each
+    # sphere registers its full restrictions and its odd parts
     counts = {"classify_direction": 0, "sample_on_sphere": 0}
 
     def counting(name):
@@ -481,6 +481,23 @@ def test_section_samples_and_registers_each_sphere_once(monkeypatch):
 
     for name in counts:
         monkeypatch.setattr(verifier, name, counting(name))
+    restricted = []          # (body, sphere, its facet rows, rows kept, rows crossing)
+    restrict = verifier.restrict_field
+
+    def restricting(f, w):
+        r = restrict(f, w)
+        body = f.__self__
+        # the simplices with vertices clearly on both sides of w-perp; the
+        # diameter's ends lie in it, every other vertex is far from it
+        s = body.effective_vertices() @ w
+        side = s[body.shape.incidence]
+        clear = 1e-9 * np.max(np.abs(s))
+        crossing = np.sum((side > clear).any(axis=1) & (side < -clear).any(axis=1))
+        restricted.append((body, tuple(w), len(body._radial_facet_data[0]),
+                           len(r.__self__._radial_facet_data[0]), crossing))
+        return r
+
+    monkeypatch.setattr(verifier, "restrict_field", restricting)
     K = planted_polytope(125, POLE, through_origin=True, kind="star")
     L = K.apply(pole_reflection(POLE), 0.05 * POLE)
     w = 12
@@ -488,6 +505,11 @@ def test_section_samples_and_registers_each_sphere_once(monkeypatch):
     v = verify_section_theorem(K, L, POLE, cfg)
     assert v.outcome == OUTCOME_REFLECTED
     assert counts == {"classify_direction": 2 * w, "sample_on_sphere": 2 * w}
+    assert len(restricted) == 2 * w
+    assert len({(id(body), sphere) for body, sphere, *_ in restricted}) == 2 * w
+    # the pruning is on: every sphere reads only the crossing facet rows, and
+    # facets that touch w-perp only at the diameter's ends are left out
+    assert all(kept == crossing < full for *_, full, kept, crossing in restricted)
 
 
 def test_section_falls_back_to_reversed_alignment(monkeypatch):
