@@ -162,27 +162,44 @@ def _min_hessian_eigenvalue(shape: BumpShape) -> float:
     axes +-d_k of the terms, near which a term's curvature is most negative.
 
     H is linear along rays, so convexity needs its Hessian nonnegative on the
-    tangent space at x.  In closed form that Hessian is (M - g g^T)/h for the
-    base, with M = U diag(a^2) U^T and g = Mx/h its support point, plus
-    c [m(m-1) u^(m-2) d d^T + (1-m) u^m I] per term, u = d . x.  The tangent
-    basis T is rows 1..3 of the Householder reflection swapping e_0 and -+x.
+    tangent space at x (``_tangent_hessian``).
     """
     d = np.array([t.direction for t in shape.terms]).reshape(-1, 4)
     x = np.concatenate([random_directions(_HESSIAN_SAMPLES, np.random.default_rng(0xBE11)),
                         d, -d])
+    hess = _tangent_hessian(shape, x, _tangent_basis(x))
+    return float(np.min(np.linalg.eigvalsh(hess)[:, 0]))
+
+
+def _tangent_basis(x):
+    """(n, 3, 4) orthonormal bases of the tangent spaces at the unit rows of x:
+    rows 1..3 of the Householder reflection swapping e_0 and -+x."""
     v = x + np.where(x[:, :1] < 0, -1.0, 1.0) * np.eye(4)[0]
-    T = (np.eye(4) - 2 * v[:, :, None] * v[:, None, :]
-         / np.sum(v * v, axis=1)[:, None, None])[:, 1:]
-    C = T @ shape.base.axes_matrix * shape.base.semiaxes     # T M T^T = C C^T
-    Tg = T @ _shape_support_point(shape.base, x)[..., None]
-    h = _ellipsoid_support(shape.base, x)[:, None, None]
+    return (np.eye(4) - 2 * v[:, :, None] * v[:, None, :]
+            / np.sum(v * v, axis=1)[:, None, None])[:, 1:]
+
+
+def _tangent_hessian(shape, x, T):
+    """(n, 3, 3) Hessians T (D^2 H)(x) T^T of the homogeneous support extension
+    H of an ellipsoid or bump shape, at the unit rows x, in the tangent bases T.
+
+    In closed form that Hessian is (M - g g^T)/h for the base, with
+    M = U diag(a^2) U^T and g = Mx/h its support point, plus
+    c [m(m-1) u^(m-2) d d^T + (1-m) u^m I] per term, u = d . x.
+    """
+    base = shape if isinstance(shape, EllipsoidShape) else shape.base
+    C = T @ base.axes_matrix * base.semiaxes     # T M T^T = C C^T
+    Tg = T @ _shape_support_point(base, x)[..., None]
+    h = _ellipsoid_support(base, x)[:, None, None]
     hess = (C @ np.swapaxes(C, 1, 2) - Tg * np.swapaxes(Tg, 1, 2)) / h
+    if base is shape:
+        return hess
     for term, low, _, top in _bump_powers(shape, x):
         m, Td = term.degree, T @ term.direction
         hess += shape.epsilon * term.coeff * (
             m * (m - 1) * low[:, None, None] * Td[:, :, None] * Td[:, None, :]
             + (1 - m) * top[:, None, None] * np.eye(3))
-    return float(np.min(np.linalg.eigvalsh(hess)[:, 0]))
+    return hess
 
 
 def _ellipsoid_support(shape: EllipsoidShape, theta):
@@ -490,12 +507,51 @@ def default_diameter_tol(body: Body4, length: float) -> float:
     return rel * length
 
 
+def _width_hessian(body: Body4, theta, T):
+    """(n, 3, 3) tangent Hessians T (D^2 W)(theta) T^T of the width
+    W(theta) = H(theta) + H(-theta) of a smooth body, in the world tangent
+    bases T at the unit rows theta.  The shape's support is read at R^T theta
+    in the bases T R; the translation drops out of the width."""
+    x, TR = theta @ body.folded[0], T @ body.folded[0]
+    both = _tangent_hessian(body.shape, np.concatenate([x, -x]), np.concatenate([TR, TR]))
+    return both[:len(x)] + both[len(x):]
+
+
+def _ascent_step(body: Body4, theta):
+    """Unnormalized next iterates of the width ascent from the unit rows theta.
+
+    The chord c = sp(theta) - sp(-theta) is the gradient of the homogeneous
+    width W, and W(theta) = theta . c.  On the sphere the width's Hessian in
+    the tangent basis T is A - W I, A = ``_width_hessian``, so the Newton
+    step theta + T^T (W I - A)^-1 T c, rescaled by W, is
+    c + T^T (W I - A)^-1 A T c.
+    """
+    c = body.support_point(theta) - body.support_point(-theta)
+    if isinstance(body.shape, PolytopeShape):
+        return c
+    T = _tangent_basis(theta)
+    A = _width_hessian(body, theta, T)
+    G = np.sum(theta * c, axis=1)[:, None, None] * np.eye(3) - A
+    newton = np.linalg.eigvalsh(G)[:, 0] > 0
+    Tc = T[newton] @ c[newton, :, None]
+    fix = np.linalg.solve(G[newton], A[newton] @ Tc)
+    c[newton] += (np.swapaxes(T[newton], 1, 2) @ fix)[..., 0]
+    return c
+
+
 def find_diameters(body: Body4) -> DiameterSet:
     """Scan the width function over S^3 and ascend to all near-maximal directions.
 
-    The widest scan directions ascend together, one (k, 4) array per step of
-    the fixed point theta <- unit(sp(theta) - sp(-theta)), which is monotone
-    in width.  A row keeps its widest iterate and leaves once its step
+    The widest scan directions ascend together, one (k, 4) array per step
+    (``_ascent_step``).  A step is the chord theta <- unit(sp(theta) -
+    sp(-theta)), the width's gradient, plus a Newton correction on smooth
+    bodies, which reads the closed-form tangent Hessian A of the support at
+    theta and -theta: the plain chord is a power iteration, with ratio
+    (a_2/a_1)^2 on an ellipsoid, and stalls when a_2 nears a_1.  A row where
+    W I - A is not positive definite is near a saddle, where the quadratic
+    model is not concave, and takes the plain chord.  A polytope's support is
+    piecewise linear, so A = 0 and its step is the plain chord, with no
+    tangent work.  A row keeps its widest iterate and leaves once its step
     vanishes or moves it by less than 1e-15.
 
     Raises DegenerateBodyError when the width is constant within tol (the
@@ -519,7 +575,7 @@ def find_diameters(body: Body4) -> DiameterSet:
     for _ in range(_ASCENT_ITERS):
         if not live.size:
             break
-        step = body.support_point(th[live]) - body.support_point(-th[live])
+        step = _ascent_step(body, th[live])
         n = np.linalg.norm(step, axis=1)
         live, new = live[n > 0], step[n > 0] / n[n > 0, None]
         w = body.width(new)

@@ -5,9 +5,10 @@ paths: Legendre values come from the classical recurrences, 3D rotations
 from the axis-angle formula, symmetry defects from re-evaluating the field
 at rotated points, symmetry counts from exhaustive permutation
 search with an orthogonal Procrustes fit, diameters from brute-force
-vertex-pair enumeration, the even-part comparison from great circles
-sampled apart from the verifier's grid, and bump convexity from a
-central-difference Hessian of the per-term power formula.
+vertex-pair enumeration or the plain chord ascent, the even-part
+comparison from great circles sampled apart from the verifier's grid, and
+bump convexity from a central-difference Hessian of the per-term power
+formula.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from itertools import permutations
 import numpy as np
 from scipy.linalg import orthogonal_procrustes
 
-from congrulab.bodies import polytope
-from congrulab.errors import NonOrthogonalError
+from congrulab import bodies
+from congrulab.bodies import DiameterSet, default_diameter_tol, polytope
+from congrulab.errors import DegenerateBodyError, NonOrthogonalError
 from congrulab.sphere import (ORTHO_TOL, circle_quadrature, directions_orthogonal_to,
                               evaluate_field, gauss_grid, great_circle_nodes,
                               make_frame, random_directions, unit)
@@ -124,6 +126,49 @@ def brute_force_diameters(vertices):
                 if not any(np.linalg.norm(u - w) < 1e-6 for w in dirs):
                     dirs.append(u)
     return dmax, dirs
+
+
+def chord_ascent_diameters(body):
+    """``find_diameters`` with the plain chord step
+    theta <- unit(sp(theta) - sp(-theta)) and no Newton correction: the same
+    scan, starts, best-iterate record, stop rule and clustering."""
+    rng = np.random.default_rng(bodies._SCAN_SEED)
+    dirs = random_directions(bodies._N_SCAN, rng)
+    widths = body.width(dirs)
+    w_max = float(np.max(widths))
+    w_min = float(np.min(widths))
+    tol = default_diameter_tol(body, w_max)
+    if w_max - w_min <= tol:
+        raise DegenerateBodyError("width is constant")
+
+    starts = np.argsort(widths)[::-1][:bodies._N_SCAN // 32]
+    th = dirs[starts]
+    best, best_w = th.copy(), widths[starts]
+    live = np.arange(len(th))
+    for _ in range(bodies._ASCENT_ITERS):
+        if not live.size:
+            break
+        step = body.support_point(th[live]) - body.support_point(-th[live])
+        n = np.linalg.norm(step, axis=1)
+        live, new = live[n > 0], step[n > 0] / n[n > 0, None]
+        w = body.width(new)
+        up = w > best_w[live]
+        best[live[up]], best_w[live[up]] = new[up], w[up]
+        moved = np.linalg.norm(new - th[live], axis=1) >= 1e-15
+        th[live] = new
+        live = live[moved]
+
+    global_max = float(np.max(best_w))
+    keep = best[best_w >= global_max - tol]
+    lead = keep[np.arange(len(keep)), np.argmax(np.abs(keep) > 1e-8, axis=1)]
+    keep = np.where((lead < 0)[:, None], -keep, keep)
+    clusters = []
+    for d in keep:
+        if not any(np.arccos(np.clip(abs(d @ c), -1, 1)) < 1e-3 for c in clusters):
+            clusters.append(d)
+        if len(clusters) > bodies._MAX_CLUSTERS:
+            raise DegenerateBodyError("diameter directions are not isolated")
+    return DiameterSet(directions=np.array(clusters), length=global_max, tol=tol)
 
 
 # -- random fields ---------------------------------------------------------------

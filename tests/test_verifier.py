@@ -276,6 +276,20 @@ def test_w_sample_fallback_reported(monkeypatch):
     assert v.report["w_sample_size"] == cfg.w_samples
 
 
+def test_projection_near_round_ellipsoid_finds_one_diameter():
+    # semiaxes 2 and 1.98: an ascent that stops short of the diameter leaves
+    # near-pole directions within tol of its length, which count as extra
+    # diameters and rule out every working sphere
+    K = ellipsoid([2.0, 1.98, 0.9, 0.8])
+    L = K.translate([0.1, 0.2, -0.3, 0.05])
+    cfg = VerifyConfig(n_t=16, n_azimuth=64, w_samples=8)
+    v = verify_projection_theorem(K, L, np.eye(4)[0], cfg)
+    assert v.outcome == OUTCOME_BOTH
+    assert v.report["diameter_count_K"] == v.report["diameter_count_L"] == 1
+    assert v.report["w_sample_fallback"] is False
+    assert abs(v.report["diameter_length"] - 4.0) <= 1e-12
+
+
 def test_projection_planted_reflection():
     K = planted_polytope(111, POLE)
     b = 0.3 * unit(RNG.standard_normal(4))
