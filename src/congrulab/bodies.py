@@ -34,6 +34,8 @@ CONTACT_TOL = 1e-12  # |s| <= this * max |s|: a vertex or facet normal lies in w
 _PRODUCT_BLOCK = 1 << 20  # rows x points of one facet-kernel product (8 MB); a grid of
                           # 16,384 points over 64 rows is one product
 
+_SCAN_DIRS = random_directions(_N_SCAN, np.random.default_rng(_SCAN_SEED))
+_SCAN_DIRS.setflags(write=False)
 _IDENTITY = (np.eye(4), np.zeros(4))
 _IDENTITY[0].setflags(write=False)
 _IDENTITY[1].setflags(write=False)
@@ -256,8 +258,8 @@ def _points_per_block(m: int) -> int:
     return max(8, _PRODUCT_BLOCK // m // 8 * 8)
 
 
-def _facet_major_max(rows, theta, scale=None):
-    """Max over the m rows of rows_j . theta, times scale_j when given.
+def _facet_major_max(rows, theta):
+    """Max over the m rows of rows_j . theta.
 
     The points are taken in blocks of ``_points_per_block(m)``, so that no
     (m, block) product exceeds 8 MB.  Every block's product is written into
@@ -280,25 +282,22 @@ def _facet_major_max(rows, theta, scale=None):
         if len(flat) > 1 and n % 8:
             block = np.concatenate([block, np.zeros((-n % 8, block.shape[1]))])
         part = np.matmul(rows, block.T, out=prod[:, :len(block)])
-        if scale is not None:
-            part *= scale[:, None]
         np.max(part[:, :n], axis=0, out=out[lo:lo + n])
     return out.reshape(theta.shape[:-1])[()]
 
 
-def _straddling(group, s, count):
-    """Which of ``count`` groups hold members strictly on both sides of the
-    hyperplane s = 0, or three members in it.
+def _straddling(s):
+    """Which rows of the (m, 4) offsets s hold one strictly on each side of
+    the hyperplane s = 0, or three in it.
 
-    ``group`` and ``s`` hold one entry per (group, member) pair: the group's
-    index and the member's signed offset.  An offset of at most CONTACT_TOL
-    times the largest |s| counts as in the hyperplane.
+    An offset of at most CONTACT_TOL times the largest |s| counts as in the
+    hyperplane.
     """
     tol = CONTACT_TOL * np.max(np.abs(s))
-    above = np.bincount(group, weights=s > tol, minlength=count)
-    below = np.bincount(group, weights=s < -tol, minlength=count)
-    inside = np.bincount(group, minlength=count) - above - below
-    return ((above > 0) & (below > 0)) | (inside >= 3)
+    above = np.any(s > tol, axis=1)
+    below = np.any(s < -tol, axis=1)
+    inside = np.count_nonzero(np.abs(s) <= tol, axis=1)
+    return (above & below) | (inside >= 3)
 
 
 @dataclass(frozen=True)
@@ -307,9 +306,11 @@ class Body4:
 
     ``folded = (R, b)`` holds the orthogonal matrix R and the translation b;
     the default is the identity placement.  ``sphere``, when set, is the
-    normal w of a working sphere: the body's polytope fields then take only
-    directions orthogonal to w, and read only the facet rows (radial) or
-    vertices (support) that can attain their max there (``restrict_field``).
+    normal w of a working sphere: a polytope's ``radial`` then takes only
+    directions orthogonal to w and reads only the polar rows that can attain
+    its max there (``restrict_field``).  ``support`` ignores it: a
+    polytope's support reads its few vertices, where the restriction saved
+    no time.
     """
 
     kind: str
@@ -329,37 +330,20 @@ class Body4:
         return self.shape.vertices @ R.T + b
 
     @cached_property
-    def _support_rows(self):
-        # on a working sphere, a vertex attains the support max there only
-        # when its normal cone meets w-perp in a 3D cone: its facet normals
-        # lie strictly on both sides of w-perp, or three of them in it
-        V = self._world_vertices
-        if self.sphere is None:
-            return V
-        A, _ = self.shape.facets
-        inc = self.shape.incidence
-        s = np.repeat(A @ (self.folded[0].T @ self.sphere), inc.shape[1])
-        return V[_straddling(inc.ravel(), s, len(V))]
-
-    @cached_property
-    def _radial_facet_data(self):
-        # world-space facet rows: radial(theta) = 1 / max_f (rows_f . theta) / rhs_f;
-        # on a working sphere, a row attains that max there only when its
-        # simplex crosses w-perp (vertices strictly on both sides) or has a
-        # triangle in it
+    def _polar_rows(self):
+        # world-space polar vertices a_f / rhs_f: the body is {x : rows . x <= 1},
+        # so radial(theta) = 1 / max(rows . theta); on a working sphere, a row
+        # attains that max there only when its simplex crosses w-perp
+        # (vertices strictly on both sides) or has a triangle in it
         A, off = self.shape.facets
         R, b = self.folded
-        e = R.T @ b
-        rhs = A @ e - off
+        rhs = A @ (R.T @ b) - off
         if np.min(rhs) <= ORIGIN_MARGIN:
             raise OriginOutsideError("origin is not interior to the polytope")
-        rows, inv_rhs = A @ R.T, 1.0 / rhs
+        rows = (A @ R.T) / rhs[:, None]
         if self.sphere is None:
-            return rows, inv_rhs
-        inc = self.shape.incidence
-        s = (self._world_vertices @ self.sphere)[inc].ravel()
-        keep = _straddling(np.repeat(np.arange(len(inc)), inc.shape[1]), s, len(inc))
-        return rows[keep], inv_rhs[keep]
+            return rows
+        return rows[_straddling((self._world_vertices @ self.sphere)[self.shape.incidence])]
 
     def _on_sphere(self, theta):
         """theta, checked to lie on the working sphere when there is one."""
@@ -372,7 +356,7 @@ class Body4:
         """Support value(s) h(theta) = max {theta . y : y in body}."""
         theta = np.asarray(theta, dtype=float)
         if isinstance(self.shape, PolytopeShape):
-            return _facet_major_max(self._support_rows, self._on_sphere(theta))
+            return _facet_major_max(self._world_vertices, theta)
         R, b = self.folded
         return _shape_support(self.shape, theta @ R) + theta @ b
 
@@ -395,10 +379,7 @@ class Body4:
         """
         theta = np.asarray(theta, dtype=float)
         if isinstance(self.shape, PolytopeShape):
-            # every rhs is positive (origin interior), so facets with
-            # nonpositive ray coefficient never realize the max
-            rows, inv_rhs = self._radial_facet_data
-            rho = 1.0 / _facet_major_max(rows, self._on_sphere(theta), inv_rhs)
+            rho = 1.0 / _facet_major_max(self._polar_rows, self._on_sphere(theta))
             return rho if rho.ndim else float(rho)
         R, b = self.folded
         d = theta @ R          # R^T theta
@@ -459,14 +440,15 @@ class Body4:
 def restrict_field(f, w):
     """The field f for directions on the working sphere orthogonal to w.
 
-    A polytope body's ``support`` or ``radial`` becomes the same method of
-    the body with ``sphere`` w, which reads only the rows that can attain
-    the max on that sphere and gives the same values there.  Any other
-    callable, a smooth body's fields included, is its own restriction.
+    A polytope body's ``radial`` becomes the same method of the body with
+    ``sphere`` w, which reads only the polar rows that can attain the max on
+    that sphere and gives the same values there.  Every other field is its
+    own restriction: a polytope's ``support`` too, since its vertices are
+    few enough that a grid costs the same with or without the restriction.
     """
-    body = getattr(f, "__self__", None)
-    if isinstance(body, Body4) and isinstance(body.shape, PolytopeShape):
-        return MethodType(f.__func__, replace(body, sphere=unit(w)))
+    if (getattr(f, "__func__", None) is Body4.radial
+            and isinstance(f.__self__.shape, PolytopeShape)):
+        return MethodType(f.__func__, replace(f.__self__, sphere=unit(w)))
     return f
 
 
@@ -558,9 +540,7 @@ def find_diameters(body: Body4) -> DiameterSet:
     maximizer set is then not countable) or when the maximizers do not form
     isolated clusters.
     """
-    rng = np.random.default_rng(_SCAN_SEED)
-    dirs = random_directions(_N_SCAN, rng)
-    widths = body.width(dirs)
+    widths = body.width(_SCAN_DIRS)
     w_max = float(np.max(widths))
     w_min = float(np.min(widths))
     tol = default_diameter_tol(body, w_max)
@@ -569,7 +549,7 @@ def find_diameters(body: Body4) -> DiameterSet:
             f"width is constant within {tol:.2e}; diameter set is not countable")
 
     starts = np.argsort(widths)[::-1][:_N_SCAN // 32]
-    th = dirs[starts]
+    th = _SCAN_DIRS[starts]
     best, best_w = th.copy(), widths[starts]
     live = np.arange(len(th))
     for _ in range(_ASCENT_ITERS):
@@ -590,12 +570,13 @@ def find_diameters(body: Body4) -> DiameterSet:
     # antipodal pairs: the first component above 1e-8 in size is positive
     lead = keep[np.arange(len(keep)), np.argmax(np.abs(keep) > 1e-8, axis=1)]
     keep = np.where((lead < 0)[:, None], -keep, keep)
+    # each cluster is centred on the first row not in an earlier cluster
     clusters: list[np.ndarray] = []
-    for d in keep:
-        if not any(np.arccos(np.clip(abs(d @ c), -1, 1)) < 1e-3 for c in clusters):
-            clusters.append(d)
+    while len(keep):
+        clusters.append(keep[0])
         if len(clusters) > _MAX_CLUSTERS:
             raise DegenerateBodyError("diameter directions are not isolated")
+        keep = keep[np.arccos(np.clip(np.abs(keep @ keep[0]), -1, 1)) >= 1e-3]
     return DiameterSet(directions=np.array(clusters), length=global_max, tol=tol)
 
 

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
-from congrulab.bodies import (_ASCENT_ITERS, MAX_BUMP_DEGREE, Body4, BumpShape,
+from congrulab.bodies import (_ASCENT_ITERS, _N_SCAN, _SCAN_DIRS, _SCAN_SEED,
+                              MAX_BUMP_DEGREE, Body4, BumpShape,
                               BumpTerm, EllipsoidShape, PolytopeShape,
                               _min_hessian_eigenvalue, _points_per_block,
                               _tangent_basis, _width_hessian, ball,
@@ -121,10 +123,10 @@ def test_polytope_fields_match_brute_force(seed, shape):
 
 
 def _rows_read(field):
-    """Facet rows (radial) or vertices (support) a polytope field reads."""
+    """Polar rows (radial) or vertices (support) a polytope field reads."""
     body = field.__self__
-    return len(body._radial_facet_data[0] if field.__name__ == "radial"
-               else body._support_rows)
+    return len(body._polar_rows if field.__name__ == "radial"
+               else body._world_vertices)
 
 
 @settings(max_examples=10)
@@ -150,10 +152,24 @@ def test_polytope_field_of_one_direction_is_one_matrix_vector_product():
     # a single (4,) direction keeps its matrix-vector product, whose value
     # may differ from the batched one in the last bit
     K = planted_polytope(7, np.eye(4)[0], through_origin=True, kind="star")
-    rows, inv_rhs = K._radial_facet_data
     for t in random_directions(64, np.random.default_rng(7)):
         assert K.support(t) == np.max(K.effective_vertices() @ t[:, None])
-        assert K.radial(t) == 1.0 / np.max((rows @ t[:, None])[:, 0] * inv_rhs)
+        assert K.radial(t) == 1.0 / np.max(K._polar_rows @ t)
+
+
+def test_polar_rows_are_the_facet_rows_over_their_offsets():
+    # world facet rows a_f over offsets rhs_f, bit for bit: the body is
+    # {x : rows . x <= 1}, with equality at every vertex of each row's simplex
+    rng = np.random.default_rng(11)
+    K = planted_polytope(11, np.eye(4)[0], through_origin=True, kind="star")
+    K = K.apply(random_orthogonal(rng), 0.05 * unit(rng.standard_normal(4)))
+    R, b = K.folded
+    A, off = K.shape.facets
+    rows = K._polar_rows
+    assert np.array_equal(rows, (A @ R.T) / (A @ (R.T @ b) - off)[:, None])
+    touch = np.einsum("fk,fjk->fj", rows, K.effective_vertices()[K.shape.incidence])
+    assert np.max(K.effective_vertices() @ rows.T) <= 1 + 1e-12
+    assert np.max(np.abs(touch - 1)) <= 1e-12
 
 
 def _cell24():
@@ -164,13 +180,18 @@ def _cell24():
 
 def _assert_restriction_exact(field, pole, w_dirs):
     """On each working sphere the restricted field gives every grid value of
-    the whole-S^3 field bit for bit; returns the rows it read per sphere."""
+    the whole-S^3 field bit for bit; returns the rows it read per sphere.
+    A polytope's radial is rebound to the body on that sphere, and its
+    support comes back unchanged."""
     kept = []
     for w in w_dirs:
         grid = gauss_grid(make_frame(pole, w), n_t=24, n_azimuth=128)
         restricted = restrict_field(field, w)
-        assert restricted.__self__ is not field.__self__
-        assert restricted.__name__ == field.__name__
+        if field.__name__ == "radial":
+            assert restricted.__self__ is not field.__self__
+            assert restricted.__name__ == field.__name__
+        else:
+            assert restricted == field
         assert np.array_equal(sample_on_sphere(restricted, grid).values,
                               field(grid.points))
         kept.append(_rows_read(restricted))
@@ -200,7 +221,8 @@ def test_polytope_field_restricted_to_working_spheres_is_exact(seed, star, on_bo
     pole = U.apply(pole)
     field = K.radial if star else K.support
     kept = _assert_restriction_exact(field, pole, directions_orthogonal_to(pole, 8))
-    assert max(kept) < _rows_read(field)
+    if star:
+        assert max(kept) < _rows_read(field)
 
 
 @pytest.mark.parametrize("vertices", [cube().shape.vertices, _cell24()],
@@ -221,15 +243,30 @@ def test_polytope_field_restriction_exact_at_degenerate_contacts(vertices, axis)
 def test_restricted_field_rejects_directions_off_its_sphere():
     K = planted_polytope(3, np.eye(4)[0], through_origin=True, kind="star")
     w = np.eye(4)[1]
-    for name in ("support", "radial"):
-        restricted = restrict_field(getattr(K, name), w)
-        restricted(np.array([[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]]))
-        with pytest.raises(NonOrthogonalError):
-            restricted(unit(np.array([1.0, 1e-6, 0.0, 0.0])))
-    # smooth fields and plain callables are their own restriction
+    restricted = restrict_field(K.radial, w)
+    restricted(np.array([[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]]))
+    with pytest.raises(NonOrthogonalError):
+        restricted(unit(np.array([1.0, 1e-6, 0.0, 0.0])))
+    # a polytope's support, smooth fields and plain callables are their own
+    # restriction
+    assert restrict_field(K.support, w) == K.support
     E = ellipsoid([1.0, 0.9, 0.8, 0.7])
     assert restrict_field(E.support, w) == E.support
     assert restrict_field(np.sum, w) is np.sum
+
+
+def test_restrict_field_rebinds_a_wrapped_radial(monkeypatch):
+    # a wrapper installed on Body4.radial, as a span tracer installs one, is
+    # still the radial: its restriction reads the working sphere's rows
+    radial = Body4.radial
+    monkeypatch.setattr(Body4, "radial",
+                        functools.wraps(radial)(lambda self, theta: radial(self, theta)))
+    K = planted_polytope(3, np.eye(4)[0], through_origin=True, kind="star")
+    w = np.eye(4)[1]
+    restricted = restrict_field(K.radial, w)
+    assert restricted.__func__ is Body4.radial
+    assert np.array_equal(restricted.__self__.sphere, w)
+    assert len(restricted.__self__._polar_rows) < len(K._polar_rows)
 
 
 def test_radial_values():
@@ -616,6 +653,20 @@ def test_width_hessian_matches_central_differences(seed):
 def test_find_diameters_ball_degenerate():
     with pytest.raises(DegenerateBodyError):
         find_diameters(ball())
+
+
+def test_find_diameters_rejects_more_than_the_cluster_cap():
+    # 150 antipodal vertex pairs are 150 diameter directions of one length,
+    # more than the 64 isolated clusters allowed
+    u = random_directions(150, np.random.default_rng(3))
+    with pytest.raises(DegenerateBodyError, match="not isolated"):
+        find_diameters(polytope(np.vstack([u, -u])))
+
+
+def test_diameter_scan_is_built_once_and_read_only():
+    want = random_directions(_N_SCAN, np.random.default_rng(_SCAN_SEED))
+    assert _SCAN_DIRS.tobytes() == want.tobytes() and _SCAN_DIRS.shape == want.shape
+    assert not _SCAN_DIRS.flags.writeable
 
 
 def test_at_most_one_diameter_per_direction():

@@ -507,8 +507,8 @@ def test_section_samples_and_registers_each_sphere_once(monkeypatch):
         side = s[body.shape.incidence]
         clear = 1e-9 * np.max(np.abs(s))
         crossing = np.sum((side > clear).any(axis=1) & (side < -clear).any(axis=1))
-        restricted.append((body, tuple(w), len(body._radial_facet_data[0]),
-                           len(r.__self__._radial_facet_data[0]), crossing))
+        restricted.append((body, tuple(w), len(body._polar_rows),
+                           len(r.__self__._polar_rows), crossing))
         return r
 
     monkeypatch.setattr(verifier, "restrict_field", restricting)
