@@ -220,17 +220,6 @@ def _bump_powers(shape: BumpShape, theta):
         yield term, low, mid, mid * u
 
 
-def _shape_support(shape, theta):
-    if isinstance(shape, EllipsoidShape):
-        return _ellipsoid_support(shape, theta)
-    if isinstance(shape, BumpShape):
-        out = 0.0
-        for term, _, _, top in _bump_powers(shape, theta):
-            out = out + term.coeff * top
-        return _ellipsoid_support(shape.base, theta) + shape.epsilon * out
-    raise UnsupportedKindError(f"unknown shape {type(shape).__name__}")
-
-
 def _shape_support_point(shape, theta):
     """Boundary point(s) attaining the support value (gradient of the extension)."""
     theta = np.asarray(theta, dtype=float)
@@ -286,6 +275,32 @@ def _facet_major_max(rows, theta):
     return out.reshape(theta.shape[:-1])[()]
 
 
+def _forms_support(forms, powers, theta):
+    """Support of a smooth body from the products P = forms . theta of its
+    world linear forms: sqrt(((P_0^2 + P_1^2) + P_2^2) + P_3^2), plus
+    s_j P_{4+j}^{m_j} for each (m_j, s_j) in ``powers``, the power by
+    repeated multiplication, plus P_last.
+
+    One product gives every row at once, each row contiguous, and the sums
+    run in place.  theta of shape (..., 4) gives shape (...); a single
+    direction is one matrix-vector product and gives a scalar.
+    """
+    P = forms @ (theta if theta.ndim == 1 else theta.reshape(-1, 4).T)
+    sq = P[:4] * P[:4]
+    h = sq[0] + sq[1]
+    h += sq[2]
+    h += sq[3]
+    h = np.sqrt(h)
+    for u, (m, scale) in zip(P[4:], powers):
+        top = u.copy()
+        for _ in range(m - 1):
+            top *= u
+        top *= scale
+        h += top
+    h += P[-1]
+    return h if theta.ndim == 1 else h.reshape(theta.shape[:-1])
+
+
 def _straddling(s):
     """Which rows of the (m, 4) offsets s hold one strictly on each side of
     the hyperplane s = 0, or three in it.
@@ -305,10 +320,12 @@ class Body4:
     """A convex or star body: exact shape data K0 placed as R K0 + b.
 
     ``folded = (R, b)`` holds the orthogonal matrix R and the translation b;
-    the default is the identity placement.  ``sphere``, when set, is the
-    normal w of a working sphere: a polytope's ``radial`` then takes only
-    directions orthogonal to w and reads only the polar rows that can attain
-    its max there (``restrict_field``).  ``support`` ignores it: a
+    the default is the identity placement.  A polytope's support reads its
+    cached world vertices; a smooth shape's support is one product with its
+    cached world linear forms (``_support_forms``).  ``sphere``, when set,
+    is the normal w of a working sphere: a polytope's ``radial`` then takes
+    only directions orthogonal to w and reads only the polar rows that can
+    attain its max there (``restrict_field``).  ``support`` ignores it: a
     polytope's support reads its few vertices, where the restriction saved
     no time.
     """
@@ -345,6 +362,22 @@ class Body4:
             return rows
         return rows[_straddling((self._world_vertices @ self.sphere)[self.shape.incidence])]
 
+    @cached_property
+    def _support_forms(self):
+        # (forms, powers) of a smooth shape: the C-contiguous (5 + k, 4) world
+        # linear forms, rows the scaled axes (R U diag(a))^T, R d_j for each of
+        # the k bump terms, and b; and each term's (degree, epsilon * coeff)
+        shape, (R, b) = self.shape, self.folded
+        if isinstance(shape, EllipsoidShape):
+            base, terms = shape, ()
+        elif isinstance(shape, BumpShape):
+            base, terms = shape.base, shape.terms
+        else:
+            raise UnsupportedKindError(f"unknown shape {type(shape).__name__}")
+        forms = np.vstack([(R @ base.axes_matrix * base.semiaxes).T,
+                           np.reshape([t.direction for t in terms], (-1, 4)) @ R.T, b])
+        return forms, tuple((t.degree, shape.epsilon * t.coeff) for t in terms)
+
     def _on_sphere(self, theta):
         """theta, checked to lie on the working sphere when there is one."""
         if self.sphere is not None and np.size(theta) and (
@@ -357,8 +390,7 @@ class Body4:
         theta = np.asarray(theta, dtype=float)
         if isinstance(self.shape, PolytopeShape):
             return _facet_major_max(self._world_vertices, theta)
-        R, b = self.folded
-        return _shape_support(self.shape, theta @ R) + theta @ b
+        return _forms_support(*self._support_forms, theta)
 
     def support_point(self, theta):
         """Boundary point(s) where the support value is attained."""

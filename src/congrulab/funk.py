@@ -77,11 +77,19 @@ class GridFunction:
         return spec
 
     def parity(self):
-        """Even/odd grid functions under the pole reflection (no re-evaluation)."""
+        """Even/odd grid functions under the pole reflection (no re-evaluation).
+
+        The parts are finite whenever this function is, so they are built
+        without the copy and the check of ``__post_init__``.
+        """
         refl = np.roll(self.values, self.grid.n_azimuth // 2, axis=1)
-        even = GridFunction(self.grid, 0.5 * (self.values + refl))
-        odd = GridFunction(self.grid, 0.5 * (self.values - refl))
-        return even, odd
+        parts = []
+        for values in (0.5 * (self.values + refl), 0.5 * (self.values - refl)):
+            values.setflags(write=False)
+            part = object.__new__(GridFunction)
+            part.__dict__.update(grid=self.grid, values=values)
+            parts.append(part)
+        return tuple(parts)
 
 
 def sample_on_sphere(f, grid: SphereGrid) -> GridFunction:

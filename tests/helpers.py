@@ -8,7 +8,9 @@ search with an orthogonal Procrustes fit, diameters from brute-force
 vertex-pair enumeration or the plain chord ascent, the even-part
 comparison from great circles sampled apart from the verifier's grid, and
 bump convexity from a central-difference Hessian of the per-term power
-formula.
+formula.  The one exception is ``certified_asymmetric``, which picks
+fixtures that meet the theorem's hypotheses through the library's own
+symmetry detectors, as the acceptance suite and the benchmark do.
 """
 
 from __future__ import annotations
@@ -22,9 +24,21 @@ from scipy.linalg import orthogonal_procrustes
 from congrulab import bodies
 from congrulab.bodies import DiameterSet, default_diameter_tol, polytope
 from congrulab.errors import DegenerateBodyError, NonOrthogonalError
+from congrulab.registration import find_equator_flip_symmetry, pole_rotation_symmetry_defect
 from congrulab.sphere import (ORTHO_TOL, circle_quadrature, directions_orthogonal_to,
                               evaluate_field, gauss_grid, great_circle_nodes,
                               make_frame, random_directions, unit)
+
+
+def certified_asymmetric(field, pole, n_sides: int = 50, tol: float = 1e-6) -> bool:
+    """No half-turn symmetry about the pole and no equatorial half-turn
+    symmetry, on n_sides side spheres (the theorem hypotheses)."""
+    for w in directions_orthogonal_to(pole, n_sides):
+        if pole_rotation_symmetry_defect(field, w, pole, np.pi) <= 10 * tol:
+            return False
+        if find_equator_flip_symmetry(field, make_frame(pole, w), tol) is not None:
+            return False
+    return True
 
 
 def wrap_err(a: float, b: float, period: float) -> float:
@@ -339,15 +353,17 @@ def radial_by_bisection(contains, thetas, hi: float, iters: int = 64):
 
 
 def bump_support_by_powers(shape, theta):
-    """Bump support value, each term as c * (d . theta) ** m with a pow() call."""
+    """Bump support value, each term as c * (d . theta) ** m with a pow() call;
+    an ellipsoid shape is a bump with no terms."""
     theta = np.asarray(theta, dtype=float)
-    base = shape.base
+    base, terms, epsilon = ((shape, (), 0.0) if isinstance(shape, bodies.EllipsoidShape)
+                            else (shape.base, shape.terms, shape.epsilon))
     U = np.eye(4) if base.orientation is None else base.orientation.matrix
     out = 0.0
-    for term in shape.terms:
+    for term in terms:
         out = out + term.coeff * (theta @ term.direction) ** term.degree
     h_base = np.sqrt(np.sum((theta @ U * base.semiaxes) ** 2, axis=-1))
-    return h_base + shape.epsilon * out
+    return h_base + epsilon * out
 
 
 def stencil_min_hessian_eigenvalue(support, axes=(), samples: int = 160,

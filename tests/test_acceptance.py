@@ -17,19 +17,18 @@ from congrulab.orthogonal import (Orthogonal4, compose, equator_flip,
                                   pole_reflection, pole_rotation)
 from congrulab.polylab import (Polytope3, approximation_rate,
                                detect_rigid_symmetries)
-from congrulab.registration import (find_equator_flip_symmetry,
-                                    pole_rotation_symmetry_defect,
-                                    register_pole_flip, register_pole_rotation)
-from congrulab.sphere import (complement_basis, directions_orthogonal_to,
-                              gauss_grid, make_frame, random_directions, unit)
+from congrulab.registration import register_pole_flip, register_pole_rotation
+from congrulab.sphere import (complement_basis, gauss_grid, make_frame,
+                              random_directions, unit)
 from congrulab.verifier import (VerifyConfig, decide_functional_equation,
                                 verify_projection_theorem,
                                 verify_section_theorem)
 from congrulab.funk import sample_on_sphere
 
-from helpers import (band_limited_field, brute_force_symmetries, embed_rotation,
-                     even_field, legendre_p, legendre_p0, planted_polytope,
-                     radial_by_bisection, rodrigues, wrap_err)
+from helpers import (band_limited_field, brute_force_symmetries,
+                     certified_asymmetric, embed_rotation, even_field, legendre_p,
+                     legendre_p0, planted_polytope, radial_by_bisection, rodrigues,
+                     wrap_err)
 
 POLE = unit(np.array([0.31, -0.47, 0.62, 0.55]))
 DIAM = 2.0          # planted diameter length of every fixture
@@ -41,24 +40,13 @@ def _report(name: str, ok: bool, detail: str = ""):
     print(f"[{'PASS' if ok else 'FAIL'}] {name} {detail}".rstrip())
 
 
-def _certified_asymmetric(field, pole, n_sides: int = SIDE_CHECKS) -> bool:
-    """No half-turn symmetry about the pole and no equatorial half-turn
-    symmetry, on a sample of side spheres (the theorem hypotheses)."""
-    for w in directions_orthogonal_to(pole, n_sides):
-        if pole_rotation_symmetry_defect(field, w, pole, np.pi) <= 10 * CERT_TOL:
-            return False
-        if find_equator_flip_symmetry(field, make_frame(pole, w), CERT_TOL) is not None:
-            return False
-    return True
-
-
 def _certified_fixtures(n: int, through_origin: bool, start_seed: int):
     bodies = []
     for seed in count(start_seed):
         K = planted_polytope(seed, POLE, length=DIAM, through_origin=through_origin,
                              kind="star" if through_origin else "convex")
         field = K.radial if through_origin else K.support
-        if _certified_asymmetric(field, POLE):
+        if certified_asymmetric(field, POLE, SIDE_CHECKS, CERT_TOL):
             bodies.append(K)
         if len(bodies) == n:
             return bodies

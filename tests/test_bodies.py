@@ -409,17 +409,27 @@ def test_bump_certificate_at_the_threshold(eps, accepted):
 
 @pytest.mark.parametrize("batch", [(), (1,), (7,), (64, 256)])
 def test_bump_support_matches_power_formula(batch):
+    # the world linear-forms kernel against the shape's support at R^T theta
+    # plus theta . b, each power by pow(): the bump in place, then an
+    # ellipsoid and a bump under a random rotation and translation; the
+    # ulps are those of |h| + |theta . b|, since the sum can cancel
     rng = np.random.default_rng(len(batch) + sum(batch))
     shape = BumpShape(base=EllipsoidShape(np.array([1.0, 0.8, 0.7, 0.6]),
                                           random_orthogonal(rng)),
                       epsilon=0.01,
                       terms=[BumpTerm(rng.standard_normal(4), m, c) for m, c
                              in zip(range(1, 6), (0.9, -0.6, 0.8, 0.5, -0.7))])
-    thetas = unit(rng.standard_normal(batch + (4,)))
-    got = Body4(kind="convex", shape=shape).support(thetas)
-    want = bump_support_by_powers(shape, thetas)
-    assert np.shape(got) == batch
-    assert np.max(np.abs(got - want)) <= 4 * np.spacing(np.max(np.abs(want)))
+    bodies = [Body4(kind="convex", shape=s).apply(random_orthogonal(rng),
+                                                   rng.uniform(-1.0, 1.0, 4))
+              for s in (shape.base, shape)]
+    for K in [Body4(kind="convex", shape=shape)] + bodies:
+        R, b = K.folded
+        thetas = unit(rng.standard_normal(batch + (4,)))
+        got = K.support(thetas)
+        h, shift = bump_support_by_powers(K.shape, thetas @ R), thetas @ b
+        assert np.shape(got) == batch
+        assert np.max(np.abs(got - (h + shift))) <= 4 * np.spacing(
+            np.max(np.abs(h) + np.abs(shift)))
 
 
 @pytest.mark.parametrize("terms", [(), ((0.2, -0.4, 0.8, 0.1), 1, 0.7)],

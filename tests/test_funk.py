@@ -130,6 +130,26 @@ def test_grid_function_immutable_and_validated():
         GridFunction(grid, np.full((4, 8), np.nan))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_parity_parts_equal_checked_construction(bad):
+    # parity() skips the copy and the finiteness check, since its parts are
+    # finite whenever their parent is; a caller's GridFunction is still checked
+    grid = gauss_grid(random_frame(RNG), 6, 16)
+    gf = sample_on_sphere(band_limited_field(2), grid)
+    refl = np.roll(gf.values, 8, axis=1)
+    for part, want in zip(gf.parity(), (0.5 * (gf.values + refl), 0.5 * (gf.values - refl))):
+        checked = GridFunction(grid, want)
+        assert type(part) is GridFunction and part.grid is grid
+        assert np.array_equal(part.values, checked.values)
+        assert np.array_equal(part.spectrum, checked.spectrum)
+        with pytest.raises(ValueError):
+            part.values[0, 0] = 1.0
+    values = np.array(gf.values)
+    values[3, 5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        GridFunction(grid, values)
+
+
 def test_scalar_only_callable_fallback():
     # there is no per-point fallback: fields must accept batches
     fr = random_frame(RNG)

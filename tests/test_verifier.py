@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congrulab import verifier
-from congrulab.bodies import ball, body_from_spec, cube, ellipsoid, polytope
+from congrulab.bodies import (Body4, BumpShape, BumpTerm, EllipsoidShape, ball,
+                              body_from_spec, cube, ellipsoid, polytope)
 from congrulab.errors import (CongruenceHypothesisFailed, ConfigInvalidError,
                               DegenerateBodyError, DiameterHypothesisFailed,
                               EmptyInputError, StarShapednessLost)
@@ -23,8 +24,8 @@ from congrulab.verifier import (OUTCOME_BOTH, OUTCOME_EQUAL,
                                 verify_projection_theorem,
                                 verify_section_theorem)
 
-from helpers import (band_limited_field, even_field, even_parts_equal, odd_field,
-                     planted_polytope, wrap_err)
+from helpers import (band_limited_field, certified_asymmetric, even_field,
+                     even_parts_equal, odd_field, planted_polytope, wrap_err)
 
 RNG = np.random.default_rng(606)
 POLE = unit(RNG.standard_normal(4))
@@ -297,6 +298,26 @@ def test_projection_planted_reflection():
     v = verify_projection_theorem(K, L, POLE, BODY_CFG)
     assert v.outcome == OUTCOME_REFLECTED
     assert np.linalg.norm(v.translation - b) <= 1e-6 * 2.0
+
+
+BUMP_AXES = ((0.3, 0.5, -0.2, 0.8), (-0.6, 0.1, 0.7, 0.3), (0.2, -0.7, 0.4, -0.5))
+
+
+@pytest.mark.parametrize("reflect", [False, True], ids=["equal", "reflected"])
+def test_projection_bump_body(reflect):
+    # odd terms cancel in the width, so the diameter stays the base
+    # ellipsoid's, along e1, and they break the pole-reflection symmetry
+    pole = np.eye(4)[0]
+    K = Body4(kind="convex", shape=BumpShape(
+        EllipsoidShape(np.array([1.0, 0.8, 0.7, 0.6])), 0.02,
+        tuple(BumpTerm(np.array(a), m, c)
+              for a, m, c in zip(BUMP_AXES, (3, 5, 3), (0.8, -0.6, 0.7)))))
+    assert certified_asymmetric(K.support, pole)
+    b = np.array([0.3, -0.2, 0.25, 0.1])
+    L = K.apply(pole_reflection(pole), b) if reflect else K.translate(b)
+    v = verify_projection_theorem(K, L, pole, VerifyConfig(n_t=16, n_azimuth=64, w_samples=8))
+    assert v.outcome == (OUTCOME_REFLECTED if reflect else OUTCOME_EQUAL)
+    assert np.linalg.norm(v.translation - b) <= 1e-6 * v.report["diameter_length"]
 
 
 def test_projection_diameter_hypothesis_failure():
