@@ -13,7 +13,6 @@ from functools import cached_property
 from types import MethodType
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .errors import (DegenerateBodyError, NonOrthogonalError, OriginOutsideError,
                      UnsupportedKindError)
@@ -66,6 +65,9 @@ class PolytopeShape:
 
     @cached_property
     def _hull(self):
+        # imported here so that a body that never reads its facets loads no
+        # qhull, and a missing SciPy is an ImportError, not a degenerate body
+        from scipy.spatial import ConvexHull
         try:
             return ConvexHull(self.vertices)
         except Exception as exc:

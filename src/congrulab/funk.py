@@ -70,9 +70,15 @@ class GridFunction:
         """Azimuthal rfft of every ring, shape (n_t, n_azimuth // 2 + 1).
 
         Computed on first use and kept, so every registration of this grid
-        function shares one transform; read-only like ``values``.
+        function shares one transform; read-only like ``values``.  A parity
+        part masks its parent's spectrum instead (see ``parity``).
         """
-        spec = np.fft.rfft(self.values, axis=-1)
+        parity_of = self.__dict__.get("_parity_of")
+        if parity_of is None:
+            spec = np.fft.rfft(self.values, axis=-1)
+        else:
+            parent, dropped = parity_of
+            spec = np.where(dropped, 0.0, parent.spectrum)
         spec.setflags(write=False)
         return spec
 
@@ -80,14 +86,22 @@ class GridFunction:
         """Even/odd grid functions under the pole reflection (no re-evaluation).
 
         The parts are finite whenever this function is, so they are built
-        without the copy and the check of ``__post_init__``.
+        without the copy and the check of ``__post_init__``.  The half-turn
+        multiplies azimuth bin k by (-1)^k, so the even part's spectrum is
+        this function's even bins and the odd part's its odd bins: each is a
+        mask of ``spectrum``, taken when the part's spectrum is first read,
+        so the split costs no transform of its own.  A verify reads only the
+        odd parts' spectra, and only when it registers them, so a mask taken
+        up front would mostly go unread.
         """
         refl = np.roll(self.values, self.grid.n_azimuth // 2, axis=1)
+        odd_bins = np.arange(self.grid.n_azimuth // 2 + 1) % 2 == 1
         parts = []
-        for values in (0.5 * (self.values + refl), 0.5 * (self.values - refl)):
+        for values, dropped in ((0.5 * (self.values + refl), odd_bins),
+                                (0.5 * (self.values - refl), ~odd_bins)):
             values.setflags(write=False)
             part = object.__new__(GridFunction)
-            part.__dict__.update(grid=self.grid, values=values)
+            part.__dict__.update(grid=self.grid, values=values, _parity_of=(self, dropped))
             parts.append(part)
         return tuple(parts)
 

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.spatial import ConvexHull
 
 from .bodies import Body4, PolytopeShape, polytope
 from .errors import (BudgetExhaustedError, ConfigInvalidError,
@@ -48,6 +46,8 @@ def hausdorff_distance(K: Body4, L: Body4, n_sample: int = 8192,
     Quasi-uniform sampling followed by a local ascent (Nelder-Mead on the
     normalized direction) from the best sample point.
     """
+    from scipy.optimize import minimize
+
     rng = np.random.default_rng(seed)
     dirs = random_directions(n_sample, rng)
     gaps = np.abs(K.support(dirs) - L.support(dirs))
@@ -183,6 +183,8 @@ def project_polytope(P: Body4, basis) -> Polytope3:
         raise ValueError("basis must be 3 orthonormal rows of length 4")
     if np.max(np.abs(basis @ basis.T - np.eye(3))) > ORTHO_TOL:
         raise ValueError("basis rows are not orthonormal")
+    from scipy.spatial import ConvexHull
+
     coords = P.effective_vertices() @ basis.T
     centered = coords - coords.mean(axis=0)
     svals = np.linalg.svd(centered, compute_uv=False)

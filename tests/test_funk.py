@@ -150,6 +150,29 @@ def test_parity_parts_equal_checked_construction(bad):
         GridFunction(grid, values)
 
 
+@pytest.mark.parametrize("n", [8, 64, 256, 200])
+def test_parity_spectra_are_masks_of_the_parent(n):
+    # the half-turn multiplies bin k by (-1)^k, so each part's spectrum is its
+    # parent's with the other bins zeroed; at a power of two it equals the
+    # part's own rfft exactly (zeros may differ in sign), else to a few ulps
+    grid = gauss_grid(random_frame(RNG), 6, n)
+    for seed in range(5):
+        gf = sample_on_sphere(band_limited_field(seed, degree=12), grid)
+        noisy = GridFunction(grid, RNG.uniform(-1.0, 1.0, (6, n)))
+        for parent in (gf, noisy):
+            parts = parent.parity()
+            for part in parts:
+                want = np.fft.rfft(part.values, axis=-1)
+                if n & (n - 1) == 0:
+                    assert np.array_equal(part.spectrum, want)
+                else:
+                    bound = 4 * np.spacing(np.max(np.abs(want)))
+                    assert np.max(np.abs(part.spectrum - want)) <= bound
+                assert not part.spectrum.flags.writeable
+                assert not np.shares_memory(part.spectrum, parent.spectrum)
+            assert not np.shares_memory(parts[0].spectrum, parts[1].spectrum)
+
+
 def test_scalar_only_callable_fallback():
     # there is no per-point fallback: fields must accept batches
     fr = random_frame(RNG)

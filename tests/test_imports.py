@@ -1,0 +1,110 @@
+"""SciPy's spatial and optimize submodules load only where they are used.
+
+Each case runs in a fresh interpreter, since this test process has long
+since imported both.  The bodies cross as JSON specs, so the child imports
+congrulab and nothing of the test helpers.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from congrulab.bodies import body_to_spec
+from congrulab.orthogonal import pole_reflection
+
+from helpers import planted_polytope
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+POLE = np.eye(4)[0]
+SHIFT = [0.1, 0.2, -0.3, 0.05]
+BUMP = {"kind": "convex", "shape": {
+    "type": "zonal_bump", "base": {"type": "ellipsoid", "semiaxes": [1.0, 0.8, 0.7, 0.6]},
+    "epsilon": 0.02, "terms": [
+        {"axis": [0.3, 0.5, -0.2, 0.8], "degree": 3, "coeff": 0.8},
+        {"axis": [-0.6, 0.1, 0.7, 0.3], "degree": 5, "coeff": -0.6},
+        {"axis": [0.2, -0.7, 0.4, -0.5], "degree": 3, "coeff": 0.7}]}}
+
+BARE = "import json, sys\n"
+PRELUDE = BARE + """import numpy as np
+from congrulab.bodies import body_from_spec
+from congrulab.verifier import VerifyConfig, verify_projection_theorem, verify_section_theorem
+CFG = VerifyConfig(n_t=16, n_azimuth=64, w_samples=8)
+POLE = np.eye(4)[0]
+"""
+REPORT = """
+print(json.dumps(sorted({"scipy.spatial", "scipy.optimize"} & set(sys.modules))))
+"""
+
+
+def _loaded(code: str, specs=None, prelude: str = PRELUDE):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = [sys.executable, "-c", prelude + code + REPORT]
+    if specs is not None:
+        argv.append(json.dumps(specs))
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def _specs(K, L):
+    return {"K": body_to_spec(K), "L": body_to_spec(L)}
+
+
+def test_import_loads_neither():
+    assert _loaded("import congrulab, congrulab.cli", prelude=BARE) == set()
+
+
+@pytest.mark.parametrize("reflect", [False, True], ids=["equal", "reflected"])
+def test_projection_verifies_load_neither(reflect):
+    K = planted_polytope(110, POLE)
+    L = K.apply(pole_reflection(POLE), SHIFT) if reflect else K.translate(SHIFT)
+    pairs = [dict(_specs(K, L), outcome="reflected" if reflect else "equal"),
+             {"K": BUMP, "L": dict(BUMP, transforms=[{"shift": SHIFT}]), "outcome": "equal"}]
+    code = """
+for pair in json.loads(sys.argv[1]):
+    K, L = (body_from_spec(pair[k]) for k in "KL")
+    assert verify_projection_theorem(K, L, POLE, CFG).outcome == pair["outcome"]
+"""
+    assert _loaded(code, pairs) == set()
+
+
+def test_section_verify_loads_only_spatial():
+    K = planted_polytope(125, POLE, through_origin=True, kind="star")
+    L = K.apply(pole_reflection(POLE), 0.05 * POLE)
+    code = """
+K, L = (body_from_spec(json.loads(sys.argv[1])[k]) for k in "KL")
+assert verify_section_theorem(K, L, POLE, CFG).outcome == "reflected"
+"""
+    assert _loaded(code, _specs(K, L)) == {"scipy.spatial"}
+
+
+def test_hausdorff_distance_loads_both():
+    code = """
+from congrulab.bodies import ellipsoid
+from congrulab.polylab import hausdorff_distance
+print(hausdorff_distance(ellipsoid([1.0, 0.9, 0.8, 1.1]), ellipsoid([1.0, 0.9, 0.8, 1.0]), 256))
+"""
+    assert _loaded(code) == {"scipy.spatial", "scipy.optimize"}
+
+
+def test_missing_qhull_is_an_import_error_not_a_degenerate_body():
+    code = """
+sys.modules["scipy.spatial"] = None
+from congrulab.bodies import cube
+from congrulab.errors import DegenerateBodyError
+try:
+    cube().shape.facets
+except DegenerateBodyError:
+    raise SystemExit("DegenerateBodyError")
+except ImportError:
+    pass
+else:
+    raise SystemExit("no error")
+"""
+    # the None entry stands for the missing module and counts as loaded
+    assert _loaded(code, prelude=BARE) == {"scipy.spatial"}

@@ -320,6 +320,27 @@ def test_projection_bump_body(reflect):
     assert np.linalg.norm(v.translation - b) <= 1e-6 * v.report["diameter_length"]
 
 
+@pytest.mark.parametrize("reflect", [False, True], ids=["equal", "reflected"])
+def test_projection_takes_two_rffts_per_working_sphere(monkeypatch, reflect):
+    # the certified verify transforms f and g once per sphere; the parity
+    # parts' spectra are masks of theirs, read by the odd registration
+    pole = np.eye(4)[0]
+    K = planted_polytope(110, pole)
+    b = [0.1, 0.2, -0.3, 0.05]
+    L = K.apply(pole_reflection(pole), b) if reflect else K.translate(b)
+    rfft, calls = np.fft.rfft, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    v = verify_projection_theorem(K, L, pole, VerifyConfig(n_t=16, n_azimuth=64, w_samples=8))
+    assert v.outcome == (OUTCOME_REFLECTED if reflect else OUTCOME_EQUAL)
+    assert v.report["congruence_residual"] is not None
+    assert len(calls) == 2 * v.report["w_sample_size"] == 16
+
+
 def test_projection_diameter_hypothesis_failure():
     with pytest.raises((DiameterHypothesisFailed, DegenerateBodyError)):
         verify_projection_theorem(ball(), ellipsoid([2, 1, 1, 1]),
