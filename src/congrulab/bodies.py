@@ -30,8 +30,8 @@ _HESSIAN_SAMPLES = 160
 MAX_BUMP_DEGREE = 64  # an evaluation multiplies degree - 1 times per term
 ORIGIN_MARGIN = 1e-12  # "origin interior": facet offset or ellipsoid gauge slack
 CONTACT_TOL = 1e-12  # |s| <= this * max |s|: a vertex or facet normal lies in w-perp
-_PRODUCT_BLOCK = 1 << 20  # rows x points of one facet-kernel product (8 MB); a grid of
-                          # 16,384 points over 64 rows is one product
+_PRODUCT_BLOCK = 1 << 18  # rows x points of one facet-kernel product (2 MB); a grid of
+                          # 16,384 points over 32-62 rows is 2-4 products
 
 _SCAN_DIRS = random_directions(_N_SCAN, np.random.default_rng(_SCAN_SEED))
 _SCAN_DIRS.setflags(write=False)
@@ -245,7 +245,8 @@ def _shape_support_point(shape, theta):
 
 def _points_per_block(m: int) -> int:
     """Points per facet-kernel product over m rows: a multiple of 8 that
-    keeps the product within _PRODUCT_BLOCK entries."""
+    keeps the product within _PRODUCT_BLOCK entries.  Above 2^15 rows the
+    floor of 8 points exceeds that cap."""
     return max(8, _PRODUCT_BLOCK // m // 8 * 8)
 
 
@@ -253,7 +254,9 @@ def _facet_major_max(rows, theta):
     """Max over the m rows of rows_j . theta.
 
     The points are taken in blocks of ``_points_per_block(m)``, so that no
-    (m, block) product exceeds 8 MB.  Every block's product is written into
+    (m, block) product exceeds 2 MB: peak memory stays a few MB above the
+    import, and a block of thousands of points is still one product that
+    BLAS splits across its threads.  Every block's product is written into
     one buffer (a fresh product per block measured up to 2.6x slower), and
     the max runs down its leading axis.  BLAS rounds the points past a
     product's last full panel of 8 by another path, so a block of two or

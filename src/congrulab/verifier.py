@@ -24,8 +24,8 @@ from .funk import sample_on_sphere
 from .orthogonal import FLIP_POLE, pole_reflection
 from .registration import (LABEL_NONE, Classification, _self_flip_axis,
                            classify_direction)
-from .sphere import (circle_quadrature, directions_orthogonal_to, evaluate_field,
-                     gauss_grid, make_frame, random_directions, unit)
+from .sphere import (directions_orthogonal_to, evaluate_field, gauss_grid, make_frame,
+                     random_directions, unit)
 
 OUTCOME_EQUAL = "equal"
 OUTCOME_REFLECTED = "reflected"
@@ -182,7 +182,6 @@ class _SphereChecks:
 
     sup: float
     even_direct_dev: float
-    even_transform_dev: float
     congruence: Classification | None
     odd: Classification | None
     flip_witness: dict | None
@@ -196,9 +195,8 @@ def _check_sphere(f, g, pole, w, config: VerifyConfig, certify: bool,
     restricted to it (``restrict_field``) and sampled on it once.  With
     ``certify``, the full restrictions are registered first and the
     congruence hypothesis fails here when neither family registers.  The
-    even parts are compared by ring sums (the Funk route) and pointwise; the
-    pole reflection is the azimuth half-turn of the grid, so the parity
-    split needs no new samples.
+    even parts are compared pointwise; the pole reflection is the azimuth
+    half-turn of the grid, so the parity split needs no new samples.
     The odd parts are registered unless ``odd_sup`` already vanishes at this
     sphere's data scale, which forces the ``both`` branch (the decision scale
     is at least this sphere's).  An odd flip label gets a witness from f's
@@ -215,8 +213,6 @@ def _check_sphere(f, g, pole, w, config: VerifyConfig, certify: bool,
             raise CongruenceHypothesisFailed(w, congruence.witness.residual)
     fe, fo = fg.parity()
     ge, go = gg.parity()
-    transform_dev = np.max(np.abs(circle_quadrature(fg.values)
-                                  - circle_quadrature(gg.values)))
     odd = witness = None
     if odd_sup > 0.1 * (config.tol * sup):
         odd = classify_direction(fo, go, config.tol)
@@ -227,7 +223,6 @@ def _check_sphere(f, g, pole, w, config: VerifyConfig, certify: bool,
                    "residual": odd.witness.residual}
     return _SphereChecks(sup=sup,
                          even_direct_dev=float(np.max(np.abs(fe.values - ge.values))),
-                         even_transform_dev=float(transform_dev),
                          congruence=congruence, odd=odd, flip_witness=witness)
 
 
@@ -235,11 +230,11 @@ def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *
                                w_dirs=None, certify_congruence: bool = False) -> Verdict:
     """Decide between f = g and f = g o reflect on S^3 from per-sphere rotations.
 
-    Steps: (1) compare even parts (transform route and direct route); (2)
-    pass to odd parts; when both odd parts vanish the two relations coincide
-    and the outcome is ``both``; (3) classify every sampled working sphere
-    through the pole by two-family registration; (4) aggregate labels; (5)
-    certify the winning relation on an out-of-sample point set.
+    Steps: (1) compare even parts pointwise; (2) pass to odd parts; when
+    both odd parts vanish the two relations coincide and the outcome is
+    ``both``; (3) classify every sampled working sphere through the pole by
+    two-family registration; (4) aggregate labels; (5) certify the winning
+    relation on an out-of-sample point set.
 
     The working spheres are those orthogonal to the rows of ``w_dirs``, by
     default ``config.w_samples`` quasi-uniform normals orthogonal to the
@@ -266,21 +261,17 @@ def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *
     scale = max(1e-300, *(c.sup for c in checks))
     tol_abs = config.tol * scale
     direct_dev = max(c.even_direct_dev for c in checks)
-    transform_dev = max(c.even_transform_dev for c in checks)
-    even_ok = direct_dev <= tol_abs and transform_dev <= 2.0 * np.pi * tol_abs
 
     report: dict = {
         "scale": scale,
-        "even_transform_dev": transform_dev,
         "even_direct_dev": direct_dev,
     }
     if certify_congruence:
         report["congruence_residual"] = max(c.congruence.witness.residual
                                             for c in checks)
-    if not even_ok:
+    if direct_dev > tol_abs:
         return Verdict(OUTCOME_INCONCLUSIVE,
-                       reason=f"even parts differ (direct dev {direct_dev:.3e}, "
-                              f"transform dev {transform_dev:.3e})",
+                       reason=f"even parts differ (direct dev {direct_dev:.3e})",
                        report=report, tol=tol_abs)
     report["odd_sup"] = odd_sup
 

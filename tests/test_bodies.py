@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
-from congrulab.bodies import (_ASCENT_ITERS, _N_SCAN, _SCAN_DIRS, _SCAN_SEED,
-                              MAX_BUMP_DEGREE, Body4, BumpShape,
+from congrulab.bodies import (_ASCENT_ITERS, _N_SCAN, _PRODUCT_BLOCK, _SCAN_DIRS,
+                              _SCAN_SEED, MAX_BUMP_DEGREE, Body4, BumpShape,
                               BumpTerm, EllipsoidShape, PolytopeShape,
                               _min_hessian_eigenvalue, _points_per_block,
                               _tangent_basis, _width_hessian, ball,
@@ -155,6 +156,34 @@ def test_polytope_field_of_one_direction_is_one_matrix_vector_product():
     for t in random_directions(64, np.random.default_rng(7)):
         assert K.support(t) == np.max(K.effective_vertices() @ t[:, None])
         assert K.radial(t) == 1.0 / np.max(K._polar_rows @ t)
+
+
+def test_polytope_kernel_holds_one_block_of_at_most_2_mb():
+    # every (rows x block) product fits one 2 MB buffer, whatever the batch:
+    # a working-sphere grid over a whole star polytope's polar rows, and the
+    # rate experiment's support sample over 640 vertices
+    cap = 8 * _PRODUCT_BLOCK
+    assert cap <= 2 << 20
+    K = planted_polytope(1, np.eye(4)[0], through_origin=True, kind="star")
+    assert len(K._polar_rows) >= 86
+    theta = gauss_grid(make_frame(np.eye(4)[0], np.eye(4)[1]), n_t=64, n_azimuth=256).points
+    P = polytope(random_directions(640, np.random.default_rng(1)))
+    dirs = random_directions(8192, np.random.default_rng(2))
+    for field, points in ((K.radial, theta), (P.support, dirs)):
+        field(points[:2])                    # the body's cached rows are built
+        tracemalloc.start()
+        try:
+            out = field(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (cap + out.nbytes), (field.__name__, peak)
+    # up to 2^15 rows a block is a multiple of 8 within the cap; above that
+    # the floor of 8 points exceeds it
+    for m in range(1, 2**15 + 1):
+        B = _points_per_block(m)
+        assert B % 8 == 0 and m * B <= _PRODUCT_BLOCK, m
+    assert (2**15 + 1) * _points_per_block(2**15 + 1) > _PRODUCT_BLOCK
 
 
 def test_polar_rows_are_the_facet_rows_over_their_offsets():

@@ -208,9 +208,8 @@ def test_even_devs_match_reference_check():
     t_nodes = gauss_latitude_nodes(cfg.n_t)
     ref = even_parts_equal(K.support, L.support, POLE, t_nodes, w_dirs,
                            circle_nodes=cfg.n_azimuth)
-    assert ref.direct_dev > 0 and ref.transform_dev > 0
+    assert ref.direct_dev > 0
     assert v.report["even_direct_dev"] == ref.direct_dev
-    assert v.report["even_transform_dev"] == ref.transform_dev
     assert v.report["scale"] == max(ref.f_sup, ref.g_sup)
 
 
@@ -400,7 +399,7 @@ def test_verdict_json_dict():
     assert d["outcome"] == OUTCOME_EQUAL
     assert isinstance(d["classifications"], list)
     assert set(d["hypothesis_report"]) == {
-        "scale", "even_transform_dev", "even_direct_dev", "congruence_residual",
+        "scale", "even_direct_dev", "congruence_residual",
         "odd_sup", "certificate", "diameter_length", "diameter_count_K",
         "diameter_count_L", "width_at_pole_K", "width_at_pole_L", "width_match_dev",
         "w_sample_size", "w_sample_fallback"}
@@ -447,7 +446,7 @@ def test_section_verdict_json_keeps_signed_zeros():
     report = d["hypothesis_report"]
     assert d["outcome"] == OUTCOME_BOTH
     assert set(report) == {
-        "scale", "even_transform_dev", "even_direct_dev", "congruence_residual",
+        "scale", "even_direct_dev", "congruence_residual",
         "odd_sup", "certificate", "diameter_length", "alignment",
         "axis_deviation_K", "axis_deviation_L", "axis_chord_K", "axis_chord_L",
         "w_sample_size", "w_sample_fallback"}
