@@ -2,8 +2,9 @@
 
 Bodies are closures over exact shape data (polytope vertices, ellipsoid
 axes, or a smooth support perturbation) placed by one map x -> R x + b.
-Evaluation pulls each direction back through that map, so any great sphere
-can be sampled on demand without a global discretization.
+Evaluation reads world data cached per placement (a polytope's vertices and
+polar rows, a smooth body's linear forms), so any great sphere can be
+sampled on demand without a global discretization.
 """
 
 from __future__ import annotations
@@ -166,12 +167,13 @@ def _min_hessian_eigenvalue(shape: BumpShape) -> float:
     axes +-d_k of the terms, near which a term's curvature is most negative.
 
     H is linear along rays, so convexity needs its Hessian nonnegative on the
-    tangent space at x (``_tangent_hessian``).
+    tangent space at x (``_smooth_jet`` at the identity placement).
     """
-    d = np.array([t.direction for t in shape.terms]).reshape(-1, 4)
+    forms, powers = _linear_forms(shape, *_IDENTITY)
+    d = forms[4:-1]
     x = np.concatenate([random_directions(_HESSIAN_SAMPLES, np.random.default_rng(0xBE11)),
                         d, -d])
-    hess = _tangent_hessian(shape, x, _tangent_basis(x))
+    hess = _smooth_jet(forms, powers, x, _tangent_basis(x))[1]
     return float(np.min(np.linalg.eigvalsh(hess)[:, 0]))
 
 
@@ -183,64 +185,54 @@ def _tangent_basis(x):
             / np.sum(v * v, axis=1)[:, None, None])[:, 1:]
 
 
-def _tangent_hessian(shape, x, T):
-    """(n, 3, 3) Hessians T (D^2 H)(x) T^T of the homogeneous support extension
-    H of an ellipsoid or bump shape, at the unit rows x, in the tangent bases T.
-
-    In closed form that Hessian is (M - g g^T)/h for the base, with
-    M = U diag(a^2) U^T and g = Mx/h its support point, plus
-    c [m(m-1) u^(m-2) d d^T + (1-m) u^m I] per term, u = d . x.
-    """
-    base = shape if isinstance(shape, EllipsoidShape) else shape.base
-    C = T @ base.axes_matrix * base.semiaxes     # T M T^T = C C^T
-    Tg = T @ _shape_support_point(base, x)[..., None]
-    h = _ellipsoid_support(base, x)[:, None, None]
-    hess = (C @ np.swapaxes(C, 1, 2) - Tg * np.swapaxes(Tg, 1, 2)) / h
-    if base is shape:
-        return hess
-    for term, low, _, top in _bump_powers(shape, x):
-        m, Td = term.degree, T @ term.direction
-        hess += shape.epsilon * term.coeff * (
-            m * (m - 1) * low[:, None, None] * Td[:, :, None] * Td[:, None, :]
-            + (1 - m) * top[:, None, None] * np.eye(3))
-    return hess
-
-
-def _ellipsoid_support(shape: EllipsoidShape, theta):
-    comp = theta @ shape.axes_matrix
-    return np.sqrt(np.sum((comp * shape.semiaxes) ** 2, axis=-1))
-
-
-def _bump_powers(shape: BumpShape, theta):
-    """Per term: (term, u^(m-2), u^(m-1), u^m) with u = d . theta, by repeated
-    multiplication; u^(m-2) reads 0 at m = 1, where its factor m(m-1) is 0."""
-    for term in shape.terms:
-        u = theta @ term.direction
-        low, mid = np.zeros_like(u), np.ones_like(u)
-        for _ in range(term.degree - 1):
-            low, mid = mid, mid * u
-        yield term, low, mid, mid * u
-
-
-def _shape_support_point(shape, theta):
-    """Boundary point(s) attaining the support value (gradient of the extension)."""
-    theta = np.asarray(theta, dtype=float)
-    if isinstance(shape, PolytopeShape):
-        idx = np.argmax(theta @ shape.vertices.T, axis=-1)
-        return shape.vertices[idx]
+def _linear_forms(shape, R, b):
+    """(forms, powers) of an ellipsoid or bump shape placed by x -> R x + b:
+    the C-contiguous (5 + k, 4) world linear forms, rows the scaled axes
+    (R U diag(a))^T, R d_j for each of the k bump terms, and b; and each
+    term's (degree, epsilon * coeff)."""
     if isinstance(shape, EllipsoidShape):
-        U = shape.axes_matrix
-        M = U @ np.diag(shape.semiaxes ** 2) @ U.T
-        h = _ellipsoid_support(shape, theta)
-        return (theta @ M.T) / h[..., None]
-    if isinstance(shape, BumpShape):
-        sp = _shape_support_point(shape.base, theta)
-        for term, _, mid, top in _bump_powers(shape, theta):
-            m = term.degree
-            grad = (1 - m) * top[..., None] * theta + m * mid[..., None] * term.direction
-            sp = sp + shape.epsilon * term.coeff * grad
-        return sp
-    raise UnsupportedKindError(f"unknown shape {type(shape).__name__}")
+        base, terms = shape, ()
+    elif hasattr(shape, "terms"):
+        base, terms = shape.base, shape.terms
+    else:
+        raise UnsupportedKindError(f"unknown shape {type(shape).__name__}")
+    forms = np.vstack([(R @ base.axes_matrix * base.semiaxes).T,
+                       np.reshape([t.direction for t in terms], (-1, 4)) @ R.T, b])
+    return forms, tuple((t.degree, shape.epsilon * t.coeff) for t in terms)
+
+
+def _smooth_jet(forms, powers, theta, T=None):
+    """(sp, hess) at the unit rows theta of a smooth body, from its world
+    linear forms: the support points, the gradient of H(x) = |x| h(x/|x|),
+    and given (n, 3, 4) tangent bases T, the (n, 3, 3) Hessians T D^2H T^T
+    (else None).  With A the four scaled-axis forms, q = A theta,
+    g = A^T q / |q| and u = d_j . theta for each term (m, s) of ``powers``:
+        sp = g + b + sum_j s [m u^(m-1) d_j + (1-m) u^m theta],
+        hess = ((T A^T)(T A^T)^T - (T g)(T g)^T) / |q|
+               + sum_j s [m(m-1) u^(m-2) (T d_j)(T d_j)^T + (1-m) u^m I],
+    each power by repeated multiplication (u^(m-2) reads 0 at m = 1).
+    """
+    A, b = forms[:4], forms[-1]
+    q = theta @ A.T
+    h = np.sqrt(np.sum(q * q, axis=-1))[..., None]
+    g = q @ A / h
+    sp = g + b
+    hess = None
+    if T is not None:
+        TA, Tg = T @ A.T, T @ g[..., None]
+        hess = (TA @ np.swapaxes(TA, 1, 2) - Tg * np.swapaxes(Tg, 1, 2)) / h[..., None]
+    for d, (m, s) in zip(forms[4:-1], powers):
+        u = theta @ d
+        low, mid = np.zeros_like(u), np.ones_like(u)
+        for _ in range(m - 1):
+            low, mid = mid, mid * u
+        top = mid * u
+        sp += s * (m * mid[..., None] * d + (1 - m) * top[..., None] * theta)
+        if T is not None:
+            Td = T @ d
+            hess += s * (m * (m - 1) * low[:, None, None] * Td[:, :, None] * Td[:, None, :]
+                         + (1 - m) * top[:, None, None] * np.eye(3))
+    return sp, hess
 
 
 def _points_per_block(m: int) -> int:
@@ -325,14 +317,15 @@ class Body4:
     """A convex or star body: exact shape data K0 placed as R K0 + b.
 
     ``folded = (R, b)`` holds the orthogonal matrix R and the translation b;
-    the default is the identity placement.  A polytope's support reads its
-    cached world vertices; a smooth shape's support is one product with its
-    cached world linear forms (``_support_forms``).  ``sphere``, when set,
-    is the normal w of a working sphere: a polytope's ``radial`` then takes
-    only directions orthogonal to w and reads only the polar rows that can
-    attain its max there (``restrict_field``).  ``support`` ignores it: a
-    polytope's support reads its few vertices, where the restriction saved
-    no time.
+    the default is the identity placement.  A polytope's support and support
+    points read its cached world vertices.  A smooth body's support, support
+    points and tangent Hessians read only its cached world linear forms
+    (``_support_forms``); only an ellipsoid's radial reads 1/a locally.
+    ``sphere``, when set, is the normal w of a working sphere: a polytope's
+    ``radial`` then takes only directions orthogonal to w and reads only the
+    polar rows that can attain its max there (``restrict_field``).
+    ``support`` ignores it: a polytope's support reads its few vertices,
+    where the restriction saved no time.
     """
 
     kind: str
@@ -369,19 +362,7 @@ class Body4:
 
     @cached_property
     def _support_forms(self):
-        # (forms, powers) of a smooth shape: the C-contiguous (5 + k, 4) world
-        # linear forms, rows the scaled axes (R U diag(a))^T, R d_j for each of
-        # the k bump terms, and b; and each term's (degree, epsilon * coeff)
-        shape, (R, b) = self.shape, self.folded
-        if isinstance(shape, EllipsoidShape):
-            base, terms = shape, ()
-        elif isinstance(shape, BumpShape):
-            base, terms = shape.base, shape.terms
-        else:
-            raise UnsupportedKindError(f"unknown shape {type(shape).__name__}")
-        forms = np.vstack([(R @ base.axes_matrix * base.semiaxes).T,
-                           np.reshape([t.direction for t in terms], (-1, 4)) @ R.T, b])
-        return forms, tuple((t.degree, shape.epsilon * t.coeff) for t in terms)
+        return _linear_forms(self.shape, *self.folded)
 
     def _on_sphere(self, theta):
         """theta, checked to lie on the working sphere when there is one."""
@@ -391,17 +372,20 @@ class Body4:
         return theta
 
     def support(self, theta):
-        """Support value(s) h(theta) = max {theta . y : y in body}."""
+        """Support value(s) h(theta) = max {theta . y : y in body}.  A bump's
+        formula gives it only at unit theta: its terms are not 1-homogeneous."""
         theta = np.asarray(theta, dtype=float)
         if isinstance(self.shape, PolytopeShape):
             return _facet_major_max(self._world_vertices, theta)
         return _forms_support(*self._support_forms, theta)
 
     def support_point(self, theta):
-        """Boundary point(s) where the support value is attained."""
+        """Boundary point(s) where the support value is attained; a bump's
+        formula holds only at unit theta: its terms are not 1-homogeneous."""
         theta = np.asarray(theta, dtype=float)
-        R, b = self.folded
-        return _shape_support_point(self.shape, theta @ R) @ R.T + b
+        if isinstance(self.shape, PolytopeShape):
+            return self._world_vertices[np.argmax(theta @ self._world_vertices.T, axis=-1)]
+        return _smooth_jet(*self._support_forms, theta)[0]
 
     def width(self, theta):
         """h(theta) + h(-theta)."""
@@ -529,11 +513,10 @@ def default_diameter_tol(body: Body4, length: float) -> float:
 def _width_hessian(body: Body4, theta, T):
     """(n, 3, 3) tangent Hessians T (D^2 W)(theta) T^T of the width
     W(theta) = H(theta) + H(-theta) of a smooth body, in the world tangent
-    bases T at the unit rows theta.  The shape's support is read at R^T theta
-    in the bases T R; the translation drops out of the width."""
-    x, TR = theta @ body.folded[0], T @ body.folded[0]
-    both = _tangent_hessian(body.shape, np.concatenate([x, -x]), np.concatenate([TR, TR]))
-    return both[:len(x)] + both[len(x):]
+    bases T at the unit rows theta: the jet at [theta; -theta], bases [T; T]."""
+    both = _smooth_jet(*body._support_forms, np.concatenate([theta, -theta]),
+                       np.concatenate([T, T]))[1]
+    return both[:len(theta)] + both[len(theta):]
 
 
 def _ascent_step(body: Body4, theta):
@@ -624,7 +607,8 @@ def diameter_segment(body: Body4, direction):
     parallel faces; smooth bodies use the (unique) support points.
     """
     d = unit(direction)
-    length = body.width(d)
+    h = body.support(np.stack([d, -d]))
+    length = float(h[0] + h[1])
     tol = default_diameter_tol(body, length)
     if isinstance(body.shape, PolytopeShape):
         V = body.effective_vertices()
@@ -645,8 +629,7 @@ def diameter_segment(body: Body4, direction):
             raise DegenerateBodyError(
                 f"multiple diameters parallel to {d}; diameter not unique")
         return pairs[0]
-    y = body.support_point(d)
-    z = body.support_point(-d)
+    z, y = body.support_point(np.stack([-d, d]))
     if np.linalg.norm((y - z) - length * d) > tol:
         raise DegenerateBodyError(
             "support chord is not parallel to the requested direction")

@@ -473,6 +473,29 @@ def test_bump_support_point_realizes_support(terms):
     assert np.max(np.abs(np.sum(sp * thetas, axis=1) - K.support(thetas))) < 1e-12
 
 
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), degrees=st.lists(st.integers(1, 5), max_size=4))
+def test_support_point_is_the_gradient_of_the_homogeneous_support(seed, degrees):
+    # theta . sp = h says nothing of the component of sp along the sphere: the
+    # whole support point against a central-difference gradient of
+    # H(x) = |x| h(x/|x|) on a rotated and translated bump, or an ellipsoid
+    # when it has no terms
+    rng = np.random.default_rng(seed)
+    shape = EllipsoidShape(rng.uniform(0.8, 1.2, 4), random_orthogonal(rng))
+    if degrees:
+        shape = BumpShape(base=shape, epsilon=0.005,
+                          terms=tuple(BumpTerm(rng.standard_normal(4), m,
+                                               float(rng.uniform(-1.0, 1.0)))
+                                      for m in degrees))
+    K = Body4(kind="convex", shape=shape).apply(random_orthogonal(rng),
+                                                 rng.uniform(-1.0, 1.0, 4))
+    thetas, step = random_directions(20, rng), 1e-5
+    x = thetas[:, None, None, :] + step * np.array([1.0, -1.0])[:, None, None] * np.eye(4)
+    n = np.linalg.norm(x, axis=-1)
+    H = n * K.support(x / n[..., None])
+    assert np.max(np.abs(K.support_point(thetas) - (H[:, 0] - H[:, 1]) / (2 * step))) <= 1e-8
+
+
 def test_bump_without_terms_is_its_base_ellipsoid():
     base = EllipsoidShape(np.array([1.2, 1.0, 0.9, 0.7]))
     K = Body4(kind="convex", shape=BumpShape(base=base, epsilon=0.05, terms=()))
@@ -739,6 +762,21 @@ def test_diameter_segment_planted_midpoint():
     z0, y0 = diameter_segment(K, pole)
     assert np.max(np.abs((z - z0) - b)) < 1e-12
     assert np.max(np.abs((y - y0) - b)) < 1e-12
+
+
+@pytest.mark.parametrize("shape", ["bump", "ellipsoid"])
+def test_diameter_segment_reads_one_batch(shape):
+    # the endpoints are the rows of one two-direction support-point batch,
+    # bit for bit, whatever path a single direction would take
+    rng = np.random.default_rng(41)
+    K = (_bench_like_bump(23) if shape == "bump"
+         else ellipsoid([1.0, 0.8, 0.7, 0.6], random_orthogonal(rng)))
+    K = K.apply(random_orthogonal(rng), rng.uniform(-1.0, 1.0, 4))
+    base = getattr(K.shape, "base", K.shape)
+    d = unit(K.folded[0] @ base.axes_matrix[:, 0])
+    z, y = diameter_segment(K, d)
+    pair = K.support_point(np.stack([-d, d]))
+    assert z.tobytes() == pair[0].tobytes() and y.tobytes() == pair[1].tobytes()
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
