@@ -23,7 +23,7 @@ from .sphere import ORTHO_TOL, random_directions, unit
 CONVEX = "convex"
 STAR = "star"
 
-_N_SCAN = 4096  # width samples of the diameter scan
+_N_SCAN = 4096  # width samples of a smooth body's diameter scan
 _SCAN_SEED = 0x51CA7
 _MAX_CLUSTERS = 64  # more diameter directions than this are not isolated
 _ASCENT_ITERS = 80
@@ -498,7 +498,7 @@ def cube(half_width: float = 1.0) -> Body4:
 
 @dataclass(frozen=True)
 class DiameterSet:
-    """Directions of the width maxima (antipodal pairs collapsed)."""
+    """Width-maximal directions (antipodal pairs collapsed); exact for polytopes."""
 
     directions: np.ndarray          # (k, 4)
     length: float
@@ -511,12 +511,13 @@ def default_diameter_tol(body: Body4, length: float) -> float:
 
 
 def _width_hessian(body: Body4, theta, T):
-    """(n, 3, 3) tangent Hessians T (D^2 W)(theta) T^T of the width
-    W(theta) = H(theta) + H(-theta) of a smooth body, in the world tangent
-    bases T at the unit rows theta: the jet at [theta; -theta], bases [T; T]."""
-    both = _smooth_jet(*body._support_forms, np.concatenate([theta, -theta]),
-                       np.concatenate([T, T]))[1]
-    return both[:len(theta)] + both[len(theta):]
+    """(chord, hess) of a smooth body's width W(theta) = H(theta) + H(-theta) at
+    the unit rows theta: sp(theta) - sp(-theta) and the tangent Hessians
+    T (D^2 W)(theta) T^T in the world bases T, from one jet at [theta; -theta]."""
+    sp, hess = _smooth_jet(*body._support_forms, np.concatenate([theta, -theta]),
+                           np.concatenate([T, T]))
+    n = len(theta)
+    return sp[:n] - sp[n:], hess[:n] + hess[n:]
 
 
 def _ascent_step(body: Body4, theta):
@@ -524,15 +525,12 @@ def _ascent_step(body: Body4, theta):
 
     The chord c = sp(theta) - sp(-theta) is the gradient of the homogeneous
     width W, and W(theta) = theta . c.  On the sphere the width's Hessian in
-    the tangent basis T is A - W I, A = ``_width_hessian``, so the Newton
+    the tangent basis T is A - W I, A from ``_width_hessian``, so the Newton
     step theta + T^T (W I - A)^-1 T c, rescaled by W, is
     c + T^T (W I - A)^-1 A T c.
     """
-    c = body.support_point(theta) - body.support_point(-theta)
-    if isinstance(body.shape, PolytopeShape):
-        return c
     T = _tangent_basis(theta)
-    A = _width_hessian(body, theta, T)
+    c, A = _width_hessian(body, theta, T)
     G = np.sum(theta * c, axis=1)[:, None, None] * np.eye(3) - A
     newton = np.linalg.eigvalsh(G)[:, 0] > 0
     Tc = T[newton] @ c[newton, :, None]
@@ -541,28 +539,62 @@ def _ascent_step(body: Body4, theta):
     return c
 
 
+def _clustered(keep, length: float, tol: float) -> DiameterSet:
+    """The diameter set of the unit rows ``keep``, each folded so that its
+    first component above 1e-8 in size is positive: one cluster per 1e-3 rad,
+    centred on the first row not in an earlier cluster, at most _MAX_CLUSTERS."""
+    lead = keep[np.arange(len(keep)), np.argmax(np.abs(keep) > 1e-8, axis=1)]
+    keep = np.where((lead < 0)[:, None], -keep, keep)
+    clusters: list[np.ndarray] = []
+    while len(keep):
+        clusters.append(keep[0])
+        if len(clusters) > _MAX_CLUSTERS:
+            raise DegenerateBodyError("diameter directions are not isolated")
+        keep = keep[np.arccos(np.clip(np.abs(keep @ keep[0]), -1, 1)) >= 1e-3]
+    return DiameterSet(directions=np.array(clusters), length=length, tol=tol)
+
+
 def find_diameters(body: Body4) -> DiameterSet:
-    """Scan the width function over S^3 and ascend to all near-maximal directions.
+    """All directions of maximal width, and that width.
 
-    The widest scan directions ascend together, one (k, 4) array per step
-    (``_ascent_step``).  A step is the chord theta <- unit(sp(theta) -
-    sp(-theta)), the width's gradient, plus a Newton correction on smooth
-    bodies, which reads the closed-form tangent Hessian A of the support at
-    theta and -theta: the plain chord is a power iteration, with ratio
-    (a_2/a_1)^2 on an ellipsoid, and stalls when a_2 nears a_1.  A row where
-    W I - A is not positive definite is near a saddle, where the quadratic
-    model is not concave, and takes the plain chord.  A polytope's support is
-    piecewise linear, so A = 0 and its step is the plain chord, with no
-    tangent work.  A row keeps its widest iterate and leaves once its step
-    vanishes or moves it by less than 1e-15.
+    A polytope's are exact: its farthest vertex pairs.  One pass of the
+    blocked kernel, rows (-2c, |c|^2) and points (c, 1) for the centred
+    vertices c, gives each vertex's farthest squared distance; only vertices
+    within a relative 1e-6 of the largest (far above rounding) can be
+    endpoints, and their pairs are measured exactly, one survivor at a time.
 
-    Raises DegenerateBodyError when the width is constant within tol (the
-    maximizer set is then not countable) or when the maximizers do not form
-    isolated clusters.
+    A smooth body's are searched for: a width scan of S^3, then the widest
+    scan directions ascend together, one (k, 4) array per step
+    (``_ascent_step``): the chord c = sp(theta) - sp(-theta), the width's
+    gradient, plus a Newton correction from the closed-form tangent Hessian
+    A of the support at theta and -theta (the plain chord is a power
+    iteration, ratio (a_2/a_1)^2 on an ellipsoid).  A row where W I - A is
+    not positive definite is near a saddle and takes the plain chord.  A row
+    keeps its widest iterate and leaves once its step vanishes or moves it
+    by less than 1e-15.
+
+    Raises DegenerateBodyError when a smooth body's width is constant within
+    tol (the maximizers are then not countable) or when the maximizers do
+    not form isolated clusters.
     """
+    if isinstance(body.shape, PolytopeShape):
+        V = body._world_vertices
+        c = V - V.mean(axis=0)
+        sq = np.sum(c * c, axis=1)
+        far = sq + _facet_major_max(np.column_stack([-2 * c, sq]),
+                                    np.column_stack([c, np.ones(len(c))]))
+        cut = (1 - 1e-6) * np.max(far)
+        ends = V[far >= cut]
+        chords = np.concatenate([d[np.sum(d * d, axis=1) >= cut] for d in
+                                 (p - ends[k + 1:] for k, p in enumerate(ends))])
+        lengths = np.linalg.norm(chords, axis=1)
+        length = float(np.max(lengths))
+        tol = default_diameter_tol(body, length)
+        keep = lengths >= length - tol
+        return _clustered(chords[keep] / lengths[keep, None], length, tol)
+
     widths = body.width(_SCAN_DIRS)
-    w_max = float(np.max(widths))
-    w_min = float(np.min(widths))
+    w_max, w_min = float(np.max(widths)), float(np.min(widths))
     tol = default_diameter_tol(body, w_max)
     if w_max - w_min <= tol:
         raise DegenerateBodyError(
@@ -586,49 +618,17 @@ def find_diameters(body: Body4) -> DiameterSet:
         live = live[moved]
 
     global_max = float(np.max(best_w))
-    keep = best[best_w >= global_max - tol]
-    # antipodal pairs: the first component above 1e-8 in size is positive
-    lead = keep[np.arange(len(keep)), np.argmax(np.abs(keep) > 1e-8, axis=1)]
-    keep = np.where((lead < 0)[:, None], -keep, keep)
-    # each cluster is centred on the first row not in an earlier cluster
-    clusters: list[np.ndarray] = []
-    while len(keep):
-        clusters.append(keep[0])
-        if len(clusters) > _MAX_CLUSTERS:
-            raise DegenerateBodyError("diameter directions are not isolated")
-        keep = keep[np.arccos(np.clip(np.abs(keep @ keep[0]), -1, 1)) >= 1e-3]
-    return DiameterSet(directions=np.array(clusters), length=global_max, tol=tol)
+    return _clustered(best[best_w >= global_max - tol], global_max, tol)
 
 
 def diameter_segment(body: Body4, direction):
-    """Endpoints (p_minus, p_plus) of the unique diameter parallel to ``direction``.
-
-    For polytopes the pair is located among the vertices supporting the two
-    parallel faces; smooth bodies use the (unique) support points.
-    """
+    """Endpoints (p_minus, p_plus) of the unique diameter parallel to
+    ``direction``: the support points at (-d, d), read as one batch for every
+    shape, whose chord must be the width at d times d, within tol."""
     d = unit(direction)
     h = body.support(np.stack([d, -d]))
     length = float(h[0] + h[1])
     tol = default_diameter_tol(body, length)
-    if isinstance(body.shape, PolytopeShape):
-        V = body.effective_vertices()
-        vals = V @ d
-        hi, lo = np.max(vals), np.min(vals)
-        top = V[vals >= hi - tol]
-        bot = V[vals <= lo + tol]
-        pairs = []
-        for y in top:
-            delta = y - bot
-            dev = np.linalg.norm(delta - length * d, axis=-1)
-            for z in bot[dev <= tol]:
-                pairs.append((z, y))
-        if not pairs:
-            raise DegenerateBodyError(
-                f"no vertex pair realizes the width in direction {d}")
-        if len(pairs) > 1:
-            raise DegenerateBodyError(
-                f"multiple diameters parallel to {d}; diameter not unique")
-        return pairs[0]
     z, y = body.support_point(np.stack([-d, d]))
     if np.linalg.norm((y - z) - length * d) > tol:
         raise DegenerateBodyError(

@@ -22,8 +22,8 @@ import numpy as np
 from scipy.linalg import orthogonal_procrustes
 
 from congrulab import bodies
-from congrulab.bodies import DiameterSet, default_diameter_tol, polytope
-from congrulab.errors import DegenerateBodyError, NonOrthogonalError
+from congrulab.bodies import polytope
+from congrulab.errors import NonOrthogonalError
 from congrulab.registration import find_equator_flip_symmetry, pole_rotation_symmetry_defect
 from congrulab.sphere import (ORTHO_TOL, circle_quadrature, directions_orthogonal_to,
                               evaluate_field, gauss_grid, great_circle_nodes,
@@ -140,49 +140,6 @@ def brute_force_diameters(vertices):
                 if not any(np.linalg.norm(u - w) < 1e-6 for w in dirs):
                     dirs.append(u)
     return dmax, dirs
-
-
-def chord_ascent_diameters(body):
-    """``find_diameters`` with the plain chord step
-    theta <- unit(sp(theta) - sp(-theta)) and no Newton correction: the same
-    scan, starts, best-iterate record, stop rule and clustering."""
-    rng = np.random.default_rng(bodies._SCAN_SEED)
-    dirs = random_directions(bodies._N_SCAN, rng)
-    widths = body.width(dirs)
-    w_max = float(np.max(widths))
-    w_min = float(np.min(widths))
-    tol = default_diameter_tol(body, w_max)
-    if w_max - w_min <= tol:
-        raise DegenerateBodyError("width is constant")
-
-    starts = np.argsort(widths)[::-1][:bodies._N_SCAN // 32]
-    th = dirs[starts]
-    best, best_w = th.copy(), widths[starts]
-    live = np.arange(len(th))
-    for _ in range(bodies._ASCENT_ITERS):
-        if not live.size:
-            break
-        step = body.support_point(th[live]) - body.support_point(-th[live])
-        n = np.linalg.norm(step, axis=1)
-        live, new = live[n > 0], step[n > 0] / n[n > 0, None]
-        w = body.width(new)
-        up = w > best_w[live]
-        best[live[up]], best_w[live[up]] = new[up], w[up]
-        moved = np.linalg.norm(new - th[live], axis=1) >= 1e-15
-        th[live] = new
-        live = live[moved]
-
-    global_max = float(np.max(best_w))
-    keep = best[best_w >= global_max - tol]
-    lead = keep[np.arange(len(keep)), np.argmax(np.abs(keep) > 1e-8, axis=1)]
-    keep = np.where((lead < 0)[:, None], -keep, keep)
-    clusters = []
-    for d in keep:
-        if not any(np.arccos(np.clip(abs(d @ c), -1, 1)) < 1e-3 for c in clusters):
-            clusters.append(d)
-        if len(clusters) > bodies._MAX_CLUSTERS:
-            raise DegenerateBodyError("diameter directions are not isolated")
-    return DiameterSet(directions=np.array(clusters), length=global_max, tol=tol)
 
 
 # -- random fields ---------------------------------------------------------------
@@ -330,6 +287,26 @@ def planted_polytope(seed: int, pole, length: float = 2.0, n_extra: int = 28,
         cross = c + 0.3 * length * np.vstack([np.eye(4), -np.eye(4)])
         pts = np.vstack([pts, cross])
     return polytope(pts, kind=kind)
+
+
+def narrow_cone_polytope(rng):
+    """(K, pole): a polytope whose diameter has a narrow normal cone, and a
+    pole that is not a diameter but is wider than the body's other local
+    width maxima.
+
+    The diameter runs from -e2 to 1.001 e2, of length 2.001.  Twelve vertices
+    0.998 e2 + 0.1 u_i, u_i unit in span(e1, e3, e4), leave 1.001 e2 a normal
+    cone of half-angle about 0.03 rad, and their chords to -e2 (2.0005 long)
+    are local maxima of the width.  The pole chord +-1.0004 e1 is 2.0008
+    long, and ten small points fill the interior.  Everything is rotated by
+    a random Q; the pole is Q e1.
+    """
+    e = np.eye(4)
+    ring = 0.998 * e[1] + 0.1 * unit(rng.standard_normal((12, 3))) @ e[[0, 2, 3]]
+    fill = 0.3 * rng.standard_normal((10, 4)) * [0.1, 0.1, 1.0, 1.0]
+    V = np.vstack([1.0004 * e[0], -1.0004 * e[0], 1.001 * e[1], -e[1], ring, fill])
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    return polytope(V @ Q.T), Q[:, 0]
 
 
 def radial_by_bisection(contains, thetas, hi: float, iters: int = 64):

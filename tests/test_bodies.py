@@ -9,24 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
-from congrulab.bodies import (_ASCENT_ITERS, _N_SCAN, _PRODUCT_BLOCK, _SCAN_DIRS,
+from congrulab.bodies import (_N_SCAN, _PRODUCT_BLOCK, _SCAN_DIRS,
                               _SCAN_SEED, MAX_BUMP_DEGREE, Body4, BumpShape,
                               BumpTerm, EllipsoidShape, PolytopeShape,
-                              _min_hessian_eigenvalue, _points_per_block,
+                              _min_hessian_eigenvalue, _points_per_block, _smooth_jet,
                               _tangent_basis, _width_hessian, ball,
                               body_from_spec, body_to_spec, cube, diameter_segment,
                               ellipsoid, find_diameters, polytope, restrict_field,
                               shape_from_spec, shape_to_spec)
-from congrulab.errors import (DegenerateBodyError, NonOrthogonalError, OriginOutsideError,
-                              UnsupportedKindError)
+from congrulab.errors import (DegenerateBodyError, DiameterHypothesisFailed,
+                              NonOrthogonalError, OriginOutsideError, UnsupportedKindError)
 from congrulab.funk import sample_on_sphere
 from congrulab.orthogonal import Orthogonal4, pole_reflection
 from congrulab.sphere import (complement_basis, directions_orthogonal_to, gauss_grid,
                               make_frame, random_directions, unit)
+from congrulab.verifier import VerifyConfig, verify_projection_theorem
 
-from helpers import (brute_force_diameters, bump_support_by_powers,
-                     chord_ascent_diameters, planted_polytope,
-                     stencil_min_hessian_eigenvalue)
+from helpers import (brute_force_diameters, bump_support_by_powers, narrow_cone_polytope,
+                     planted_polytope, stencil_min_hessian_eigenvalue)
 
 RNG = np.random.default_rng(303)
 
@@ -160,8 +160,9 @@ def test_polytope_field_of_one_direction_is_one_matrix_vector_product():
 
 def test_polytope_kernel_holds_one_block_of_at_most_2_mb():
     # every (rows x block) product fits one 2 MB buffer, whatever the batch:
-    # a working-sphere grid over a whole star polytope's polar rows, and the
-    # rate experiment's support sample over 640 vertices
+    # a working-sphere grid over a whole star polytope's polar rows, the
+    # rate experiment's support sample over 640 vertices, and the farthest
+    # vertex screen of find_diameters over those 640 vertices
     cap = 8 * _PRODUCT_BLOCK
     assert cap <= 2 << 20
     K = planted_polytope(1, np.eye(4)[0], through_origin=True, kind="star")
@@ -169,15 +170,17 @@ def test_polytope_kernel_holds_one_block_of_at_most_2_mb():
     theta = gauss_grid(make_frame(np.eye(4)[0], np.eye(4)[1]), n_t=64, n_azimuth=256).points
     P = polytope(random_directions(640, np.random.default_rng(1)))
     dirs = random_directions(8192, np.random.default_rng(2))
-    for field, points in ((K.radial, theta), (P.support, dirs)):
-        field(points[:2])                    # the body's cached rows are built
+    for name, run in (("radial", lambda: K.radial(theta).nbytes),
+                      ("support", lambda: P.support(dirs).nbytes),
+                      ("find_diameters", lambda: find_diameters(P).directions.nbytes)):
+        run()                                # the bodies' cached rows are built
         tracemalloc.start()
         try:
-            out = field(points)
+            out = run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * (cap + out.nbytes), (field.__name__, peak)
+        assert peak <= 1.1 * (cap + out), (name, peak)
     # up to 2^15 rows a block is a multiple of 8 within the cap; above that
     # the floor of 8 points exceeds it
     for m in range(1, 2**15 + 1):
@@ -574,31 +577,37 @@ def test_find_diameters_ellipsoid():
 
 
 def test_find_diameters_cube_against_brute_force():
-    C = cube()
-    ds = find_diameters(C)
-    dmax, dirs = brute_force_diameters(C.shape.vertices)
-    assert ds.length == pytest.approx(dmax)
-    assert len(ds.directions) == len(dirs) == 8
-    for d in ds.directions:
-        assert any(min(np.linalg.norm(d - u), np.linalg.norm(d + u)) < 1e-6
-                   for u in dirs)
+    # the 4-cube and the 24-cell: every vertex is an endpoint, so the
+    # farthest-vertex screen keeps all of them and the pairs decide
+    for vertices, count in ((cube().shape.vertices, 8), (_cell24(), 12)):
+        ds = find_diameters(polytope(vertices))
+        dmax, dirs = brute_force_diameters(vertices)
+        assert ds.length == pytest.approx(dmax, rel=1e-15)
+        assert len(ds.directions) == len(dirs) == count
+        for d in ds.directions:
+            assert any(min(np.linalg.norm(d - u), np.linalg.norm(d + u)) < 1e-6
+                       for u in dirs)
 
 
 @settings(max_examples=60)
-@given(seed=st.integers(0, 2**32 - 1), planted=st.booleans())
-def test_find_diameters_planted_against_brute_force(seed, planted):
-    # planted polytopes have one diameter by construction; a random vertex
-    # cloud has whatever the vertex-pair oracle finds
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["planted", "cloud", "narrow"]))
+def test_find_diameters_planted_against_brute_force(seed, kind):
+    # planted polytopes have one diameter by construction, and so does a
+    # narrow-cone cluster, whose diameter's normal cone (about 0.03 rad) is
+    # narrower than a width scan's spacing; a random vertex cloud has
+    # whatever the vertex-pair oracle finds
     rng = np.random.default_rng(seed)
-    if planted:
+    if kind == "planted":
         K = planted_polytope(seed % 1000, unit(rng.standard_normal(4)))
+    elif kind == "narrow":
+        K = narrow_cone_polytope(rng)[0]
     else:
         K = polytope(rng.standard_normal((30, 4)))
     ds = find_diameters(K)
     dmax, dirs = brute_force_diameters(K.shape.vertices)
     assert ds.length == pytest.approx(dmax, rel=1e-12)
     assert len(ds.directions) == len(dirs)
-    if planted:
+    if kind != "cloud":
         assert len(dirs) == 1
     for d in ds.directions:
         assert any(min(np.linalg.norm(d - u), np.linalg.norm(d + u)) < 1e-6
@@ -637,56 +646,46 @@ def _bench_like_bump(seed):
         base=EllipsoidShape(np.array([1.0, 0.8, 0.7, 0.6]), U), epsilon=0.02, terms=terms))
 
 
-@pytest.mark.parametrize("body, steps", [
-    (cube(), _ASCENT_ITERS),
-    (ellipsoid([2, 1, 1, 1]), 8),
-    (ellipsoid([1, 0.8, 0.7, 0.6]), 8),
-    (_bench_like_bump(17), 8),
-], ids=["cube", "ellipsoid", "slow-chord-ellipsoid", "bump"])
-def test_find_diameters_ascends_in_one_batch(monkeypatch, body, steps):
-    # every start ascends in the same step, so each step makes two
-    # support-point calls (theta and -theta) whatever the number of starts;
-    # on a smooth body the Newton-corrected step converges within 8 steps,
-    # where the plain chord step takes about 75 on (1, 0.8, 0.7, 0.6)
+@pytest.mark.parametrize("body", [
+    ellipsoid([2, 1, 1, 1]),
+    ellipsoid([1, 0.8, 0.7, 0.6]),
+    _bench_like_bump(17),
+], ids=["ellipsoid", "slow-chord-ellipsoid", "bump"])
+def test_find_diameters_ascends_in_one_batch(monkeypatch, body):
+    # every start ascends in the same step, and a step reads its chords and
+    # Hessians from one jet batch at [theta; -theta], whatever the number of
+    # starts; the Newton-corrected step converges within 8 steps, where the
+    # plain chord step takes about 75 on (1, 0.8, 0.7, 0.6)
     calls = []
-    support_point = Body4.support_point
 
-    def counted(self, theta):
-        calls.append(theta)
-        return support_point(self, theta)
+    def counted(forms, powers, theta, T=None):
+        calls.append(len(theta))
+        return _smooth_jet(forms, powers, theta, T)
 
-    monkeypatch.setattr(Body4, "support_point", counted)
+    monkeypatch.setattr("congrulab.bodies._smooth_jet", counted)
     find_diameters(body)
-    assert 0 < len(calls) <= 2 * steps
+    assert 0 < len(calls) <= 8
+    assert calls[0] == 2 * (_N_SCAN // 32)
 
 
-def _assert_same_diameters(got, want):
-    assert got.length == want.length and got.tol == want.tol
-    assert got.directions.tobytes() == want.directions.tobytes()
-
-
-@pytest.mark.parametrize("vertices", [cube().shape.vertices, _cell24()],
-                         ids=["4-cube", "24-cell"])
-def test_find_diameters_of_regular_polytopes_take_the_plain_chord(vertices):
-    # a polytope's support is piecewise linear, so its ascent has no Newton
-    # correction: the diameters are the chord oracle's, bit for bit
-    K = polytope(vertices)
-    _assert_same_diameters(find_diameters(K), chord_ascent_diameters(K))
-
-
-@settings(max_examples=30)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_find_diameters_of_planted_polytopes_take_the_plain_chord(seed):
-    rng = np.random.default_rng(seed)
-    K = planted_polytope(seed % 1000, unit(rng.standard_normal(4))).apply(
-        random_orthogonal(rng), rng.uniform(-1.0, 1.0, 4))
-    _assert_same_diameters(find_diameters(K), chord_ascent_diameters(K))
+def test_narrow_cone_diameter_fails_the_pole_hypothesis():
+    # the vertex 1.001 e2 has a normal cone of half-angle about 0.03 rad, far
+    # narrower than a 4096-direction scan's spacing; a width search that
+    # settles on the 2.0005 chords nearby certifies the 2.0008 pole as a
+    # diameter, where the vertex pairs give 2.001
+    rng = np.random.default_rng(1)
+    for _ in range(8):
+        K, pole = narrow_cone_polytope(rng)
+        assert find_diameters(K).length == pytest.approx(2.001, rel=1e-15)
+        with pytest.raises(DiameterHypothesisFailed, match="below the maximal width"):
+            verify_projection_theorem(K, K.translate([0.1, 0.2, 0.0, -0.1]), pole,
+                                      VerifyConfig(w_samples=16))
 
 
 @settings(max_examples=20)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_width_hessian_matches_central_differences(seed):
-    # the tangent Hessian the ascent reads, on a rotated and translated bump
+    # the chord and tangent Hessian the ascent reads, on a rotated and translated bump
     # with odd terms (which cancel in the width only when H is read at both
     # x and -x), against a central-difference Hessian of the homogeneous
     # width |x| w(x / |x|) in the tangent basis, at theta and at -theta
@@ -702,7 +701,10 @@ def test_width_hessian_matches_central_differences(seed):
     t = unit(rng.standard_normal(4))
     for theta in (t, -t):
         T = _tangent_basis(theta[None])
-        got = _width_hessian(K, theta[None], T)[0]
+        chord, hess = _width_hessian(K, theta[None], T)
+        assert np.allclose(chord[0], K.support_point(theta) - K.support_point(-theta),
+                           rtol=0, atol=1e-14)
+        got = hess[0]
         x = theta + step * np.array([[s * eye[i] + r * eye[j] for s, r in
                                       ((1, 1), (1, -1), (-1, 1), (-1, -1))]
                                      for i in range(3) for j in range(3)]) @ T[0]
@@ -764,16 +766,17 @@ def test_diameter_segment_planted_midpoint():
     assert np.max(np.abs((y - y0) - b)) < 1e-12
 
 
-@pytest.mark.parametrize("shape", ["bump", "ellipsoid"])
+@pytest.mark.parametrize("shape", ["bump", "ellipsoid", "polytope"])
 def test_diameter_segment_reads_one_batch(shape):
     # the endpoints are the rows of one two-direction support-point batch,
-    # bit for bit, whatever path a single direction would take
+    # bit for bit, whatever path a single direction would take; a polytope's
+    # are its diameter's vertices
     rng = np.random.default_rng(41)
-    K = (_bench_like_bump(23) if shape == "bump"
-         else ellipsoid([1.0, 0.8, 0.7, 0.6], random_orthogonal(rng)))
+    K = {"bump": _bench_like_bump(23), "ellipsoid": ellipsoid([1.0, 0.8, 0.7, 0.6]),
+         "polytope": planted_polytope(41, np.eye(4)[0])}[shape]
+    axis = K.shape.base.axes_matrix[:, 0] if shape == "bump" else np.eye(4)[0]
     K = K.apply(random_orthogonal(rng), rng.uniform(-1.0, 1.0, 4))
-    base = getattr(K.shape, "base", K.shape)
-    d = unit(K.folded[0] @ base.axes_matrix[:, 0])
+    d = unit(K.folded[0] @ axis)
     z, y = diameter_segment(K, d)
     pair = K.support_point(np.stack([-d, d]))
     assert z.tobytes() == pair[0].tobytes() and y.tobytes() == pair[1].tobytes()

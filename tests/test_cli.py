@@ -14,7 +14,7 @@ from congrulab.orthogonal import pole_reflection
 from congrulab.registration import classify_direction
 from congrulab.sphere import gauss_grid, make_frame, unit
 
-from helpers import band_limited_field, planted_polytope
+from helpers import band_limited_field, narrow_cone_polytope, planted_polytope
 
 POLE = np.array([0.0, 0.0, 0.0, 1.0])
 
@@ -174,14 +174,20 @@ def test_verify_planted_reflection(tmp_path):
 
 
 def test_verify_hypothesis_failure_exit_code(tmp_path, capsys):
-    pk = write_body(tmp_path, "ball.json", ball())
-    pl = write_body(tmp_path, "cube.json", cube())
-    rc = main(["verify", "projections", pk, pl, "--zeta", "0,0,0,1",
-               *small_verify_args()])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert json.loads(err.strip().splitlines()[-1])["error"] in (
-        "DegenerateBodyError", "DiameterHypothesisFailed")
+    # a ball's width is constant, so it has no countable diameter set; the
+    # narrow-cone polytope's pole is wider than its chords near the diameter
+    # but 2e-4 short of the diameter itself
+    K, pole = narrow_cone_polytope(np.random.default_rng(1))
+    for pair, zeta, error in (
+            ((ball(), cube()), POLE, "DegenerateBodyError"),
+            ((K, K.translate([0.1, 0.2, 0.0, -0.1])), pole, "DiameterHypothesisFailed")):
+        pk, pl = (write_body(tmp_path, name, body)
+                  for name, body in zip(("K.json", "L.json"), pair))
+        rc = main(["verify", "projections", pk, pl,
+                   "--zeta=" + ",".join(map(repr, zeta.tolist())), *small_verify_args()])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert json.loads(err.strip().splitlines()[-1])["error"] == error
 
 
 def test_verify_sections_planted(tmp_path):
