@@ -554,14 +554,30 @@ def _clustered(keep, length: float, tol: float) -> DiameterSet:
     return DiameterSet(directions=np.array(clusters), length=length, tol=tol)
 
 
+def farthest_vertex_pairs(V):
+    """(chords, lengths) of the vertex pairs of V that may be farthest apart.
+
+    One pass of the blocked kernel, rows (-2c, |c|^2) and points (c, 1) for
+    the centred vertices c, gives each vertex's farthest squared distance.
+    Only vertices within a relative 1e-6 of the largest (far above rounding)
+    can be endpoints; their pairs are measured exactly, one survivor at a
+    time, and the largest length is V's diameter.  No (n, n) array is built.
+    """
+    c = V - V.mean(axis=0)
+    sq = np.sum(c * c, axis=1)
+    far = sq + _facet_major_max(np.column_stack([-2 * c, sq]),
+                                np.column_stack([c, np.ones(len(c))]))
+    cut = (1 - 1e-6) * np.max(far)
+    ends = V[far >= cut]
+    chords = np.concatenate([d[np.sum(d * d, axis=1) >= cut] for d in
+                             (p - ends[k + 1:] for k, p in enumerate(ends))])
+    return chords, np.linalg.norm(chords, axis=1)
+
+
 def find_diameters(body: Body4) -> DiameterSet:
     """All directions of maximal width, and that width.
 
-    A polytope's are exact: its farthest vertex pairs.  One pass of the
-    blocked kernel, rows (-2c, |c|^2) and points (c, 1) for the centred
-    vertices c, gives each vertex's farthest squared distance; only vertices
-    within a relative 1e-6 of the largest (far above rounding) can be
-    endpoints, and their pairs are measured exactly, one survivor at a time.
+    A polytope's are exact: its farthest vertex pairs (``farthest_vertex_pairs``).
 
     A smooth body's are searched for: a width scan of S^3, then the widest
     scan directions ascend together, one (k, 4) array per step
@@ -578,16 +594,7 @@ def find_diameters(body: Body4) -> DiameterSet:
     not form isolated clusters.
     """
     if isinstance(body.shape, PolytopeShape):
-        V = body._world_vertices
-        c = V - V.mean(axis=0)
-        sq = np.sum(c * c, axis=1)
-        far = sq + _facet_major_max(np.column_stack([-2 * c, sq]),
-                                    np.column_stack([c, np.ones(len(c))]))
-        cut = (1 - 1e-6) * np.max(far)
-        ends = V[far >= cut]
-        chords = np.concatenate([d[np.sum(d * d, axis=1) >= cut] for d in
-                                 (p - ends[k + 1:] for k, p in enumerate(ends))])
-        lengths = np.linalg.norm(chords, axis=1)
+        chords, lengths = farthest_vertex_pairs(body._world_vertices)
         length = float(np.max(lengths))
         tol = default_diameter_tol(body, length)
         keep = lengths >= length - tol

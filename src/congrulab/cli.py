@@ -215,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=["projections", "sections"])
     p.add_argument("body_k")
     p.add_argument("body_l")
-    p.add_argument("--zeta", required=True, help="pole direction, 4 numbers")
+    p.add_argument("--zeta", required=True, help="pole direction, 4 numbers; write "
+                   "--zeta=-0.26,... when the first is negative")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--grid-t", type=int, default=64)
     p.add_argument("--grid-az", type=int, default=256)
@@ -252,14 +253,9 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ConfigInvalidError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
-    except _HYPOTHESIS_ERRORS as exc:
-        payload = {"error": type(exc).__name__, "detail": str(exc)}
-        print(json.dumps(payload), file=sys.stderr)
-        return EXIT_HYPOTHESIS
     except CongrulabError as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
-              file=sys.stderr)
-        return EXIT_INTERNAL
+        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)
+        return EXIT_HYPOTHESIS if isinstance(exc, _HYPOTHESIS_ERRORS) else EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from .bodies import Body4, PolytopeShape, polytope
+from .bodies import Body4, PolytopeShape, farthest_vertex_pairs, polytope
 from .errors import (BudgetExhaustedError, ConfigInvalidError,
                      DegenerateProjectionError, InsufficientDataError,
                      TooFewVerticesError)
@@ -358,11 +358,6 @@ class AsymmetryCertificate:
                               for s in self.subspaces]}
 
 
-def _vertex_diameter(V: np.ndarray) -> float:
-    d = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=-1)
-    return float(np.max(d))
-
-
 def _sampled_symmetry_state(P: Body4, bases, tol: float):
     records = []
     for basis in bases:
@@ -389,8 +384,7 @@ def perturb_to_asymmetric(P: Body4, h_bases=None, tol: float = 1e-8,
     if h_bases is None:
         h_bases = random_subspace_bases(50, seed=seed + 17)
     V = P.effective_vertices()
-    diam = _vertex_diameter(V)
-    eps0 = 1e-2 * diam
+    eps0 = 1e-2 * float(np.max(farthest_vertex_pairs(V)[1]))
 
     state = _sampled_symmetry_state(P, h_bases, tol)
     if all(s["symmetries"] == 0 for s in state):

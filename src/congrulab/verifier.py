@@ -37,6 +37,9 @@ _SUCCESS_OUTCOMES = (OUTCOME_EQUAL, OUTCOME_REFLECTED, OUTCOME_BOTH, OUTCOME_ZER
 
 
 DIAMETER_MARGIN = 0.05  # least |w . d| to a diameter d off the pole, for a working w
+ODD_VANISH = 0.1        # odd parts vanish: their sup is within this many tol_abs
+CERTIFICATE_SLACK = 5   # the out-of-sample certificate holds within this many tol_abs
+DIAMETER_SLACK = 10     # a pole-diameter check holds within this many diams.tol or tol*length
 FLIP_REASON = "flip-type registrations present"
 
 
@@ -214,7 +217,7 @@ def _check_sphere(f, g, pole, w, config: VerifyConfig, certify: bool,
     fe, fo = fg.parity()
     ge, go = gg.parity()
     odd = witness = None
-    if odd_sup > 0.1 * (config.tol * sup):
+    if odd_sup > ODD_VANISH * (config.tol * sup):
         odd = classify_direction(fo, go, config.tol)
     if odd is not None and odd.label == FLIP_POLE:
         witness = {"w": [float(x) for x in odd.w], "flip_axis": float(odd.axis_azimuth),
@@ -275,9 +278,9 @@ def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *
                        report=report, tol=tol_abs)
     report["odd_sup"] = odd_sup
 
-    if odd_sup <= 0.1 * tol_abs:
+    if odd_sup <= ODD_VANISH * tol_abs:
         report["certificate"] = {"equal_dev": dev_eq, "reflected_dev": dev_re}
-        if dev_eq <= 5 * tol_abs and dev_re <= 5 * tol_abs:
+        if dev_eq <= CERTIFICATE_SLACK * tol_abs and dev_re <= CERTIFICATE_SLACK * tol_abs:
             return Verdict(OUTCOME_BOTH, report=report, tol=tol_abs)
         return Verdict(OUTCOME_INCONCLUSIVE,
                        reason="odd parts vanish but a full-function certificate failed",
@@ -298,10 +301,10 @@ def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *
     if outcome in (OUTCOME_EQUAL, OUTCOME_REFLECTED):
         dev = dev_eq if outcome == OUTCOME_EQUAL else dev_re
         report["certificate"] = {"relation": outcome, "out_of_sample_dev": dev}
-        if dev > 5 * tol_abs:
+        if dev > CERTIFICATE_SLACK * tol_abs:
             return Verdict(OUTCOME_INCONCLUSIVE,
                            reason=f"classified {outcome} but out-of-sample deviation "
-                                  f"{dev:.3e} exceeds 5*tol",
+                                  f"{dev:.3e} exceeds {CERTIFICATE_SLACK}*tol",
                            classifications=classifications, report=report, tol=tol_abs)
     return Verdict(outcome, reason=reason, classifications=classifications,
                    report=report, tol=tol_abs)
@@ -323,7 +326,7 @@ def _assert_pole_diameters(K: Body4, L: Body4, pole, tol: float):
         diams = find_diameters(body)
         h = body.support(axis)
         width = float(h[0] + h[1])
-        if width < diams.length - max(tol * diams.length, diams.tol * 10):
+        if width < diams.length - max(tol * diams.length, diams.tol * DIAMETER_SLACK):
             raise DiameterHypothesisFailed(
                 f"{who}: width at the pole ({width:.12g}) is below the "
                 f"maximal width ({diams.length:.12g})")
@@ -443,7 +446,7 @@ def verify_section_theorem(K: Body4, L: Body4, pole,
     # matching property of L is a consequence of section congruence and is
     # verified (and reported) rather than assumed
     dev_k = float(np.max(np.abs(h_k - chord_k)))
-    if dev_k > config.tol * diams[0].length * 10:
+    if dev_k > config.tol * diams[0].length * DIAMETER_SLACK:
         raise DiameterHypothesisFailed(
             "K: the diameter parallel to the pole does not pass through the "
             f"origin (axis deviation {dev_k:.3e})")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import orthogonal_procrustes
@@ -28,6 +29,8 @@ from congrulab.registration import find_equator_flip_symmetry, pole_rotation_sym
 from congrulab.sphere import (ORTHO_TOL, circle_quadrature, directions_orthogonal_to,
                               evaluate_field, gauss_grid, great_circle_nodes,
                               make_frame, random_directions, unit)
+
+SRC = Path(__file__).resolve().parents[1] / "src"  # for a child interpreter's PYTHONPATH
 
 
 def certified_asymmetric(field, pole, n_sides: int = 50, tol: float = 1e-6) -> bool:

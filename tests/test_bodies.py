@@ -15,8 +15,8 @@ from congrulab.bodies import (_N_SCAN, _PRODUCT_BLOCK, _SCAN_DIRS,
                               _min_hessian_eigenvalue, _points_per_block, _smooth_jet,
                               _tangent_basis, _width_hessian, ball,
                               body_from_spec, body_to_spec, cube, diameter_segment,
-                              ellipsoid, find_diameters, polytope, restrict_field,
-                              shape_from_spec, shape_to_spec)
+                              ellipsoid, farthest_vertex_pairs, find_diameters, polytope,
+                              restrict_field, shape_from_spec, shape_to_spec)
 from congrulab.errors import (DegenerateBodyError, DiameterHypothesisFailed,
                               NonOrthogonalError, OriginOutsideError, UnsupportedKindError)
 from congrulab.funk import sample_on_sphere
@@ -162,7 +162,7 @@ def test_polytope_kernel_holds_one_block_of_at_most_2_mb():
     # every (rows x block) product fits one 2 MB buffer, whatever the batch:
     # a working-sphere grid over a whole star polytope's polar rows, the
     # rate experiment's support sample over 640 vertices, and the farthest
-    # vertex screen of find_diameters over those 640 vertices
+    # vertex screen over those 640 vertices, in find_diameters and on its own
     cap = 8 * _PRODUCT_BLOCK
     assert cap <= 2 << 20
     K = planted_polytope(1, np.eye(4)[0], through_origin=True, kind="star")
@@ -172,7 +172,9 @@ def test_polytope_kernel_holds_one_block_of_at_most_2_mb():
     dirs = random_directions(8192, np.random.default_rng(2))
     for name, run in (("radial", lambda: K.radial(theta).nbytes),
                       ("support", lambda: P.support(dirs).nbytes),
-                      ("find_diameters", lambda: find_diameters(P).directions.nbytes)):
+                      ("find_diameters", lambda: find_diameters(P).directions.nbytes),
+                      ("farthest_vertex_pairs", lambda: sum(
+                          a.nbytes for a in farthest_vertex_pairs(P.effective_vertices())))):
         run()                                # the bodies' cached rows are built
         tracemalloc.start()
         try:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,15 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congrulab.bodies import ball, body_to_spec, cube, ellipsoid
-from congrulab.cli import canonicalize_spec, classifications_to_csv, main
+from congrulab.cli import _HYPOTHESIS_ERRORS, canonicalize_spec, classifications_to_csv, main
 from congrulab.funk import sample_on_sphere
 from congrulab.orthogonal import pole_reflection
 from congrulab.registration import classify_direction
-from congrulab.sphere import gauss_grid, make_frame, unit
+from congrulab.sphere import complement_basis, gauss_grid, make_frame, unit
 
-from helpers import band_limited_field, narrow_cone_polytope, planted_polytope
+from helpers import SRC, band_limited_field, narrow_cone_polytope, planted_polytope
 
 POLE = np.array([0.0, 0.0, 0.0, 1.0])
+E1 = np.eye(4)[0]
 
 
 def write_body(tmp_path, name, body):
@@ -121,24 +125,42 @@ def test_gen_body_malformed(tmp_path, capsys):
     assert "SpecParseError" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("spec", [
-    {"kind": "convex", "shape": {"type": "blob"}},
-    {"kind": "convex",
-     "shape": {"type": "zonal_bump", "base": {"type": "ellipsoid", "semiaxes": [1.0] * 4},
-               "epsilon": float("nan"), "terms": []}},
-    [],
-    {"kind": "convex", "shape": {"type": "ellipsoid", "semiaxes": [1.0] * 4},
-     "transforms": [{"shift": [0.0, 0.0, 0.0, float("nan")]}]},
-    {"kind": "convex", "shape": {"type": "ellipsoid", "semiaxes": [1.0] * 4},
-     "transforms": [{"shift": [float("inf"), 0.0, 0.0, 0.0]}]},
-], ids=["unknown-type", "nan-epsilon", "not-an-object", "nan-shift", "inf-shift"])
-def test_gen_body_spec_that_builds_no_body(tmp_path, capsys, spec):
+def _bump_spec(base, epsilon, terms):
+    return {"kind": "convex", "shape": {"type": "zonal_bump", "base": base,
+                                        "epsilon": epsilon, "terms": terms}}
+
+
+ROUND = {"type": "ellipsoid", "semiaxes": [1.0] * 4}
+
+
+# a bump term's degree is at most 64; at epsilon 0.23 the boundary bump of
+# test_bodies.py (BOUNDARY_BASE with BOUNDARY_TERMS) has a tangent Hessian
+# with a negative eigenvalue
+@pytest.mark.parametrize("spec, detail", [
+    ({"kind": "convex", "shape": {"type": "blob"}}, ""),
+    (_bump_spec(ROUND, float("nan"), []), ""),
+    ([], ""),
+    ({"kind": "convex", "shape": ROUND,
+      "transforms": [{"shift": [0.0, 0.0, 0.0, float("nan")]}]}, ""),
+    ({"kind": "convex", "shape": ROUND,
+      "transforms": [{"shift": [float("inf"), 0.0, 0.0, 0.0]}]}, ""),
+    (_bump_spec(ROUND, 0.01, [{"axis": [1.0, 0.0, 0.0, 0.0], "degree": 200, "coeff": 1.0}]),
+     "degree must be an integer"),
+    (_bump_spec(ROUND, 0.001, [{"axis": [1.0, 0.0, 0.0, 0.0], "degree": 65, "coeff": 1.0}]),
+     "degree must be an integer"),
+    (_bump_spec({"type": "ellipsoid", "semiaxes": [1.0, 0.8, 0.7, 0.6]}, 0.23, [
+        {"axis": [0.3, -0.5, 0.2, 0.8], "degree": 4, "coeff": 1.0},
+        {"axis": [-0.6, 0.1, 0.7, 0.2], "degree": 3, "coeff": -0.7}]), "breaks convexity"),
+], ids=["unknown-type", "nan-epsilon", "not-an-object", "nan-shift", "inf-shift",
+        "degree-200", "degree-65", "bump-concave"])
+def test_gen_body_spec_that_builds_no_body(tmp_path, capsys, spec, detail):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(spec))
     rc = main(["gen-body", str(bad)])
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "SpecParseError"
+    assert detail in err["detail"]
 
 
 # -- verify ---------------------------------------------------------------------
@@ -155,7 +177,7 @@ def test_verify_planted_translation(tmp_path, capsys):
     assert rc == 0
     verdict = json.loads(Path(out).read_text())
     assert verdict["outcome"] == "equal"
-    assert np.linalg.norm(np.array(verdict["translation"]) - b) < 1e-6
+    assert np.allclose(verdict["translation"], b, rtol=0.0, atol=1e-9)
 
 
 def test_verify_planted_reflection(tmp_path):
@@ -170,24 +192,76 @@ def test_verify_planted_reflection(tmp_path):
     assert rc == 0
     verdict = json.loads(Path(out).read_text())
     assert verdict["outcome"] == "reflected"
-    assert np.linalg.norm(np.array(verdict["translation"]) - b) < 1e-6
+    assert np.allclose(verdict["translation"], b, rtol=0.0, atol=1e-9)
+
+
+def _star_ellipsoid(semiaxes, shift=(0.0, 0.0, 0.0, 0.0)):
+    return ellipsoid(semiaxes, kind="star").translate(shift)
+
+
+def _hypothesis_cases():
+    """(mode, K, L, pole, error name): one failing verify per hypothesis error."""
+    cone, cone_pole = narrow_cone_polytope(np.random.default_rng(1))
+    star = planted_polytope(122, POLE, through_origin=True, kind="star")
+    return [
+        # a ball's width is constant, so it has no countable diameter set
+        ("projections", ball(), cube(), POLE, "DegenerateBodyError"),
+        # the narrow-cone polytope's pole is wider than its chords near the
+        # diameter but 2e-4 short of the diameter itself
+        ("projections", cone, cone.translate([0.1, 0.2, 0.0, -0.1]), cone_pole,
+         "DiameterHypothesisFailed"),
+        # congruent sections force equal diameter lengths
+        ("sections", _star_ellipsoid([2.0, 1.0, 0.9, 0.8]),
+         _star_ellipsoid([1.5, 1.0, 0.9, 0.8], [0.3, 0.0, 0.0, 0.0]), E1,
+         "DiameterHypothesisFailed"),
+        # a thinner third semiaxis leaves no congruent section
+        ("sections", _star_ellipsoid([2.0, 1.0, 0.9, 0.8]),
+         _star_ellipsoid([2.0, 1.0, 0.85, 0.8]), E1, "CongruenceHypothesisFailed"),
+        # a shift as large as the origin's cross-polytope moves the origin out
+        ("sections", star, star.translate(0.3 * 2.0 * complement_basis(POLE)[0]), POLE,
+         "StarShapednessLost"),
+    ]
 
 
 def test_verify_hypothesis_failure_exit_code(tmp_path, capsys):
-    # a ball's width is constant, so it has no countable diameter set; the
-    # narrow-cone polytope's pole is wider than its chords near the diameter
-    # but 2e-4 short of the diameter itself
-    K, pole = narrow_cone_polytope(np.random.default_rng(1))
-    for pair, zeta, error in (
-            ((ball(), cube()), POLE, "DegenerateBodyError"),
-            ((K, K.translate([0.1, 0.2, 0.0, -0.1])), pole, "DiameterHypothesisFailed")):
-        pk, pl = (write_body(tmp_path, name, body)
-                  for name, body in zip(("K.json", "L.json"), pair))
-        rc = main(["verify", "projections", pk, pl,
-                   "--zeta=" + ",".join(map(repr, zeta.tolist())), *small_verify_args()])
-        assert rc == 3
+    cases = _hypothesis_cases()
+    assert {c[-1] for c in cases} == {e.__name__ for e in _HYPOTHESIS_ERRORS}
+    for mode, K, L, zeta, error in cases:
+        pk, pl = write_body(tmp_path, "K.json", K), write_body(tmp_path, "L.json", L)
+        rc = main(["verify", mode, pk, pl, "--zeta=" + ",".join(map(repr, zeta.tolist())),
+                   "--grid-t", "16", "--grid-az", "64", "--w-samples", "8"])
+        assert rc == 3, (mode, error)
         err = capsys.readouterr().err
         assert json.loads(err.strip().splitlines()[-1])["error"] == error
+
+
+def test_module_run_exits_with_main_code(tmp_path):
+    # `python -m congrulab.cli` hands main's exit code and its stderr JSON on
+    pk = write_body(tmp_path, "K.json", _star_ellipsoid([2.0, 1.0, 0.9, 0.8]))
+    pl = write_body(tmp_path, "L.json", _star_ellipsoid([1.5, 1.0, 0.9, 0.8], [0.3, 0, 0, 0]))
+    out = subprocess.run([sys.executable, "-m", "congrulab.cli", "verify", "sections", pk, pl,
+                          "--zeta", "1,0,0,0", "--grid-t", "16", "--grid-az", "64",
+                          "--w-samples", "8"], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 3, out.stderr
+    assert json.loads(out.stderr.strip().splitlines()[-1])["error"] == "DiameterHypothesisFailed"
+
+
+def test_verify_pole_with_negative_first_component(tmp_path, capsys):
+    # an ellipsoid and its translate verify as `both` about e1 and about -e1;
+    # argparse reads a value that starts with "-" after a space as an option,
+    # so a negative first component takes "="
+    K = ellipsoid([2.0, 1.0, 0.9, 0.8])
+    pk = write_body(tmp_path, "K.json", K)
+    pl = write_body(tmp_path, "L.json", K.translate([0.1, 0.2, -0.3, 0.05]))
+    out = str(tmp_path / "v.json")
+    for zeta in (["--zeta", "1,0,0,0"], ["--zeta=-1,0,0,0"]):
+        assert main(["verify", "projections", pk, pl, *zeta, "--grid-t", "16",
+                     "--grid-az", "64", "--w-samples", "8", "--out", out]) == 0
+        assert json.loads(Path(out).read_text())["outcome"] == "both"
+    with pytest.raises(SystemExit) as usage:
+        main(["verify", "projections", pk, pl, "--zeta", "-1,0,0,0"])
+    assert usage.value.code == 2
 
 
 def test_verify_sections_planted(tmp_path):
@@ -296,6 +370,12 @@ def test_symmetry_perturbed_polytope_clean(tmp_path):
     assert rc == 0
     rep = json.loads(Path(out).read_text())
     assert rep["summary"] == "asymmetric on 6/6 sampled subspaces"
+
+
+def test_symmetry_cube_shadows_keep_their_point_reflection(tmp_path, capsys):
+    pk = write_body(tmp_path, "cube.json", cube())
+    assert main(["symmetry", pk, "--sample", "4", "--out", str(tmp_path / "s.json")]) == 0
+    assert "asymmetric on 0/4 sampled subspaces" in capsys.readouterr().err.splitlines()
 
 
 def test_symmetry_sample_zero_usage_error(tmp_path, capsys):

@@ -1,15 +1,15 @@
-"""SciPy's spatial and optimize submodules load only where they are used.
+"""SciPy's spatial and optimize submodules load only where they are used,
+and a section verify's traced peak stays small.
 
 Each case runs in a fresh interpreter, since this test process has long
-since imported both.  The bodies cross as JSON specs, so the child imports
-congrulab and nothing of the test helpers.
+since imported both and warmed every cache.  The bodies cross as JSON
+specs, so the child imports congrulab and nothing of the test helpers.
 """
 
 import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +17,8 @@ import pytest
 from congrulab.bodies import body_to_spec
 from congrulab.orthogonal import pole_reflection
 
-from helpers import planted_polytope
+from helpers import SRC, planted_polytope
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 POLE = np.eye(4)[0]
 SHIFT = [0.1, 0.2, -0.3, 0.05]
 BUMP = {"kind": "convex", "shape": {
@@ -65,10 +64,12 @@ def test_projection_verifies_load_neither(reflect):
     L = K.apply(pole_reflection(POLE), SHIFT) if reflect else K.translate(SHIFT)
     pairs = [dict(_specs(K, L), outcome="reflected" if reflect else "equal"),
              {"K": BUMP, "L": dict(BUMP, transforms=[{"shift": SHIFT}]), "outcome": "equal"}]
-    code = """
+    code = f"""
 for pair in json.loads(sys.argv[1]):
     K, L = (body_from_spec(pair[k]) for k in "KL")
-    assert verify_projection_theorem(K, L, POLE, CFG).outcome == pair["outcome"]
+    v = verify_projection_theorem(K, L, POLE, CFG)
+    assert v.outcome == pair["outcome"]
+    assert np.allclose(v.translation, {SHIFT}, rtol=0.0, atol=1e-9), v.translation
 """
     assert _loaded(code, pairs) == set()
 
@@ -78,9 +79,40 @@ def test_section_verify_loads_only_spatial():
     L = K.apply(pole_reflection(POLE), 0.05 * POLE)
     code = """
 K, L = (body_from_spec(json.loads(sys.argv[1])[k]) for k in "KL")
-assert verify_section_theorem(K, L, POLE, CFG).outcome == "reflected"
+v = verify_section_theorem(K, L, POLE, CFG)
+assert v.outcome == "reflected"
+assert np.allclose(v.translation, 0.05 * POLE, rtol=0.0, atol=1e-9), v.translation
 """
     assert _loaded(code, _specs(K, L)) == {"scipy.spatial"}
+
+
+def test_section_verify_peak_memory(tmp_path):
+    # the star-polytope section above at the default 64 x 256 grid with 8
+    # working spheres, through the entry point: its traced peak stays within
+    # 3.5 MB, since no polytope-kernel product exceeds 2 MB.  scipy.spatial
+    # is imported first, so the trace holds the verify and not that import.
+    K = planted_polytope(125, POLE, through_origin=True, kind="star")
+    paths = {"out": str(tmp_path / "verdict.json")}
+    for name, body in zip("KL", (K, K.apply(pole_reflection(POLE), 0.05 * POLE))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(body_to_spec(body)))
+        paths[name] = str(path)
+    code = """
+import tracemalloc
+import scipy.spatial
+from congrulab.cli import main
+d = json.loads(sys.argv[1])
+tracemalloc.start()
+rc = main(["verify", "sections", d["K"], d["L"], "--zeta", "1,0,0,0",
+           "--w-samples", "8", "--out", d["out"]])
+peak = tracemalloc.get_traced_memory()[1] / 2**20
+tracemalloc.stop()
+assert rc == 0, rc
+with open(d["out"]) as fh:
+    assert json.load(fh)["outcome"] == "reflected"
+assert peak <= 3.5, f"traced peak {peak:.2f} MB"
+"""
+    assert _loaded(code, paths, prelude=BARE) == {"scipy.spatial"}
 
 
 def test_hausdorff_distance_loads_both():

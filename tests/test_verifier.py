@@ -316,7 +316,7 @@ def test_projection_bump_body(reflect):
     L = K.apply(pole_reflection(pole), b) if reflect else K.translate(b)
     v = verify_projection_theorem(K, L, pole, VerifyConfig(n_t=16, n_azimuth=64, w_samples=8))
     assert v.outcome == (OUTCOME_REFLECTED if reflect else OUTCOME_EQUAL)
-    assert np.linalg.norm(v.translation - b) <= 1e-6 * v.report["diameter_length"]
+    assert np.allclose(v.translation, b, rtol=0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("reflect", [False, True], ids=["equal", "reflected"])
@@ -435,7 +435,7 @@ def test_section_planted_axis_translation():
 
 
 def test_section_verdict_json_keeps_signed_zeros():
-    # the star ellipsoids of the CI section check: L is K shifted by 0.3 e1;
+    # the star ellipsoids of the command-line section checks: L is K shifted by 0.3 e1;
     # the alignment is minus that shift, down to the signs of its zeros
     shape = {"type": "ellipsoid", "semiaxes": [2.0, 1.0, 0.9, 0.8]}
     K = body_from_spec({"kind": "star", "shape": shape, "transforms": []})
