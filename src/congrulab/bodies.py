@@ -251,12 +251,10 @@ def _facet_major_max(rows, theta):
     BLAS splits across its threads.  Every block's product is written into
     one buffer (a fresh product per block measured up to 2.6x slower), and
     the max runs down its leading axis.  BLAS rounds the points past a
-    product's last full panel of 8 by another path, so a block of two or
-    more points is padded with zero directions to a multiple of 8: a
-    direction then has one value in every batch of two or more.  A single
-    direction is one matrix-vector product, which may round differently.
-    theta of shape (..., 4) gives shape (...), and a single direction gives
-    a scalar.
+    product's last full panel of 8 by another path, so every block is
+    padded with zero directions to a multiple of 8: a direction then has one
+    value in every batch, a batch of one included.  theta of shape (..., 4)
+    gives shape (...), and a single direction gives a scalar.
     """
     flat = theta.reshape(-1, theta.shape[-1])
     out = np.empty(len(flat))
@@ -265,7 +263,7 @@ def _facet_major_max(rows, theta):
     for lo in range(0, len(flat), step):
         block = flat[lo:lo + step]
         n = len(block)
-        if len(flat) > 1 and n % 8:
+        if n % 8:
             block = np.concatenate([block, np.zeros((-n % 8, block.shape[1]))])
         part = np.matmul(rows, block.T, out=prod[:, :len(block)])
         np.max(part[:, :n], axis=0, out=out[lo:lo + n])
@@ -279,10 +277,10 @@ def _forms_support(forms, powers, theta):
     repeated multiplication, plus P_last.
 
     One product gives every row at once, each row contiguous, and the sums
-    run in place.  theta of shape (..., 4) gives shape (...); a single
-    direction is one matrix-vector product and gives a scalar.
+    run in place.  theta of shape (..., 4) gives shape (...), and a single
+    direction, a batch of one, gives a scalar.
     """
-    P = forms @ (theta if theta.ndim == 1 else theta.reshape(-1, 4).T)
+    P = forms @ theta.reshape(-1, 4).T
     sq = P[:4] * P[:4]
     h = sq[0] + sq[1]
     h += sq[2]
@@ -295,7 +293,7 @@ def _forms_support(forms, powers, theta):
         top *= scale
         h += top
     h += P[-1]
-    return h if theta.ndim == 1 else h.reshape(theta.shape[:-1])
+    return h.reshape(theta.shape[:-1])[()]
 
 
 def _straddling(s):

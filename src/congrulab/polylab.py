@@ -2,6 +2,12 @@
 smooth bodies, 3D shadows of 4D polytopes, rigid-motion symmetry detection,
 and perturbation to symmetry-free polytopes.
 
+The Hausdorff distance is a lower bound on sup |h_K - h_L|: the best of
+seeded sample directions and each polytope's facet normals, raised by one
+batched ascent that steps along the ties of a polytope's vertices.  Every
+value it reads is the gap at a real direction, so it is never below its
+largest candidate.
+
 One generator, ``_rigid_maps``, answers every symmetry and congruence
 question.  It prunes candidate vertex triples by centroid distance and
 pairwise-distance signatures, solves for the unique map from each triple
@@ -31,6 +37,11 @@ from .errors import (BudgetExhaustedError, ConfigInvalidError,
 from .sphere import ORTHO_TOL, random_directions
 
 ASSIGN_ROWS = 128           # pool rows per Lloyd assignment block
+GAP_STARTS = 16             # best Hausdorff candidates the gap ascent starts from
+GAP_STEP = 0.1              # first step angle of each start, radians
+GAP_MIN_STEP = 1e-10        # a start leaves once its step angle is below this
+GAP_ITERS = 200             # steps of the gap ascent at most
+TIE_RANK = 4                # highest polytope vertices a gap ascent step can tie
 LLOYD_ITERS = 15
 MIN_VERTICES = 5            # fewest vertices of an inscribed 4D polytope
 PERTURB_ROUNDS = 8
@@ -39,31 +50,98 @@ PERTURB_ROUNDS = 8
 # -- Hausdorff distance -------------------------------------------------------
 
 
+def _ranked_points(body: Body4, theta):
+    """(points, values) at the unit rows theta: a polytope's TIE_RANK highest
+    vertices with their values theta . v, highest first, or a smooth body's
+    support point with its support value, as shapes (n, r, 4) and (n, r)."""
+    if not isinstance(body.shape, PolytopeShape):
+        sp = body.support_point(theta)
+        return sp[:, None], np.sum(sp * theta, axis=1)[:, None]
+    V = body._world_vertices
+    values = theta @ V.T
+    top = np.argsort(values, axis=1)[:, :-TIE_RANK - 1:-1]
+    return V[top], np.take_along_axis(values, top, axis=1)
+
+
+def _ascent_direction(K: Body4, L: Body4, theta, reach):
+    """(up, slope) at the unit rows theta for turns of angle ``reach``: the
+    unit tangent direction in which |h_K - h_L| rises, and its rate of rise
+    (a zero row and 0 where none is found).
+
+    With A the body of larger support at a row and S the other, the gap
+    h_A - h_S has gradient x - y_0, x and y_0 their support points.  A
+    polytope S's support has a kink wherever its vertices tie, and a vertex
+    y_j can overtake y_0 within the turn only if theta . (y_0 - y_j) is at
+    most reach |y_j - y_0|.  The gradient is projected onto theta-perp and
+    off y_j - y_0 for each such y_j among S's TIE_RANK highest vertices, so
+    the step runs along those ties instead of across them.
+    """
+    yk, hk = _ranked_points(K, theta)
+    yl, hl = _ranked_points(L, theta)
+    k_above = hk[:, :1] >= hl[:, :1]
+    x = np.where(k_above, yk[:, 0], yl[:, 0])
+    y = np.where(k_above[..., None], yl, yk)
+    h = np.where(k_above, hl, hk)
+    ties = y[:, 1:] - y[:, :1]
+    near = h[:, :1] - h[:, 1:] <= reach * np.linalg.norm(ties, axis=2)
+    M = np.concatenate([theta[:, None], ties * near[..., None]], axis=1)
+    grad = x - y[:, 0]
+    up = grad - (np.linalg.pinv(M) @ (M @ grad[..., None]))[..., 0]
+    slope = np.linalg.norm(up, axis=1)
+    # a residual at rounding level (every direction tied off) is no direction
+    slope[slope <= 1e-12 * np.linalg.norm(grad, axis=1)] = 0.0
+    return np.divide(up, slope[:, None], out=np.zeros_like(up),
+                     where=slope[:, None] > 0), slope
+
+
+def _gap_ascent(K: Body4, L: Body4, theta, gap) -> float:
+    """Largest gap |h_K - h_L| reached by one batched ascent from the unit
+    rows theta, whose gaps are ``gap``.
+
+    Every live start steps together, one (k, 4) batch per step: it turns by
+    its angle along ``_ascent_direction``.  The step is kept only if it
+    raises that start's gap by at least half of sin(angle) times the slope;
+    otherwise the angle halves, so that no start zigzags across a ridge of
+    the gap at a fixed angle, rising a little each time.  A start on a
+    corner of a polytope's normal fan, where every direction is tied off,
+    halves in place.  A start leaves once its angle is below GAP_MIN_STEP.
+    The result is never below the largest of ``gap``.
+    """
+    angle = np.full(len(theta), GAP_STEP)
+    for _ in range(GAP_ITERS):
+        live = np.flatnonzero(angle >= GAP_MIN_STEP)
+        if not live.size:
+            break
+        a = angle[live, None]
+        up, slope = _ascent_direction(K, L, theta[live], a)
+        trial = np.cos(a) * theta[live] + np.sin(a) * up
+        trial /= np.linalg.norm(trial, axis=1)[:, None]
+        g = np.abs(K.support(trial) - L.support(trial))
+        rise = (slope > 0) & (g > gap[live] + 0.5 * np.sin(a[:, 0]) * slope)
+        theta[live[rise]], gap[live[rise]] = trial[rise], g[rise]
+        angle[live[~rise]] /= 2
+    return float(np.max(gap))
+
+
 def hausdorff_distance(K: Body4, L: Body4, n_sample: int = 8192,
                        seed: int = 0) -> float:
-    """sup |h_K - h_L| over the direction sphere.
+    """sup |h_K - h_L| over the direction sphere, from below.
 
-    Quasi-uniform sampling followed by a local ascent (Nelder-Mead on the
-    normalized direction) from the best sample point.
+    The candidates are ``n_sample`` seeded random directions plus the world
+    facet normals of each polytope argument: between a polytope and a smooth
+    body the gap often peaks at a facet normal, the sharpest kink of the
+    polytope's support, where an ascent from samples stalls.  The best
+    GAP_STARTS candidates then climb together (``_gap_ascent``).  Every
+    value read is the gap at a real direction, so the result is a lower
+    bound on the sup, and never below the largest candidate gap.
     """
-    from scipy.optimize import minimize
-
     rng = np.random.default_rng(seed)
-    dirs = random_directions(n_sample, rng)
+    normals = [b.shape.facets[0] @ b.folded[0].T for b in (K, L)
+               if isinstance(b.shape, PolytopeShape)]
+    dirs = np.concatenate([random_directions(n_sample, rng), *normals])
     gaps = np.abs(K.support(dirs) - L.support(dirs))
-    best = float(np.max(gaps))
-    start = dirs[int(np.argmax(gaps))]
-
-    def neg_gap(x):
-        n = np.linalg.norm(x)
-        if n < 1e-12:
-            return 0.0
-        u = x / n
-        return -abs(float(K.support(u)) - float(L.support(u)))
-
-    res = minimize(neg_gap, start, method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 600})
-    return max(best, -float(res.fun))
+    best = np.argsort(gaps)[-GAP_STARTS:]
+    return _gap_ascent(K, L, dirs[best], gaps[best])
 
 
 # -- inscribed polytope approximation ------------------------------------------

@@ -1,5 +1,5 @@
-"""SciPy's spatial and optimize submodules load only where they are used,
-and a section verify's traced peak stays small.
+"""SciPy's spatial submodule loads only where it is used, its optimize
+submodule never, and a section verify's traced peak stays small.
 
 Each case runs in a fresh interpreter, since this test process has long
 since imported both and warmed every cache.  The bodies cross as JSON
@@ -115,13 +115,34 @@ assert peak <= 3.5, f"traced peak {peak:.2f} MB"
     assert _loaded(code, paths, prelude=BARE) == {"scipy.spatial"}
 
 
-def test_hausdorff_distance_loads_both():
+def test_hausdorff_distance_of_smooth_bodies_loads_neither():
     code = """
 from congrulab.bodies import ellipsoid
 from congrulab.polylab import hausdorff_distance
 print(hausdorff_distance(ellipsoid([1.0, 0.9, 0.8, 1.1]), ellipsoid([1.0, 0.9, 0.8, 1.0]), 256))
 """
-    assert _loaded(code) == {"scipy.spatial", "scipy.optimize"}
+    assert _loaded(code) == set()
+
+
+def test_hausdorff_distance_of_a_polytope_loads_only_spatial():
+    # its facet normals are candidates, read from the qhull facets
+    code = """
+from congrulab.bodies import cube, ellipsoid
+from congrulab.polylab import hausdorff_distance
+print(hausdorff_distance(ellipsoid([2.0, 1.9, 1.8, 2.1]), cube(), 256))
+"""
+    assert _loaded(code) == {"scipy.spatial"}
+
+
+def test_rate_command_loads_only_spatial(tmp_path):
+    path = tmp_path / "E.json"
+    path.write_text(json.dumps({"kind": "convex", "shape": {
+        "type": "ellipsoid", "semiaxes": [1.0, 0.9, 0.8, 1.1]}}))
+    code = """
+from congrulab.cli import main
+assert main(["rate", json.loads(sys.argv[1]), "--v-list", "20,40"]) == 0
+"""
+    assert _loaded(code, str(path), prelude=BARE) == {"scipy.spatial"}
 
 
 def test_missing_qhull_is_an_import_error_not_a_degenerate_body():
