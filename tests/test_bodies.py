@@ -151,6 +151,20 @@ def test_polytope_field_rows_independent_of_batch_size(seed):
             assert field(theta[k]) == full[k]
 
 
+def test_polytope_field_of_one_direction_is_one_matrix_vector_product():
+    # a single (4,) direction is the first column of one product with a block
+    # of 8 directions padded with zeros, so it rounds as it does in a batch,
+    # and it gives a scalar
+    K = planted_polytope(7, np.eye(4)[0], through_origin=True, kind="star")
+    for t in random_directions(64, np.random.default_rng(7)):
+        block = np.zeros((4, 8))
+        block[:, 0] = t
+        support, radial = K.support(t), K.radial(t)
+        assert np.ndim(support) == 0 and np.ndim(radial) == 0
+        assert support == np.max(K.effective_vertices() @ block, axis=0)[0]
+        assert radial == 1.0 / np.max(K._polar_rows @ block, axis=0)[0]
+
+
 def test_polytope_kernel_holds_one_block_of_at_most_2_mb():
     # every (rows x block) product fits one 2 MB buffer, whatever the batch:
     # a working-sphere grid over a whole star polytope's polar rows, the
