@@ -185,6 +185,14 @@ def _tangent_basis(x):
             / np.sum(v * v, axis=1)[:, None, None])[:, 1:]
 
 
+def _as_batch(theta):
+    """The rows of theta, shape (..., 4), as an (n, 4) array of at least two
+    rows: BLAS takes a lone row down its vector path, which rounds unlike the
+    same row in any batch, so a lone row is repeated."""
+    rows = theta.reshape(-1, 4)
+    return np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows
+
+
 def _linear_forms(shape, R, b):
     """(forms, powers) of an ellipsoid or bump shape placed by x -> R x + b:
     the C-contiguous (5 + k, 4) world linear forms, rows the scaled axes
@@ -211,7 +219,10 @@ def _smooth_jet(forms, powers, theta, T=None):
         hess = ((T A^T)(T A^T)^T - (T g)(T g)^T) / |q|
                + sum_j s [m(m-1) u^(m-2) (T d_j)(T d_j)^T + (1-m) u^m I],
     each power by repeated multiplication (u^(m-2) reads 0 at m = 1).
+    A lone direction is read as a repeated pair (``_as_batch``).
     """
+    shape, n = theta.shape, theta.size // 4
+    theta = _as_batch(theta)     # a lone row's T broadcasts over the pair
     A, b = forms[:4], forms[-1]
     q = theta @ A.T
     h = np.sqrt(np.sum(q * q, axis=-1))[..., None]
@@ -232,7 +243,7 @@ def _smooth_jet(forms, powers, theta, T=None):
             Td = T @ d
             hess += s * (m * (m - 1) * low[:, None, None] * Td[:, :, None] * Td[:, None, :]
                          + (1 - m) * top[:, None, None] * np.eye(3))
-    return sp, hess
+    return sp[:n].reshape(shape), None if hess is None else hess[:n]
 
 
 def _points_per_block(m: int) -> int:
@@ -278,9 +289,9 @@ def _forms_support(forms, powers, theta):
 
     One product gives every row at once, each row contiguous, and the sums
     run in place.  theta of shape (..., 4) gives shape (...), and a single
-    direction, a batch of one, gives a scalar.
+    direction, read as a repeated pair (``_as_batch``), gives a scalar.
     """
-    P = forms @ theta.reshape(-1, 4).T
+    P = forms @ _as_batch(theta).T
     sq = P[:4] * P[:4]
     h = sq[0] + sq[1]
     h += sq[2]
@@ -293,7 +304,7 @@ def _forms_support(forms, powers, theta):
         top *= scale
         h += top
     h += P[-1]
-    return h.reshape(theta.shape[:-1])[()]
+    return h[:theta.size // 4].reshape(theta.shape[:-1])[()]
 
 
 def _straddling(s):

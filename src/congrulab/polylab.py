@@ -6,7 +6,9 @@ The Hausdorff distance is a lower bound on sup |h_K - h_L|: the best of
 seeded sample directions and each polytope's facet normals, raised by one
 batched ascent that steps along the ties of a polytope's vertices.  Every
 value it reads is the gap at a real direction, so it is never below its
-largest candidate.
+largest candidate.  The ascent that halves a tied start's angle in place,
+one trial per halving, stays in the tests as the oracle it must match bit
+for bit.
 
 One generator, ``_rigid_maps``, answers every symmetry and congruence
 question.  It prunes candidate vertex triples by centroid distance and
@@ -30,7 +32,7 @@ from itertools import product
 
 import numpy as np
 
-from .bodies import Body4, PolytopeShape, farthest_vertex_pairs, polytope
+from .bodies import Body4, PolytopeShape, _as_batch, farthest_vertex_pairs, polytope
 from .errors import (BudgetExhaustedError, ConfigInvalidError,
                      DegenerateProjectionError, InsufficientDataError,
                      TooFewVerticesError)
@@ -53,28 +55,31 @@ PERTURB_ROUNDS = 8
 def _ranked_points(body: Body4, theta):
     """(points, values) at the unit rows theta: a polytope's TIE_RANK highest
     vertices with their values theta . v, highest first, or a smooth body's
-    support point with its support value, as shapes (n, r, 4) and (n, r)."""
+    support point with its support value, as shapes (n, r, 4) and (n, r).
+    A row's output does not depend on the batch it comes in."""
     if not isinstance(body.shape, PolytopeShape):
         sp = body.support_point(theta)
         return sp[:, None], np.sum(sp * theta, axis=1)[:, None]
     V = body._world_vertices
-    values = theta @ V.T
+    values = (_as_batch(theta) @ V.T)[:len(theta)]
     top = np.argsort(values, axis=1)[:, :-TIE_RANK - 1:-1]
     return V[top], np.take_along_axis(values, top, axis=1)
 
 
 def _ascent_direction(K: Body4, L: Body4, theta, reach):
-    """(up, slope) at the unit rows theta for turns of angle ``reach``: the
-    unit tangent direction in which |h_K - h_L| rises, and its rate of rise
-    (a zero row and 0 where none is found).
+    """(up, slope, drop, span) at the unit rows theta for turns of angle
+    ``reach``: the unit tangent direction in which |h_K - h_L| rises and its
+    rate of rise (a zero row and 0 where none is found), and the (n, r - 1)
+    arrays that decide which ties it steps along.
 
     With A the body of larger support at a row and S the other, the gap
     h_A - h_S has gradient x - y_0, x and y_0 their support points.  A
     polytope S's support has a kink wherever its vertices tie, and a vertex
-    y_j can overtake y_0 within the turn only if theta . (y_0 - y_j) is at
-    most reach |y_j - y_0|.  The gradient is projected onto theta-perp and
-    off y_j - y_0 for each such y_j among S's TIE_RANK highest vertices, so
-    the step runs along those ties instead of across them.
+    y_j can overtake y_0 within the turn only if its drop theta . (y_0 - y_j)
+    is at most reach times its span |y_j - y_0|.  The gradient is projected
+    onto theta-perp and off y_j - y_0 for each such y_j among S's TIE_RANK
+    highest vertices, so the step runs along those ties instead of across
+    them.  The result depends on reach only through that near-tie set.
     """
     yk, hk = _ranked_points(K, theta)
     yl, hl = _ranked_points(L, theta)
@@ -83,43 +88,61 @@ def _ascent_direction(K: Body4, L: Body4, theta, reach):
     y = np.where(k_above[..., None], yl, yk)
     h = np.where(k_above, hl, hk)
     ties = y[:, 1:] - y[:, :1]
-    near = h[:, :1] - h[:, 1:] <= reach * np.linalg.norm(ties, axis=2)
-    M = np.concatenate([theta[:, None], ties * near[..., None]], axis=1)
+    drop, span = h[:, :1] - h[:, 1:], np.linalg.norm(ties, axis=2)
+    M = np.concatenate([theta[:, None], ties * (drop <= reach * span)[..., None]], axis=1)
     grad = x - y[:, 0]
     up = grad - (np.linalg.pinv(M) @ (M @ grad[..., None]))[..., 0]
     slope = np.linalg.norm(up, axis=1)
     # a residual at rounding level (every direction tied off) is no direction
     slope[slope <= 1e-12 * np.linalg.norm(grad, axis=1)] = 0.0
-    return np.divide(up, slope[:, None], out=np.zeros_like(up),
-                     where=slope[:, None] > 0), slope
+    return (np.divide(up, slope[:, None], out=np.zeros_like(up), where=slope[:, None] > 0),
+            slope, drop, span)
 
 
 def _gap_ascent(K: Body4, L: Body4, theta, gap) -> float:
     """Largest gap |h_K - h_L| reached by one batched ascent from the unit
     rows theta, whose gaps are ``gap``.
 
-    Every live start steps together, one (k, 4) batch per step: it turns by
-    its angle along ``_ascent_direction``.  The step is kept only if it
-    raises that start's gap by at least half of sin(angle) times the slope;
-    otherwise the angle halves, so that no start zigzags across a ridge of
-    the gap at a fixed angle, rising a little each time.  A start on a
-    corner of a polytope's normal fan, where every direction is tied off,
-    halves in place.  A start leaves once its angle is below GAP_MIN_STEP.
-    The result is never below the largest of ``gap``.
+    Every live start with a slope steps together, one (k, 4) batch per step:
+    it turns by its angle along ``_ascent_direction``.  The step is kept
+    only if it raises that start's gap by at least half of sin(angle) times
+    the slope; otherwise the angle halves, so that no start zigzags across a
+    ridge of the gap at a fixed angle, rising a little each time.  A start
+    on a corner of a polytope's normal fan, where every direction is tied
+    off, reads no trial: its direction depends on its angle only through
+    the near-tie set, so its angle halves at once to the first value where
+    that set changes, each halving counted as a step.  A start leaves once
+    its angle is below GAP_MIN_STEP or it has taken GAP_ITERS steps.  The
+    result is never below the largest of ``gap``.
     """
     angle = np.full(len(theta), GAP_STEP)
-    for _ in range(GAP_ITERS):
-        live = np.flatnonzero(angle >= GAP_MIN_STEP)
+    steps = np.zeros(len(theta), dtype=int)
+    while True:
+        live = np.flatnonzero((angle >= GAP_MIN_STEP) & (steps < GAP_ITERS))
         if not live.size:
             break
         a = angle[live, None]
-        up, slope = _ascent_direction(K, L, theta[live], a)
-        trial = np.cos(a) * theta[live] + np.sin(a) * up
+        up, slope, drop, span = _ascent_direction(K, L, theta[live], a)
+        flat = slope == 0
+        if flat.any():
+            b, drop, span = a[flat], drop[flat], span[flat]
+            near = drop <= b * span
+            halving = np.ones(len(b), dtype=bool)
+            while halving.any():
+                b[halving] /= 2
+                steps[live[flat]] += halving
+                halving &= (b[:, 0] >= GAP_MIN_STEP) & np.all((drop <= b * span) == near, axis=1)
+            angle[live[flat]] = b[:, 0]
+        moving, a, up, slope = live[~flat], a[~flat], up[~flat], slope[~flat]
+        if not moving.size:
+            continue
+        trial = np.cos(a) * theta[moving] + np.sin(a) * up
         trial /= np.linalg.norm(trial, axis=1)[:, None]
         g = np.abs(K.support(trial) - L.support(trial))
-        rise = (slope > 0) & (g > gap[live] + 0.5 * np.sin(a[:, 0]) * slope)
-        theta[live[rise]], gap[live[rise]] = trial[rise], g[rise]
-        angle[live[~rise]] /= 2
+        rise = g > gap[moving] + 0.5 * np.sin(a[:, 0]) * slope
+        theta[moving[rise]], gap[moving[rise]] = trial[rise], g[rise]
+        angle[moving[~rise]] /= 2
+        steps[moving] += 1
     return float(np.max(gap))
 
 
@@ -135,6 +158,8 @@ def hausdorff_distance(K: Body4, L: Body4, n_sample: int = 8192,
     value read is the gap at a real direction, so the result is a lower
     bound on the sup, and never below the largest candidate gap.
     """
+    if n_sample < 1:
+        raise ConfigInvalidError(f"n_sample must be at least 1, got {n_sample!r}")
     rng = np.random.default_rng(seed)
     normals = [b.shape.facets[0] @ b.folded[0].T for b in (K, L)
                if isinstance(b.shape, PolytopeShape)]
@@ -151,26 +176,31 @@ def _spread_directions(count: int, seed: int) -> np.ndarray:
     """Well-separated directions on S^3: farthest-point greedy seeding from a
     random pool, then Lloyd-style spreading (cells by nearest center).
 
-    Each Lloyd step assigns the pool to its nearest centres in blocks of
-    ``ASSIGN_ROWS`` rows, so no ``(pool, count)`` product is held at once.
-    The assignment and the pool-order cell sums match the dense
-    ``argmax(pool @ chosen.T)`` step exactly, bit for bit.
+    Each Lloyd step copies the centres into one C-contiguous ``(4, count)``
+    block, which BLAS reads faster than the strided ``chosen.T``, and
+    assigns the pool to its nearest centres in blocks of ``ASSIGN_ROWS``
+    rows, so no ``(pool, count)`` product is held at once.  The assignment
+    and the pool-order cell sums match the dense ``argmax(pool @ chosen.T)``
+    step exactly, bit for bit.
     """
     rng = np.random.default_rng(seed)
     pool = random_directions(max(4000, 30 * count), rng)
     chosen = np.empty((count, 4))
     chosen[0] = pool[0]
     best_dot = pool @ chosen[0]
+    dots = np.empty_like(best_dot)
     for k in range(1, count):
         idx = int(np.argmin(best_dot))
         chosen[k] = pool[idx]
-        np.maximum(best_dot, pool @ chosen[k], out=best_dot)
+        np.maximum(best_dot, np.matmul(pool, chosen[k], out=dots), out=best_dot)
+    centres = np.empty((4, count))
     buf = np.empty((ASSIGN_ROWS, count))
     cell = np.empty(len(pool), dtype=np.intp)
     for _ in range(LLOYD_ITERS):
+        centres[:] = chosen.T
         for s in range(0, len(pool), ASSIGN_ROWS):
             block = buf[:len(pool) - s]
-            np.matmul(pool[s:s + ASSIGN_ROWS], chosen.T, out=block)
+            np.matmul(pool[s:s + ASSIGN_ROWS], centres, out=block)
             np.argmax(block, axis=1, out=cell[s:s + ASSIGN_ROWS])
         # bincount adds each cell's rows in pool order, the oracle's order
         sums = np.column_stack([np.bincount(cell, weights=c, minlength=count)

@@ -151,6 +151,27 @@ def test_polytope_field_rows_independent_of_batch_size(seed):
             assert field(theta[k]) == full[k]
 
 
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1), bump=st.booleans())
+def test_smooth_field_rows_independent_of_batch_size(seed, bump):
+    # a rotated and translated ellipsoid or a bench-like bump: a direction's
+    # support value and support point are the same in every batch, a lone
+    # (4,) direction and a batch of one included
+    rng = np.random.default_rng(seed)
+    K = _bench_like_bump(seed) if bump else ellipsoid(rng.uniform(0.5, 2.0, 4))
+    K = K.apply(random_orthogonal(rng), rng.uniform(-1.0, 1.0, 4))
+    theta = random_directions(64, rng)
+    for field in (K.support, K.support_point):
+        full = field(theta)
+        for size in (1, 2, 7, 16):
+            for start in (0, int(rng.integers(0, len(theta) - size))):
+                rows = slice(start, start + size)
+                assert np.array_equal(field(theta[rows]), full[rows])
+        for k in rng.integers(0, len(theta), 16):
+            lone = field(theta[k])
+            assert np.shape(lone) == np.shape(full[k]) and np.array_equal(lone, full[k])
+
+
 def test_polytope_field_of_one_direction_is_one_matrix_vector_product():
     # a single (4,) direction is the first column of one product with a block
     # of 8 directions padded with zeros, so it rounds as it does in a batch,

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from congrulab.bodies import ball, body_to_spec, cube, ellipsoid
 from congrulab.cli import _HYPOTHESIS_ERRORS, canonicalize_spec, classifications_to_csv, main
 from congrulab.funk import sample_on_sphere
-from congrulab.orthogonal import pole_reflection
+from congrulab.orthogonal import Orthogonal4, pole_reflection
 from congrulab.registration import classify_direction
 from congrulab.sphere import complement_basis, gauss_grid, make_frame, unit
 
@@ -399,6 +399,23 @@ def test_rate_csv_deterministic(tmp_path, capsys):
     lines = b1.decode().strip().splitlines()
     assert lines[0] == "v,delta"
     assert len(lines) == 4
+
+
+def test_rate_output_independent_of_blas_threads(tmp_path):
+    # the rate command in fresh interpreters on one and two BLAS threads: the
+    # Lloyd products, the support batches and the ascent give the same bits
+    E = ellipsoid([1.0, 0.9, 0.8, 1.1]).apply(
+        Orthogonal4(np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))[0]),
+        [0.1, -0.2, 0.05, 0.3])
+    pk = write_body(tmp_path, "E.json", E)
+    outs = [subprocess.run([sys.executable, "-m", "congrulab.cli", "rate", pk,
+                            "--v-list", "40,80,160", "--format", "csv"],
+                           env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=n),
+                           capture_output=True, timeout=120)
+            for n in ("1", "2")]
+    assert all(out.returncode == 0 for out in outs), [out.stderr for out in outs]
+    assert outs[0].stdout.count(b"\n") == 4
+    assert outs[0].stdout == outs[1].stdout and outs[0].stderr == outs[1].stderr
 
 
 @pytest.mark.parametrize("v_list", ["40", "40,40"])

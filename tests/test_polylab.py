@@ -1,15 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from congrulab import polylab
 from congrulab.bodies import (Body4, BumpShape, BumpTerm, EllipsoidShape, ball,
                               cube, ellipsoid, polytope)
-from congrulab.errors import (BudgetExhaustedError, DegenerateProjectionError,
-                              InsufficientDataError, TooFewVerticesError)
+from congrulab.errors import (BudgetExhaustedError, ConfigInvalidError,
+                              DegenerateProjectionError, InsufficientDataError,
+                              TooFewVerticesError)
 from congrulab.orthogonal import Orthogonal4
-from congrulab.polylab import (ASSIGN_ROWS, LLOYD_ITERS, Polytope3,
-                               _spread_directions, _symmetry_scan, approximation_rate,
+from congrulab.polylab import (ASSIGN_ROWS, GAP_ITERS, GAP_MIN_STEP, GAP_STEP, LLOYD_ITERS,
+                               Polytope3, _ranked_points, _spread_directions,
+                               _symmetry_scan, approximation_rate,
                                detect_rigid_symmetries,
                                hausdorff_distance, inscribe_polytope,
                                match_congruent, perturb_to_asymmetric,
@@ -93,6 +98,118 @@ def test_hausdorff_inscribed_at_least_a_dense_sample(v, seed, semiaxes):
     dense = random_directions(100_000, rng)
     assert got >= np.max(np.abs(E.support(dense) - P.support(dense)))
     assert hausdorff_distance(P, E, seed=seed) == got
+
+
+def halving_ascent_direction(K, L, theta, reach):
+    # the oracle's step direction: the near-tie set is read afresh at every
+    # angle, and only (up, slope) come back
+    yk, hk = _ranked_points(K, theta)
+    yl, hl = _ranked_points(L, theta)
+    k_above = hk[:, :1] >= hl[:, :1]
+    x = np.where(k_above, yk[:, 0], yl[:, 0])
+    y = np.where(k_above[..., None], yl, yk)
+    h = np.where(k_above, hl, hk)
+    ties = y[:, 1:] - y[:, :1]
+    near = h[:, :1] - h[:, 1:] <= reach * np.linalg.norm(ties, axis=2)
+    M = np.concatenate([theta[:, None], ties * near[..., None]], axis=1)
+    grad = x - y[:, 0]
+    up = grad - (np.linalg.pinv(M) @ (M @ grad[..., None]))[..., 0]
+    slope = np.linalg.norm(up, axis=1)
+    slope[slope <= 1e-12 * np.linalg.norm(grad, axis=1)] = 0.0
+    return np.divide(up, slope[:, None], out=np.zeros_like(up),
+                     where=slope[:, None] > 0), slope
+
+
+def halving_gap_ascent(K, L, theta, gap):
+    # the oracle: every live start reads a trial at every step, and a start
+    # whose every direction is tied off halves its angle in place, one step
+    # per halving
+    angle = np.full(len(theta), GAP_STEP)
+    for _ in range(GAP_ITERS):
+        live = np.flatnonzero(angle >= GAP_MIN_STEP)
+        if not live.size:
+            break
+        a = angle[live, None]
+        up, slope = halving_ascent_direction(K, L, theta[live], a)
+        trial = np.cos(a) * theta[live] + np.sin(a) * up
+        trial /= np.linalg.norm(trial, axis=1)[:, None]
+        g = np.abs(K.support(trial) - L.support(trial))
+        rise = (slope > 0) & (g > gap[live] + 0.5 * np.sin(a[:, 0]) * slope)
+        theta[live[rise]], gap[live[rise]] = trial[rise], g[rise]
+        angle[live[~rise]] /= 2
+    return float(np.max(gap))
+
+
+def halving_hausdorff_distance(K, L, **kw):
+    with mock.patch.object(polylab, "_gap_ascent", halving_gap_ascent):
+        return hausdorff_distance(K, L, **kw)
+
+
+def _facet_normal_peak():
+    E = ellipsoid([1.0, 0.9, 0.8, 1.1])
+    return E, inscribe_polytope(E, 640, seed=4)
+
+
+def _tie_arc():
+    E = ellipsoid([1.9, 1.1, 2.0, 0.3])
+    return E, inscribe_polytope(E, 24, seed=4)
+
+
+@pytest.mark.parametrize("case, kw", [
+    (_facet_normal_peak, {"seed": 1004}),
+    (_tie_arc, {}),
+    (lambda: (cube(), polytope(np.vstack([np.eye(4), -np.eye(4)]))), {}),
+], ids=["facet-normal-peak", "tie-arc", "cube-cross"])
+def test_hausdorff_matches_the_halving_oracle(case, kw):
+    K, L = case()
+    got = hausdorff_distance(K, L, **kw)
+    assert got == halving_hausdorff_distance(K, L, **kw)
+    assert hausdorff_distance(L, K, **kw) == halving_hausdorff_distance(L, K, **kw)
+
+
+@settings(max_examples=20)
+@given(v=st.integers(20, 200), seed=st.integers(0, 2**32 - 1),
+       semiaxes=st.lists(st.floats(0.2, 2.0), min_size=4, max_size=4))
+def test_hausdorff_inscribed_matches_the_halving_oracle(v, seed, semiaxes):
+    rng = np.random.default_rng(seed)
+    rot = Orthogonal4(np.linalg.qr(rng.standard_normal((4, 4)))[0])
+    E = ellipsoid(semiaxes).apply(rot, rng.uniform(-1.0, 1.0, 4))
+    P = inscribe_polytope(E, v, seed=seed)
+    assert hausdorff_distance(E, P, seed=seed) == halving_hausdorff_distance(E, P, seed=seed)
+
+
+def _support_calls(monkeypatch, K, L, distance, **kw):
+    # the batch size of each Body4.support call one distance makes
+    calls, support = [], Body4.support
+
+    def counted(body, theta):
+        calls.append(len(theta))
+        return support(body, theta)
+
+    with monkeypatch.context() as m:
+        m.setattr(Body4, "support", counted)
+        distance(K, L, **kw)
+    return calls
+
+
+def test_tied_starts_read_no_trial(monkeypatch):
+    # on the facet-normal peak every start sits on a corner of the normal fan
+    # and stays tied off down to GAP_MIN_STEP: it leaves without a trial, so
+    # the two candidate batches are the only support calls.  The oracle read
+    # a trial pair at each of its 30 halvings.
+    E, P = _facet_normal_peak()
+    assert GAP_STEP / 2 ** 30 < GAP_MIN_STEP <= GAP_STEP / 2 ** 29
+    assert _support_calls(monkeypatch, E, P, hausdorff_distance, seed=1004) == [8192 + len(
+        P.shape.facets[0])] * 2
+    assert len(_support_calls(monkeypatch, E, P, halving_hausdorff_distance, seed=1004)) == 62
+
+
+@pytest.mark.parametrize("n_sample", [0, -1])
+def test_sample_count_below_one_is_a_config_error(n_sample):
+    with pytest.raises(ConfigInvalidError, match="n_sample"):
+        hausdorff_distance(ball(), ball(2.0), n_sample=n_sample)
+    with pytest.raises(ConfigInvalidError, match="n_sample"):
+        approximation_rate(ball(), [40, 80], n_sample=n_sample)
 
 
 # -- inscribed approximation -----------------------------------------------------
