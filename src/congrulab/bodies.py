@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from types import MethodType
 
 import numpy as np
 
@@ -253,22 +252,26 @@ def _points_per_block(m: int) -> int:
     return max(8, _PRODUCT_BLOCK // m // 8 * 8)
 
 
-def _facet_major_max(rows, theta):
-    """Max over the m rows of rows_j . theta.
+def _facet_major_max(rows, theta, antipodal=False):
+    """Max over the m rows of rows_j . theta; with ``antipodal``, the pair of
+    that max and the max at -theta, -min_j rows_j . theta.
 
     The points are taken in blocks of ``_points_per_block(m)``, so that no
     (m, block) product exceeds 2 MB: peak memory stays a few MB above the
     import, and a block of thousands of points is still one product that
     BLAS splits across its threads.  Every block's product is written into
     one buffer (a fresh product per block measured up to 2.6x slower), and
-    the max runs down its leading axis.  BLAS rounds the points past a
-    product's last full panel of 8 by another path, so every block is
-    padded with zero directions to a multiple of 8: a direction then has one
-    value in every batch, a batch of one included.  theta of shape (..., 4)
-    gives shape (...), and a single direction gives a scalar.
+    the max, and the min when asked, run down its leading axis.  BLAS rounds
+    the points past a product's last full panel of 8 by another path, so
+    every block is padded with zero directions to a multiple of 8: a
+    direction then has one value in every batch, a batch of one included,
+    and its negation the negated products, so the max at -theta is the
+    value the kernel gives -theta.  theta of shape (..., 4) gives shape
+    (...), and a single direction gives a scalar.
     """
     flat = theta.reshape(-1, theta.shape[-1])
     out = np.empty(len(flat))
+    low = np.empty(len(flat)) if antipodal else None
     step = _points_per_block(len(rows))
     prod = np.empty((len(rows), min(step, len(flat) + 7)))
     for lo in range(0, len(flat), step):
@@ -278,10 +281,15 @@ def _facet_major_max(rows, theta):
             block = np.concatenate([block, np.zeros((-n % 8, block.shape[1]))])
         part = np.matmul(rows, block.T, out=prod[:, :len(block)])
         np.max(part[:, :n], axis=0, out=out[lo:lo + n])
+        if antipodal:
+            np.min(part[:, :n], axis=0, out=low[lo:lo + n])
+    if antipodal:
+        np.negative(low, out=low)
+        return out.reshape(theta.shape[:-1]), low.reshape(theta.shape[:-1])
     return out.reshape(theta.shape[:-1])[()]
 
 
-def _forms_support(forms, powers, theta):
+def _forms_support(forms, powers, theta, antipodal=False):
     """Support of a smooth body from the products P = forms . theta of its
     world linear forms: sqrt(((P_0^2 + P_1^2) + P_2^2) + P_3^2), plus
     s_j P_{4+j}^{m_j} for each (m_j, s_j) in ``powers``, the power by
@@ -290,6 +298,11 @@ def _forms_support(forms, powers, theta):
     One product gives every row at once, each row contiguous, and the sums
     run in place.  theta of shape (..., 4) gives shape (...), and a single
     direction, read as a repeated pair (``_as_batch``), gives a scalar.
+
+    With ``antipodal``, the pair of the support at theta and at -theta.  The
+    products at -theta are -P, so the square root is shared, an odd power
+    changes sign and P_last does: the same sums in the same order give the
+    value at -theta bit for bit.
     """
     P = forms @ _as_batch(theta).T
     sq = P[:4] * P[:4]
@@ -297,14 +310,21 @@ def _forms_support(forms, powers, theta):
     h += sq[2]
     h += sq[3]
     h = np.sqrt(h)
+    h_neg = h.copy() if antipodal else None
     for u, (m, scale) in zip(P[4:], powers):
         top = u.copy()
         for _ in range(m - 1):
             top *= u
         top *= scale
         h += top
+        if antipodal:
+            (np.subtract if m % 2 else np.add)(h_neg, top, out=h_neg)
     h += P[-1]
-    return h[:theta.size // 4].reshape(theta.shape[:-1])[()]
+    shape, n = theta.shape[:-1], theta.size // 4
+    if antipodal:
+        h_neg -= P[-1]
+        return h[:n].reshape(shape), h_neg[:n].reshape(shape)
+    return h[:n].reshape(shape)[()]
 
 
 def _straddling(s):
@@ -330,17 +350,11 @@ class Body4:
     points read its cached world vertices.  A smooth body's support, support
     points and tangent Hessians read only its cached world linear forms
     (``_support_forms``); only an ellipsoid's radial reads 1/a locally.
-    ``sphere``, when set, is the normal w of a working sphere: a polytope's
-    ``radial`` then takes only directions orthogonal to w and reads only the
-    polar rows that can attain its max there (``restrict_field``).
-    ``support`` ignores it: a polytope's support reads its few vertices,
-    where the restriction saved no time.
     """
 
     kind: str
     shape: object
     folded: tuple = _IDENTITY
-    sphere: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (CONVEX, STAR):
@@ -356,29 +370,24 @@ class Body4:
     @cached_property
     def _polar_rows(self):
         # world-space polar vertices a_f / rhs_f: the body is {x : rows . x <= 1},
-        # so radial(theta) = 1 / max(rows . theta); on a working sphere, a row
-        # attains that max there only when its simplex crosses w-perp
-        # (vertices strictly on both sides) or has a triangle in it
+        # so radial(theta) = 1 / max(rows . theta)
         A, off = self.shape.facets
         R, b = self.folded
         rhs = A @ (R.T @ b) - off
         if np.min(rhs) <= ORIGIN_MARGIN:
             raise OriginOutsideError("origin is not interior to the polytope")
-        rows = (A @ R.T) / rhs[:, None]
-        if self.sphere is None:
-            return rows
-        return rows[_straddling((self._world_vertices @ self.sphere)[self.shape.incidence])]
+        return (A @ R.T) / rhs[:, None]
+
+    def _sphere_rows(self, w):
+        """The polar rows that can attain the radial's max on the working
+        sphere orthogonal to the unit normal w: a row attains it there only
+        when its simplex crosses w-perp (vertices strictly on both sides) or
+        has a triangle in it (``_straddling``)."""
+        return self._polar_rows[_straddling((self._world_vertices @ w)[self.shape.incidence])]
 
     @cached_property
     def _support_forms(self):
         return _linear_forms(self.shape, *self.folded)
-
-    def _on_sphere(self, theta):
-        """theta, checked to lie on the working sphere when there is one."""
-        if self.sphere is not None and np.size(theta) and (
-                np.max(np.abs(theta @ self.sphere)) > ORTHO_TOL):
-            raise NonOrthogonalError("direction is not on the body's working sphere")
-        return theta
 
     def support(self, theta):
         """Support value(s) h(theta) = max {theta . y : y in body}.  A bump's
@@ -409,7 +418,7 @@ class Body4:
         """
         theta = np.asarray(theta, dtype=float)
         if isinstance(self.shape, PolytopeShape):
-            rho = 1.0 / _facet_major_max(self._polar_rows, self._on_sphere(theta))
+            rho = 1.0 / _facet_major_max(self._polar_rows, theta)
             return rho if rho.ndim else float(rho)
         R, b = self.folded
         d = theta @ R          # R^T theta
@@ -429,6 +438,31 @@ class Body4:
             return rho if rho.ndim else float(rho)
         raise UnsupportedKindError(
             "radial evaluation is only exact for polytopes and ellipsoids")
+
+    def antipodal_values(self, radial: bool, w, theta):
+        """(f(theta), f(-theta)) at the rows theta of the working sphere
+        orthogonal to w, for f this body's ``support``, or with ``radial``
+        its ``radial``, from one product per block: a polytope's kernel takes
+        the max and the min of each (``_facet_major_max``), and a smooth
+        support reuses its forms products (``_forms_support``).  Each value
+        is bitwise the one ``support`` gives.  A polytope's radial reads only
+        the polar rows that can attain its max on that sphere
+        (``_sphere_rows``), and rows of theta off it raise
+        NonOrthogonalError.  An ellipsoid's or bump's radial has no shared
+        product and raises UnsupportedKindError.
+        """
+        theta = np.asarray(theta, dtype=float)
+        if not radial:
+            if isinstance(self.shape, PolytopeShape):
+                return _facet_major_max(self._world_vertices, theta, antipodal=True)
+            return _forms_support(*self._support_forms, theta, antipodal=True)
+        if not isinstance(self.shape, PolytopeShape):
+            raise UnsupportedKindError("only a polytope's radial has antipodal values")
+        w = unit(w)
+        if np.size(theta) and np.max(np.abs(theta @ w)) > ORTHO_TOL:
+            raise NonOrthogonalError("direction is not on the working sphere")
+        top, bottom = _facet_major_max(self._sphere_rows(w), theta, antipodal=True)
+        return 1.0 / top, 1.0 / bottom
 
     # -- transforms --------------------------------------------------------
 
@@ -465,21 +499,6 @@ class Body4:
         if not isinstance(self.shape, PolytopeShape):
             raise UnsupportedKindError("only polytopes have vertices")
         return self._world_vertices
-
-
-def restrict_field(f, w):
-    """The field f for directions on the working sphere orthogonal to w.
-
-    A polytope body's ``radial`` becomes the same method of the body with
-    ``sphere`` w, which reads only the polar rows that can attain the max on
-    that sphere and gives the same values there.  Every other field is its
-    own restriction: a polytope's ``support`` too, since its vertices are
-    few enough that a grid costs the same with or without the restriction.
-    """
-    if (getattr(f, "__func__", None) is Body4.radial
-            and isinstance(f.__self__.shape, PolytopeShape)):
-        return MethodType(f.__func__, replace(f.__self__, sphere=unit(w)))
-    return f
 
 
 def ball(radius: float = 1.0) -> Body4:

@@ -29,6 +29,7 @@ SNAP_TOL = 1e-2  # radians: snap recovered pole angles to 0 or pi
 DETECTOR_GRID = (24, 128)  # latitudes x azimuths of the symmetry detectors
 NEWTON_XTOL = 1e-12  # radians: stop once a refinement step is this small
 NEWTON_MAXITER = 64  # bisection alone shrinks the bracket below NEWTON_XTOL
+RMS_SLACK = 1e-12  # rounding allowance of a closed-form objective, times |F|^2 + |G|^2
 
 
 @dataclass(frozen=True)
@@ -68,10 +69,10 @@ class _ShiftObjective:
     """Squared-L2 objective sum_t sum_j (F_a[t, j] - G[t, j])^2 in closed form.
 
     ``spec`` is the ring spectrum of the source F, which is f or its mirror
-    image (both have f's sum of squares).  F_a is F shifted by the angle a
-    through a phase shift of its spectrum, exact for data band-limited below
-    the azimuth Nyquist frequency; like irfft, the shift keeps only the real
-    part of the Nyquist bin.  By Parseval, with N = n/2,
+    image (both have f's sum of squares, ``GridFunction.sumsq``).  F_a is F
+    shifted by the angle a through a phase shift of its spectrum, exact for
+    data band-limited below the azimuth Nyquist frequency; like irfft, the
+    shift keeps only the real part of the Nyquist bin.  By Parseval, with N = n/2,
     c = sum_t spec * conj(G spectrum) and P = sum_t spec[t, N]^2,
 
         obj(a) = |F|^2 + |G|^2 - (P/n) sin^2(N a)
@@ -87,7 +88,7 @@ class _ShiftObjective:
         self.spec = spec
         self.G = g.values
         c = np.sum(spec * np.conj(g.spectrum), axis=0)
-        total = float(np.sum(f.values * f.values) + np.sum(self.G * self.G))
+        total = f.sumsq + g.sumsq
         self.curve = total - 2.0 * np.fft.irfft(c, n=n)
         self.k = np.arange(1, half, dtype=float)
         self.k2 = self.k * self.k
@@ -193,6 +194,28 @@ def _register(f: GridFunction, spectrum: np.ndarray, g: GridFunction):
     return objective, s0, _refine(objective, s0)
 
 
+def _family(kind: str, f: GridFunction, g: GridFunction):
+    """(objective, angle, parameter, coarse) of the family ``kind``: its
+    objective, the refined shift angle at which its residual is read, and
+    its witness's parameter and coarse parameter."""
+    if kind == FIX_POLE:
+        objective, s0, angle = _register(f, f.spectrum, g)
+        angle %= 2.0 * np.pi
+        return objective, angle, angle, 2.0 * np.pi * s0 / objective.n
+    objective, s0, angle = _register(f, _mirrored_spectrum(f), g)
+    beta = _to_beta(angle)
+    if beta > np.pi - 1e-12:
+        beta = 0.0
+    return objective, angle, beta, _to_beta(2.0 * np.pi * s0 / objective.n)
+
+
+def _witness(kind: str, objective: _ShiftObjective, angle: float, parameter: float,
+             coarse: float) -> RotationWitness:
+    """The family's witness, its sup-norm residual from one resampling."""
+    return RotationWitness(kind=kind, parameter=parameter, residual=objective.sup(angle),
+                           coarse_parameter=coarse)
+
+
 def register_pole_rotation(f: GridFunction, g: GridFunction) -> RotationWitness:
     """Best rotation about the pole with f(rot x) ~= g(x) on the grid.
 
@@ -200,11 +223,7 @@ def register_pole_rotation(f: GridFunction, g: GridFunction) -> RotationWitness:
     cross-spectrum; the best is refined by Newton on the closed-form
     objective.  Flat objectives (zonal data) tie-break to angle 0.
     """
-    objective, s0, angle = _register(f, f.spectrum, g)
-    angle %= 2.0 * np.pi
-    return RotationWitness(kind=FIX_POLE, parameter=angle,
-                           residual=objective.sup(angle),
-                           coarse_parameter=2.0 * np.pi * s0 / objective.n)
+    return _witness(FIX_POLE, *_family(FIX_POLE, f, g))
 
 
 def register_pole_flip(f: GridFunction, g: GridFunction) -> RotationWitness:
@@ -217,13 +236,7 @@ def register_pole_flip(f: GridFunction, g: GridFunction) -> RotationWitness:
     Gauss rings are symmetric about the equator.  The axis is reported in
     [0, pi) (an axis and its antipode are the same rotation).
     """
-    objective, s0, angle = _register(f, _mirrored_spectrum(f), g)
-    beta = _to_beta(angle)
-    if beta > np.pi - 1e-12:
-        beta = 0.0
-    return RotationWitness(kind=FLIP_POLE, parameter=beta,
-                           residual=objective.sup(angle),
-                           coarse_parameter=_to_beta(2.0 * np.pi * s0 / objective.n))
+    return _witness(FLIP_POLE, *_family(FLIP_POLE, f, g))
 
 
 @dataclass(frozen=True)
@@ -279,11 +292,25 @@ def classify_direction(fg: GridFunction, gg: GridFunction, tol: float) -> Classi
     within tolerance.  An accepted pole rotation whose angle does not snap
     to {0, 1} is noted, since consistent data then has to vanish on the
     sphere.
+
+    Both objectives are refined, and the family with the smaller objective
+    is resampled for its residual.  The other one's RMS, sqrt(obj / size)
+    less a rounding allowance of RMS_SLACK (|F|^2 + |G|^2), is a lower bound
+    on its residual: it is resampled only when that bound does not exceed
+    the first residual, since otherwise it cannot win.
     """
     tol_abs = tol * max(fg.sup, gg.sup, 1e-300)
-    wit_rot = register_pole_rotation(fg, gg)
-    wit_flip = register_pole_flip(fg, gg)
-    best = wit_rot if wit_rot.residual <= wit_flip.residual else wit_flip
+    families = []
+    for kind in (FIX_POLE, FLIP_POLE):
+        family = _family(kind, fg, gg)
+        families.append((family[0](family[1]), kind, family))
+    (_, kind, family), (obj, other_kind, other) = sorted(families, key=lambda x: x[0])
+    best = _witness(kind, *family)
+    floor = np.sqrt(max(obj - RMS_SLACK * (fg.sumsq + gg.sumsq), 0.0) / fg.values.size)
+    if floor <= best.residual:
+        rival = _witness(other_kind, *other)
+        wit_rot, wit_flip = (best, rival) if kind == FIX_POLE else (rival, best)
+        best = wit_rot if wit_rot.residual <= wit_flip.residual else wit_flip
     label = best.kind if best.residual <= tol_abs else LABEL_NONE
     alpha = snap_alpha(best.parameter) if label == FIX_POLE else None
     return Classification(

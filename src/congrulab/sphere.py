@@ -143,7 +143,9 @@ def gauss_latitude_nodes(n_t: int):
 class SphereGrid:
     """Working-sphere grid: its frame, n_t Gauss-Legendre latitude rings
     ``t_nodes``, symmetric about the equator so that a flip reads them in
-    reverse, and n_azimuth uniform azimuths."""
+    reverse, and n_azimuth uniform azimuths.  The grid is exactly antipodal:
+    ring n_t - 1 - i at azimuth j + n_azimuth / 2 is the negation of ring i
+    at azimuth j (``points``)."""
 
     frame: SphereFrame
     n_t: int
@@ -155,26 +157,42 @@ class SphereGrid:
         object.__setattr__(self, "t_nodes", gauss_latitude_nodes(self.n_t))
 
     @cached_property
-    def azimuths(self):
-        az = 2.0 * np.pi * np.arange(self.n_azimuth) / self.n_azimuth
-        az.setflags(write=False)
-        return az
+    def upper_points(self):
+        """The first ceil(n_t / 2) rings of ``points``, built without the
+        others: ring i is r_i times the equatorial circle
+        (``great_circle_nodes``, whose second half negates its first) plus
+        t_i times the pole, r_i = sqrt(1 - t_i^2).
 
-    @cached_property
-    def points(self):
-        """All grid points, shape (n_t, n_azimuth, 4): ring i is r_i times
-        the equatorial circle plus t_i times the pole, r_i = sqrt(1 - t_i^2).
-
-        The ring products are one (n_t, n_azimuth * 4) outer product, so
+        The ring products are one (rings, n_azimuth * 4) outer product, so
         numpy runs them in long rows rather than in rows of 4.
         """
-        t = self.t_nodes[:, None]
+        rings = (self.n_t + 1) // 2
+        t = self.t_nodes[:rings, None]
         r = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
-        circle = self.frame.circle_point(self.azimuths).reshape(1, -1)
-        pts = (r * circle).reshape(self.n_t, self.n_azimuth, 4)
+        circle = great_circle_nodes(self.frame, self.n_azimuth).reshape(1, -1)
+        pts = (r * circle).reshape(rings, self.n_azimuth, 4)
         pts += (t * self.frame.pole)[:, None, :]
         pts.setflags(write=False)
         return pts
+
+    @cached_property
+    def points(self):
+        """All grid points, shape (n_t, n_azimuth, 4): ``upper_points``, then
+        the negated upper rings read through ``lower_rings``, so that
+        points[n_t-1-i, (j + n_azimuth/2) % n_azimuth] == -points[i, j]
+        exactly (an odd n_t's equator ring up to the sign of a zero).  As
+        t_{n_t-1-i} = -t_i, every ring is r_i times the circle plus t_i pole.
+        """
+        up = self.upper_points
+        pts = np.concatenate([up, self.lower_rings(-up)])
+        pts.setflags(write=False)
+        return pts
+
+    def lower_rings(self, antipodes):
+        """The last n_t // 2 rings of a grid array given, on the first
+        ceil(n_t / 2) rings, at the antipodes of their points: ring
+        n_t - 1 - i at azimuth j + n_azimuth / 2 reads antipodes[i, j]."""
+        return np.roll(antipodes[:self.n_t // 2], self.n_azimuth // 2, axis=1)[::-1]
 
 
 def gauss_grid(frame: SphereFrame, n_t: int = 64, n_azimuth: int = 256) -> SphereGrid:
@@ -183,11 +201,14 @@ def gauss_grid(frame: SphereFrame, n_t: int = 64, n_azimuth: int = 256) -> Spher
 
 
 def great_circle_nodes(frame: SphereFrame, n: int):
-    """n equispaced points on the equatorial circle of the frame."""
+    """n equispaced points on the equatorial circle of the frame, the first
+    at e1.  For even n, node j + n/2 is exactly the negation of node j."""
     if n < 2:
         raise ValueError("need at least 2 circle nodes")
-    az = 2.0 * np.pi * np.arange(n) / n
-    return frame.circle_point(az)
+    if n % 2:
+        return frame.circle_point(2.0 * np.pi * np.arange(n) / n)
+    half = frame.circle_point(2.0 * np.pi * np.arange(n // 2) / n)
+    return np.concatenate([half, -half])
 
 
 def circle_quadrature(f_values) -> float:

@@ -17,7 +17,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .bodies import Body4, diameter_segment, find_diameters, restrict_field
+from .bodies import Body4, diameter_segment, find_diameters
 from .errors import (CongruenceHypothesisFailed, ConfigInvalidError,
                      DiameterHypothesisFailed, EmptyInputError, StarShapednessLost)
 from .funk import sample_on_sphere
@@ -195,7 +195,7 @@ def _check_sphere(f, g, pole, w, config: VerifyConfig, certify: bool,
     """Every per-sphere check, read from one grid of f and one of g.
 
     The sphere orthogonal to ``w`` gets its Gauss grid, and f and g are
-    restricted to it (``restrict_field``) and sampled on it once.  With
+    sampled on it once (``sample_on_sphere``).  With
     ``certify``, the full restrictions are registered first and the
     congruence hypothesis fails here when neither family registers.  The
     even parts are compared pointwise; the pole reflection is the azimuth
@@ -206,8 +206,8 @@ def _check_sphere(f, g, pole, w, config: VerifyConfig, certify: bool,
     grid: the pole half-turn moves f by twice its odd part, and f self-flips.
     """
     grid = gauss_grid(make_frame(pole, w), n_t=config.n_t, n_azimuth=config.n_azimuth)
-    fg = sample_on_sphere(restrict_field(f, w), grid)
-    gg = sample_on_sphere(restrict_field(g, w), grid)
+    fg = sample_on_sphere(f, grid)
+    gg = sample_on_sphere(g, grid)
     sup = max(fg.sup, gg.sup)
     congruence = None
     if certify:

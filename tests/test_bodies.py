@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
+from congrulab import bodies
 from congrulab.bodies import (_N_SCAN, _PRODUCT_BLOCK, _SCAN_DIRS,
                               _SCAN_SEED, MAX_BUMP_DEGREE, Body4, BumpShape,
                               BumpTerm, EllipsoidShape, PolytopeShape,
@@ -16,13 +17,13 @@ from congrulab.bodies import (_N_SCAN, _PRODUCT_BLOCK, _SCAN_DIRS,
                               _tangent_basis, _width_hessian, ball,
                               body_from_spec, body_to_spec, cube, diameter_segment,
                               ellipsoid, farthest_vertex_pairs, find_diameters, polytope,
-                              restrict_field, shape_from_spec, shape_to_spec)
+                              shape_from_spec, shape_to_spec)
 from congrulab.errors import (DegenerateBodyError, DiameterHypothesisFailed,
                               NonOrthogonalError, OriginOutsideError, UnsupportedKindError)
 from congrulab.funk import sample_on_sphere
 from congrulab.orthogonal import Orthogonal4, pole_reflection
-from congrulab.sphere import (complement_basis, directions_orthogonal_to, gauss_grid,
-                              make_frame, random_directions, unit)
+from congrulab.sphere import (complement_basis, directions_orthogonal_to, evaluate_field,
+                              gauss_grid, make_frame, random_directions, unit)
 from congrulab.verifier import VerifyConfig, verify_projection_theorem
 
 from helpers import (brute_force_diameters, bump_support_by_powers, narrow_cone_polytope,
@@ -240,24 +241,38 @@ def _cell24():
                      for s in (-1.0, 1.0) for t in (-1.0, 1.0)])
 
 
+def _sampled_rows(field, grid):
+    """(values, rows): the field sampled on the grid, and the number of rows
+    (radial) or vertices (support) of each polytope-kernel call it made."""
+    read = []
+    kernel = bodies._facet_major_max
+
+    def reading(rows, theta, antipodal=False):
+        read.append(len(rows))
+        return kernel(rows, theta, antipodal)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bodies, "_facet_major_max", reading)
+        values = sample_on_sphere(field, grid).values
+    return values, read
+
+
 def _assert_restriction_exact(field, pole, w_dirs):
-    """On each working sphere the restricted field gives every grid value of
-    the whole-S^3 field bit for bit; returns the rows it read per sphere.
-    A polytope's radial is rebound to the body on that sphere, and its
-    support comes back unchanged."""
+    """On each working sphere, sampling the field gives every grid value of
+    the whole-S^3 field bit for bit, from one kernel call on the grid's
+    upper rings; returns the rows it read per sphere.  A polytope's radial
+    reads only the rows that can attain its max on that sphere, and its
+    support reads every vertex."""
     kept = []
     for w in w_dirs:
         grid = gauss_grid(make_frame(pole, w), n_t=24, n_azimuth=128)
-        restricted = restrict_field(field, w)
-        if field.__name__ == "radial":
-            assert restricted.__self__ is not field.__self__
-            assert restricted.__name__ == field.__name__
-        else:
-            assert restricted == field
-        assert np.array_equal(sample_on_sphere(restricted, grid).values,
-                              field(grid.points))
-        kept.append(_rows_read(restricted))
+        values, read = _sampled_rows(field, grid)
+        assert np.array_equal(values, field(grid.points))
+        assert len(read) == 1
+        kept.append(read[0])
     assert max(kept) <= _rows_read(field)
+    if field.__name__ == "support":
+        assert min(kept) == _rows_read(field)
     return kept
 
 
@@ -305,30 +320,75 @@ def test_polytope_field_restriction_exact_at_degenerate_contacts(vertices, axis)
 def test_restricted_field_rejects_directions_off_its_sphere():
     K = planted_polytope(3, np.eye(4)[0], through_origin=True, kind="star")
     w = np.eye(4)[1]
-    restricted = restrict_field(K.radial, w)
-    restricted(np.array([[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]]))
+    on = np.array([[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    off = unit(np.array([[1.0, 1e-6, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]))
+    K.antipodal_values(True, w, on)
     with pytest.raises(NonOrthogonalError):
-        restricted(unit(np.array([1.0, 1e-6, 0.0, 0.0])))
-    # a polytope's support, smooth fields and plain callables are their own
-    # restriction
-    assert restrict_field(K.support, w) == K.support
-    E = ellipsoid([1.0, 0.9, 0.8, 0.7])
-    assert restrict_field(E.support, w) == E.support
-    assert restrict_field(np.sum, w) is np.sum
+        K.antipodal_values(True, w, off)
+    # a polytope's support has no working sphere to check, and a smooth
+    # body's radial has no antipodal values
+    K.antipodal_values(False, w, off)
+    with pytest.raises(UnsupportedKindError):
+        ellipsoid([1.0, 0.9, 0.8, 0.7]).antipodal_values(True, w, on)
 
 
-def test_restrict_field_rebinds_a_wrapped_radial(monkeypatch):
+def test_sampler_restricts_a_wrapped_radial(monkeypatch):
     # a wrapper installed on Body4.radial, as a span tracer installs one, is
-    # still the radial: its restriction reads the working sphere's rows
+    # still the radial: the sampler reads the working sphere's rows, on the
+    # grid's upper rings, without calling it.  (This body's axis-aligned
+    # cross-polytope vertices split hull facets into several rows, which
+    # round apart, so the restriction may differ from the whole radial in
+    # the last bit.)
     radial = Body4.radial
-    monkeypatch.setattr(Body4, "radial",
-                        functools.wraps(radial)(lambda self, theta: radial(self, theta)))
+    calls = []
+
+    def wrapped(self, theta):
+        calls.append(np.shape(theta))
+        return radial(self, theta)
+
+    monkeypatch.setattr(Body4, "radial", functools.wraps(radial)(wrapped))
     K = planted_polytope(3, np.eye(4)[0], through_origin=True, kind="star")
     w = np.eye(4)[1]
-    restricted = restrict_field(K.radial, w)
-    assert restricted.__func__ is Body4.radial
-    assert np.array_equal(restricted.__self__.sphere, w)
-    assert len(restricted.__self__._polar_rows) < len(K._polar_rows)
+    grid = gauss_grid(make_frame(np.eye(4)[0], w), n_t=24, n_azimuth=128)
+    values, read = _sampled_rows(K.radial, grid)
+    assert not calls
+    rows = K._sphere_rows(w)
+    assert read == [len(rows)] and len(rows) < len(K._polar_rows)
+    assert np.array_equal(values, 1.0 / bodies._facet_major_max(rows, grid.points))
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), size=st.sampled_from([(3, 10), (17, 22), (24, 128),
+                                                            (64, 256)]),
+       shape=st.sampled_from(["polytope", "star", "ellipsoid", "bump"]))
+def test_upper_ring_sampling_equals_every_point(seed, size, shape):
+    # a body's support, and a star polytope's radial, sampled on the upper
+    # rings give the values of the field at every grid point bit for bit,
+    # on grids with an odd n_t and with n_azimuth not a multiple of 8; the
+    # radial also equals its restriction to the working sphere
+    rng = np.random.default_rng(seed)
+    pole = unit(rng.standard_normal(4))
+    if shape in ("polytope", "star"):
+        star = shape == "star"
+        K = planted_polytope(seed % 997, pole, through_origin=star,
+                             kind="star" if star else "convex")
+        K = K.apply(random_orthogonal(rng),
+                    (0.05 if star else 1.0) * unit(rng.standard_normal(4)))
+    elif shape == "ellipsoid":
+        K = ellipsoid(rng.uniform(0.5, 2.0, 4), random_orthogonal(rng))
+        K = K.translate(rng.uniform(-1.0, 1.0, 4))
+    else:
+        K = _bench_like_bump(seed, degrees=((3, 5, 3), (2, 4, 3))[seed % 2])
+        K = K.apply(random_orthogonal(rng), rng.uniform(-1.0, 1.0, 4))
+    w = rng.standard_normal(4)
+    grid = gauss_grid(make_frame(pole, w - (w @ pole) * pole), *size)
+    assert np.array_equal(sample_on_sphere(K.support, grid).values,
+                          evaluate_field(K.support, grid.points))
+    if shape == "star":
+        values = sample_on_sphere(K.radial, grid).values
+        assert np.array_equal(values, evaluate_field(K.radial, grid.points))
+        rows = K._sphere_rows(grid.frame.normal)
+        assert np.array_equal(values, 1.0 / bodies._facet_major_max(rows, grid.points))
 
 
 def test_radial_values():
@@ -664,14 +724,15 @@ def test_find_diameters_rotated_ellipsoid(seed, ratio):
     assert min(np.linalg.norm(d - axis), np.linalg.norm(d + axis)) < 1e-7
 
 
-def _bench_like_bump(seed):
-    # an ellipsoid with semiaxes (1, 0.8, 0.7, 0.6) plus three odd terms of
-    # degrees 3, 5, 3 at epsilon 0.02, all rotated, as the smooth benchmark
+def _bench_like_bump(seed, degrees=(3, 5, 3)):
+    # an ellipsoid with semiaxes (1, 0.8, 0.7, 0.6) plus three terms, by
+    # default odd of degrees 3, 5, 3, at epsilon 0.02, all rotated, as the
+    # smooth benchmark
     rng = np.random.default_rng(seed)
     U = random_orthogonal(rng)
     terms = tuple(BumpTerm(U.matrix @ unit(rng.standard_normal(4)), m,
                            float(rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0])))
-                  for m in (3, 5, 3))
+                  for m in degrees)
     return Body4(kind="convex", shape=BumpShape(
         base=EllipsoidShape(np.array([1.0, 0.8, 0.7, 0.6]), U), epsilon=0.02, terms=terms))
 

@@ -257,22 +257,48 @@ def test_classify_flip():
 
 
 def test_classify_registers_each_family_once(monkeypatch):
-    calls = []
+    # both families' objectives are built once each; the flip family's is the
+    # smaller, so it is resampled first, and the rotation family's RMS alone
+    # exceeds the flip residual, so the rotation family is not resampled
+    built, resampled = [], []
 
-    def counting(name):
-        inner = getattr(registration, name)
+    class Counted(registration._ShiftObjective):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
 
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return inner(*args, **kwargs)
-        return counted
+        def resample(self, angle):
+            resampled.append(self)
+            return super().resample(angle)
 
-    for name in ("register_pole_rotation", "register_pole_flip"):
-        monkeypatch.setattr(registration, name, counting(name))
+    monkeypatch.setattr(registration, "_ShiftObjective", Counted)
     f = odd_field(73, FR.pole)
     g = compose_with_matrix(f, equator_flip(FR, 1.1).matrix)
     assert classify(f, g).label == FLIP_POLE
-    assert sorted(calls) == ["register_pole_flip", "register_pole_rotation"]
+    assert len(built) == 2 and resampled == [built[1]]
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), relation=st.sampled_from(["rotation", "flip", "none"]),
+       noise=st.sampled_from([0.0, 1e-9, 1e-3]))
+def test_classify_picks_the_witness_of_both_registrations(seed, relation, noise):
+    # whether or not the losing family is resampled, the classification is
+    # the one read from both families' full registrations
+    rng = np.random.default_rng(seed)
+    index = seed % 1000
+    f = odd_field(index, FR.pole) if relation == "flip" else band_limited_field(index)
+    if relation == "rotation":
+        g = compose_with_matrix(f, pole_rotation(FR, rng.uniform(0, 2 * np.pi)).matrix)
+    elif relation == "flip":
+        g = compose_with_matrix(f, equator_flip(FR, rng.uniform(0, np.pi)).matrix)
+    else:
+        g = band_limited_field(index + 1000)
+    F, G = sample_pair(f, g, CLASSIFY_GRID)
+    G = GridFunction(grid=G.grid,
+                     values=G.values + noise * rng.standard_normal(G.values.shape))
+    rot, flip = register_pole_rotation(F, G), register_pole_flip(F, G)
+    c = classify_direction(F, G, 1e-6)
+    assert c.witness == (rot if rot.residual <= flip.residual else flip)
 
 
 def test_classify_none_for_unrelated():

@@ -51,6 +51,22 @@ def test_grid_invariants_enforced():
             SphereGrid(frame=fr, n_t=n_t, n_azimuth=n_azimuth)
 
 
+@pytest.mark.parametrize("n_t, n_azimuth", [(1, 8), (3, 10), (4, 16), (17, 22), (24, 128),
+                                             (64, 256)])
+def test_grid_is_exactly_antipodal(n_t, n_azimuth):
+    # ring n_t-1-i at azimuth j + n/2 is the negation of ring i at azimuth j,
+    # bit for bit, and the upper rings are built without the others
+    grid = gauss_grid(random_frame(RNG), n_t, n_azimuth)
+    upper = grid.upper_points
+    assert "points" not in grid.__dict__
+    pts = grid.points
+    i, j = np.arange(n_t)[:, None], np.arange(n_azimuth)[None, :]
+    antipodes = pts[n_t - 1 - i, (j + n_azimuth // 2) % n_azimuth]
+    assert np.array_equal(antipodes.view(np.int64), (-pts).view(np.int64))
+    assert np.array_equal(upper.view(np.int64), pts[:(n_t + 1) // 2].view(np.int64))
+    assert not upper.flags.writeable and not pts.flags.writeable
+
+
 def test_great_circle_nodes_small_case():
     fr = random_frame(RNG)
     nodes = great_circle_nodes(fr, 4)

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congrulab import verifier
+from congrulab import bodies, verifier
 from congrulab.bodies import (Body4, BumpShape, BumpTerm, EllipsoidShape, ball,
-                              body_from_spec, cube, ellipsoid, polytope)
+                              body_from_spec, cube, diameter_segment, ellipsoid, polytope)
 from congrulab.errors import (CongruenceHypothesisFailed, ConfigInvalidError,
                               DegenerateBodyError, DiameterHypothesisFailed,
                               EmptyInputError, StarShapednessLost)
@@ -154,6 +155,35 @@ def test_decide_samples_each_field_once_per_sphere():
         # the odd part and the certificate of the winning relation
         probe_points = sum(int(np.prod(s)) for s in shapes if s != grid_shape)
         assert probe_points == 2 * cfg.out_of_sample
+
+
+@pytest.mark.parametrize("case", ["projection-equal", "projection-reflected",
+                                  "section-reflected"])
+def test_decide_reads_body_methods_as_their_wrapped_fields(case):
+    # a body's support or radial, sampled on the upper rings of each grid,
+    # gives the verdict the same fields wrapped in lambdas give, which are
+    # evaluated at every grid point: byte-equal JSON, on an odd n_t too
+    section = case.startswith("section")
+    K = planted_polytope(141, POLE, through_origin=section,
+                         kind="star" if section else "convex")
+    U = pole_reflection(POLE) if case.endswith("reflected") else identity()
+    if section:
+        f, g = K.radial, K.apply(U).radial
+    else:
+        K, L = (_centred(B) for B in (K, K.apply(U, 0.3 * unit(RNG.standard_normal(4)))))
+        f, g = K.support, L.support
+    for n_t in (16, 15):
+        cfg = VerifyConfig(n_t=n_t, n_azimuth=64, w_samples=8, out_of_sample=256)
+        methods = decide_functional_equation(f, g, POLE, cfg)
+        wrapped = decide_functional_equation(lambda x: f(x), lambda x: g(x), POLE, cfg)
+        assert methods.outcome == (OUTCOME_REFLECTED if case.endswith("reflected")
+                                   else OUTCOME_EQUAL)
+        assert json.dumps(methods.to_json_dict()) == json.dumps(wrapped.to_json_dict())
+
+
+def _centred(body):
+    z, y = diameter_segment(body, POLE)
+    return body.translate(-0.5 * (z + y))
 
 
 def test_decide_flip_witnesses_read_each_sphere_grid():
@@ -521,8 +551,9 @@ def test_section_requires_origin_diameter():
 
 def test_section_samples_and_registers_each_sphere_once(monkeypatch):
     # the direct alignment certifies, so the decision runs once: each body
-    # is restricted to and sampled on each working sphere once, and each
-    # sphere registers its full restrictions and its odd parts
+    # is sampled on each working sphere once, from one kernel call on the
+    # grid's upper rings, and each sphere registers its full restrictions
+    # and its odd parts
     counts = {"classify_direction": 0, "sample_on_sphere": 0}
 
     def counting(name):
@@ -536,23 +567,29 @@ def test_section_samples_and_registers_each_sphere_once(monkeypatch):
 
     for name in counts:
         monkeypatch.setattr(verifier, name, counting(name))
-    restricted = []          # (body, sphere, its facet rows, rows kept, rows crossing)
-    restrict = verifier.restrict_field
+    sampled = []             # (body, sphere, its facet rows, rows kept, rows crossing)
+    read = []
+    antipodal_values, kernel = Body4.antipodal_values, bodies._facet_major_max
 
-    def restricting(f, w):
-        r = restrict(f, w)
-        body = f.__self__
+    def sampling(body, radial, w, theta):
         # the simplices with vertices clearly on both sides of w-perp; the
         # diameter's ends lie in it, every other vertex is far from it
         s = body.effective_vertices() @ w
         side = s[body.shape.incidence]
         clear = 1e-9 * np.max(np.abs(s))
         crossing = np.sum((side > clear).any(axis=1) & (side < -clear).any(axis=1))
-        restricted.append((body, tuple(w), len(body._polar_rows),
-                           len(r.__self__._polar_rows), crossing))
-        return r
+        assert radial and len(theta) == (cfg.n_t + 1) // 2
+        values = antipodal_values(body, radial, w, theta)
+        sampled.append((body, tuple(w), len(body._polar_rows), read.pop(), crossing))
+        return values
 
-    monkeypatch.setattr(verifier, "restrict_field", restricting)
+    def reading(rows, theta, antipodal=False):
+        if antipodal:
+            read.append(len(rows))
+        return kernel(rows, theta, antipodal)
+
+    monkeypatch.setattr(Body4, "antipodal_values", sampling)
+    monkeypatch.setattr(bodies, "_facet_major_max", reading)
     K = planted_polytope(125, POLE, through_origin=True, kind="star")
     L = K.apply(pole_reflection(POLE), 0.05 * POLE)
     w = 12
@@ -560,11 +597,11 @@ def test_section_samples_and_registers_each_sphere_once(monkeypatch):
     v = verify_section_theorem(K, L, POLE, cfg)
     assert v.outcome == OUTCOME_REFLECTED
     assert counts == {"classify_direction": 2 * w, "sample_on_sphere": 2 * w}
-    assert len(restricted) == 2 * w
-    assert len({(id(body), sphere) for body, sphere, *_ in restricted}) == 2 * w
+    assert len(sampled) == 2 * w and not read
+    assert len({(id(body), sphere) for body, sphere, *_ in sampled}) == 2 * w
     # the pruning is on: every sphere reads only the crossing facet rows, and
     # facets that touch w-perp only at the diameter's ends are left out
-    assert all(kept == crossing < full for *_, full, kept, crossing in restricted)
+    assert all(kept == crossing < full for *_, full, kept, crossing in sampled)
 
 
 def test_section_falls_back_to_reversed_alignment(monkeypatch):
