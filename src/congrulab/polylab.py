@@ -18,11 +18,6 @@ and yields each map's nearest-image vertex permutation with its residual.
 Symmetry detection, the perturbation's symmetry scan and congruence
 matching are filters over those maps.  An exhaustive permutation search
 stays available in the tests as the oracle for small vertex counts.
-
-The inscribed approximation spreads its directions by Lloyd steps that
-assign the pool to centres in row blocks.  The dense Lloyd loop, one
-``(pool, count)`` product and ``np.add.at`` per step, stays in the tests
-as the oracle that the blocked step must match bit for bit.
 """
 
 from __future__ import annotations
@@ -36,15 +31,13 @@ from .bodies import Body4, PolytopeShape, _as_batch, farthest_vertex_pairs, poly
 from .errors import (BudgetExhaustedError, ConfigInvalidError,
                      DegenerateProjectionError, InsufficientDataError,
                      TooFewVerticesError)
-from .sphere import ORTHO_TOL, random_directions
+from .sphere import ORTHO_TOL, random_directions, unit
 
-ASSIGN_ROWS = 128           # pool rows per Lloyd assignment block
 GAP_STARTS = 16             # best Hausdorff candidates the gap ascent starts from
 GAP_STEP = 0.1              # first step angle of each start, radians
 GAP_MIN_STEP = 1e-10        # a start leaves once its step angle is below this
 GAP_ITERS = 200             # steps of the gap ascent at most
 TIE_RANK = 4                # highest polytope vertices a gap ascent step can tie
-LLOYD_ITERS = 15
 MIN_VERTICES = 5            # fewest vertices of an inscribed 4D polytope
 PERTURB_ROUNDS = 8
 
@@ -172,57 +165,59 @@ def hausdorff_distance(K: Body4, L: Body4, n_sample: int = 8192,
 # -- inscribed polytope approximation ------------------------------------------
 
 
-def _spread_directions(count: int, seed: int) -> np.ndarray:
-    """Well-separated directions on S^3: farthest-point greedy seeding from a
-    random pool, then Lloyd-style spreading (cells by nearest center).
+def _budget(v) -> int:
+    if not (float(v).is_integer() and v >= MIN_VERTICES):
+        raise ConfigInvalidError(f"vertex budgets must be integers >= {MIN_VERTICES}, got {v!r}")
+    return int(v)
 
-    Each Lloyd step copies the centres into one C-contiguous ``(4, count)``
-    block, which BLAS reads faster than the strided ``chosen.T``, and
-    assigns the pool to its nearest centres in blocks of ``ASSIGN_ROWS``
-    rows, so no ``(pool, count)`` product is held at once.  The assignment
-    and the pool-order cell sums match the dense ``argmax(pool @ chosen.T)``
-    step exactly, bit for bit.
+
+def inscribe_polytope(K: Body4, v: int) -> Body4:
+    """Hull of v support points of K, added greedily where the hull's gap is largest.
+
+    Kamenev's scheme in one incremental qhull, from K's support points at a
+    regular simplex's vertex directions (r their largest distance from their
+    centroid).  Each round picks facets in decreasing gap h_K(n) + off whose
+    normals lie more than sqrt(2 g_max / r) rad from those picked before, up
+    to the first gap below g_max / 2, n // 4 picks of n points, or v points.
+    A cut round keeps the head of its pick list, so the build to v is the
+    first v points of any longer one.  It stops early once g_max <= 1e-12 r,
+    where the hull is K (the 4-cube at 16 points).
     """
-    rng = np.random.default_rng(seed)
-    pool = random_directions(max(4000, 30 * count), rng)
-    chosen = np.empty((count, 4))
-    chosen[0] = pool[0]
-    best_dot = pool @ chosen[0]
-    dots = np.empty_like(best_dot)
-    for k in range(1, count):
-        idx = int(np.argmin(best_dot))
-        chosen[k] = pool[idx]
-        np.maximum(best_dot, np.matmul(pool, chosen[k], out=dots), out=best_dot)
-    centres = np.empty((4, count))
-    buf = np.empty((ASSIGN_ROWS, count))
-    cell = np.empty(len(pool), dtype=np.intp)
-    for _ in range(LLOYD_ITERS):
-        centres[:] = chosen.T
-        for s in range(0, len(pool), ASSIGN_ROWS):
-            block = buf[:len(pool) - s]
-            np.matmul(pool[s:s + ASSIGN_ROWS], centres, out=block)
-            np.argmax(block, axis=1, out=cell[s:s + ASSIGN_ROWS])
-        # bincount adds each cell's rows in pool order, the oracle's order
-        sums = np.column_stack([np.bincount(cell, weights=c, minlength=count)
-                                for c in pool.T])
-        n = np.linalg.norm(sums, axis=1)
-        moved = n > 1e-12          # an empty or cancelling cell keeps its centre
-        chosen[moved] = sums[moved] / n[moved, None]
-    return chosen
+    from scipy.spatial import ConvexHull
 
-
-def inscribe_polytope(K: Body4, v: int, seed: int = 0) -> Body4:
-    """Hull of v boundary points of a smooth convex body, spread quasi-uniformly.
-
-    A heuristic stand-in for the best inscribed v-vertex polytope: the rate
-    experiment measures what this construction achieves.  Vertices are the
-    support points of well-separated directions, hence exactly on the
-    boundary.
-    """
-    if v < MIN_VERTICES:
-        raise ValueError(f"need at least {MIN_VERTICES} vertices")
-    dirs = _spread_directions(v, seed)
-    return polytope(K.support_point(dirs), kind=K.kind)
+    v = _budget(v)
+    simplex = np.vstack([np.eye(4), np.full(4, (1 - np.sqrt(5)) / 4)])
+    start = K.support_point(unit(simplex - simplex.mean(axis=0)))
+    points = start[:1]
+    for x in start[1:]:         # a polytope's support points can repeat or lie flat
+        if np.linalg.matrix_rank(np.vstack([points[1:], x]) - points[0]) == len(points):
+            points = np.vstack([points, x])
+    while len(points) < MIN_VERTICES:   # then K's width across the flat leaves it
+        n = np.linalg.svd(points - points[0])[2][len(points) - 1]
+        ends = K.support_point(np.array([n, -n]))
+        points = np.vstack([points, ends[np.argmax(np.abs((ends - points[0]) @ n))]])
+    r = float(np.max(np.linalg.norm(points - points.mean(axis=0), axis=1)))
+    hull = ConvexHull(points, incremental=True)
+    try:
+        while hull.npoints < v:
+            normals, off = hull.equations[:, :4], hull.equations[:, 4]
+            gap = K.support(normals) + off
+            order = np.argsort(-gap, kind="stable")
+            g_max = gap[order[0]]
+            if g_max <= 1e-12 * r:
+                break
+            near = np.cos(min(np.sqrt(2 * g_max / r), np.pi))
+            room = min(max(1, hull.npoints // 4), v - hull.npoints)
+            picked = []
+            for f in order:
+                if gap[f] < g_max / 2 or len(picked) == room:
+                    break
+                if not picked or np.max(normals[picked] @ normals[f]) < near:
+                    picked.append(f)
+            hull.add_points(K.support_point(normals[picked]))
+        return polytope(hull.points, kind=K.kind)
+    finally:
+        hull.close()
 
 
 @dataclass(frozen=True)
@@ -237,14 +232,16 @@ class RateFit:
 
 def approximation_rate(K: Body4, v_list, seed: int = 0,
                        n_sample: int = 8192) -> RateFit:
-    """Fit delta(K, P_v) ~ c * v^exponent over the given vertex budgets."""
-    v_list = [int(v) for v in v_list]
+    """Fit delta(K, P_v) ~ c * v^exponent over the given vertex budgets, P_v
+    the first v points of one build to the largest (``inscribe_polytope``).
+    ``seed`` seeds the Hausdorff sample directions only."""
+    v_list = [_budget(v) for v in v_list]
     if len(set(v_list)) < 2:
         raise InsufficientDataError("need at least 2 distinct vertex budgets to fit a rate")
-    deltas = []
-    for i, v in enumerate(v_list):
-        P = inscribe_polytope(K, v, seed=seed + i)
-        deltas.append(hausdorff_distance(K, P, n_sample=n_sample, seed=seed + 1000 + i))
+    V = inscribe_polytope(K, max(v_list)).shape.vertices
+    deltas = [hausdorff_distance(K, polytope(V[:v], kind=K.kind), n_sample=n_sample,
+                                 seed=seed + 1000 + i)
+              for i, v in enumerate(v_list)]
     exact = [v for v, d in zip(v_list, deltas) if d == 0.0]
     if exact:
         # log(0) would make the fitted exponent nan
@@ -423,16 +420,17 @@ def _symmetry_scan(Q: Polytope3, tol: float, prune_tol: float):
 def detect_rigid_symmetries(Q: Polytope3, tol: float = 1e-8):
     """All nonidentity rigid motions mapping the shadow onto itself.
 
-    Candidate maps come from vertex triples pruned at tol and are kept when
-    they realize a full vertex permutation within tol.  Every returned record
-    is re-verified on the raw vertices.
+    Candidate maps come from vertex triples pruned at tol, a length, and are
+    kept when they realize a full vertex permutation within tol.  Every
+    returned record is re-verified on the raw vertices.
     """
     return _symmetry_scan(Q, tol, tol)[0]
 
 
 def match_congruent(Q1: Polytope3, Q2: Polytope3, tol: float = 1e-8,
                     proper_only: bool = True):
-    """Rigid motion (phi, shift, perm) with phi Q1 + shift = Q2, or None."""
+    """Rigid motion (phi, shift, perm) with phi Q1 + shift = Q2 within tol, a
+    length, or None."""
     _require_tol(tol)
     A = np.asarray(Q1.vertices, dtype=float)
     B = np.asarray(Q2.vertices, dtype=float)
@@ -483,7 +481,8 @@ def perturb_to_asymmetric(P: Body4, h_bases=None, tol: float = 1e-8,
 
     Random radial vertex jitters of magnitude eps (halved each round from
     1e-2 times the diameter) until every sampled shadow is symmetry-free;
-    the Hausdorff move is bounded by the largest vertex displacement.
+    the Hausdorff move is bounded by the largest vertex displacement, and
+    symmetries are read within tol, a length.
     Returns (body, certificate); the input is returned unchanged when it is
     already asymmetric on all sampled subspaces.
     """

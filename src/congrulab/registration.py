@@ -137,7 +137,7 @@ def _parabolic_step(curve: np.ndarray, s: int) -> float:
 
 
 def _is_flat(curve: np.ndarray) -> bool:
-    return float(curve.max() - curve.min()) <= 1e-12 * max(1.0, float(curve.max()))
+    return float(curve.max() - curve.min()) <= 1e-12 * float(curve.max())
 
 
 def _newton(objective: _ShiftObjective, a0: float) -> float:

@@ -6,11 +6,13 @@ from the axis-angle formula, symmetry defects from re-evaluating the field
 at rotated points, symmetry counts from exhaustive permutation
 search with an orthogonal Procrustes fit, diameters from brute-force
 vertex-pair enumeration or the plain chord ascent, the even-part
-comparison from great circles sampled apart from the verifier's grid, and
+comparison from great circles sampled apart from the verifier's grid,
 bump convexity from a central-difference Hessian of the per-term power
-formula.  The one exception is ``certified_asymmetric``, which picks
-fixtures that meet the theorem's hypotheses through the library's own
-symmetry detectors, as the acceptance suite and the benchmark do.
+formula, and the Hausdorff regressions' polytopes from a frozen Lloyd
+spread of directions (``lloyd_polytope``).  The one exception is
+``certified_asymmetric``, which picks fixtures that meet the theorem's
+hypotheses through the library's own symmetry detectors, as the acceptance
+suite and the benchmark do.
 """
 
 from __future__ import annotations
@@ -290,6 +292,37 @@ def planted_polytope(seed: int, pole, length: float = 2.0, n_extra: int = 28,
         cross = c + 0.3 * length * np.vstack([np.eye(4), -np.eye(4)])
         pts = np.vstack([pts, cross])
     return polytope(pts, kind=kind)
+
+
+def dense_spread_directions(count: int, seed: int) -> np.ndarray:
+    """Well-separated directions on S^3: farthest-point greedy seeding from a
+    seeded pool of max(4000, 30 count) random directions, then 15 Lloyd steps,
+    each forming the whole (pool, count) product and adding each cell's rows
+    with np.add.at; an empty or cancelling cell keeps its centre."""
+    rng = np.random.default_rng(seed)
+    pool = random_directions(max(4000, 30 * count), rng)
+    chosen = np.empty((count, 4))
+    chosen[0] = pool[0]
+    best_dot = pool @ chosen[0]
+    for k in range(1, count):
+        chosen[k] = pool[int(np.argmin(best_dot))]
+        best_dot = np.maximum(best_dot, pool @ chosen[k])
+    for _ in range(15):
+        sums = np.zeros_like(chosen)
+        np.add.at(sums, np.argmax(pool @ chosen.T, axis=1), pool)
+        n = np.linalg.norm(sums, axis=1)
+        moved = n > 1e-12
+        chosen[moved] = sums[moved] / n[moved, None]
+    return chosen
+
+
+def lloyd_polytope(K, v: int, seed: int):
+    """Hull of K's support points at ``dense_spread_directions(v, seed)``.
+
+    The Hausdorff regressions in test_polylab were found on these polytopes,
+    so they keep reading them whatever ``polylab.inscribe_polytope`` builds.
+    """
+    return polytope(K.support_point(dense_spread_directions(v, seed)), kind=K.kind)
 
 
 def narrow_cone_polytope(rng):

@@ -401,9 +401,20 @@ def test_rate_csv_deterministic(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_rate_reads_budgets_from_the_simplex_start(tmp_path):
+    # five points are the simplex start, and each of the next three rounds
+    # adds one point
+    pk = write_body(tmp_path, "E.json", ellipsoid([1.0, 0.9, 0.8, 1.1]))
+    out = tmp_path / "r.csv"
+    assert main(["rate", pk, "--v-list", "5,6,7,8", "--out", str(out)]) == 0
+    rows = out.read_text().strip().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["5", "6", "7", "8"]
+
+
 def test_rate_output_independent_of_blas_threads(tmp_path):
     # the rate command in fresh interpreters on one and two BLAS threads: the
-    # Lloyd products, the support batches and the ascent give the same bits
+    # greedy build's qhull and support batches, the Hausdorff candidates and
+    # the ascent give the same bits
     E = ellipsoid([1.0, 0.9, 0.8, 1.1]).apply(
         Orthogonal4(np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))[0]),
         [0.1, -0.2, 0.05, 0.3])

@@ -12,16 +12,16 @@ from congrulab.errors import (BudgetExhaustedError, ConfigInvalidError,
                               DegenerateProjectionError, InsufficientDataError,
                               TooFewVerticesError)
 from congrulab.orthogonal import Orthogonal4
-from congrulab.polylab import (ASSIGN_ROWS, GAP_ITERS, GAP_MIN_STEP, GAP_STEP, LLOYD_ITERS,
-                               Polytope3, _ranked_points, _spread_directions,
-                               _symmetry_scan, approximation_rate,
+from congrulab.polylab import (GAP_ITERS, GAP_MIN_STEP, GAP_STEP, MIN_VERTICES,
+                               Polytope3, _ranked_points, _symmetry_scan,
+                               approximation_rate,
                                detect_rigid_symmetries,
                                hausdorff_distance, inscribe_polytope,
                                match_congruent, perturb_to_asymmetric,
                                project_polytope, random_subspace_bases)
 from congrulab.sphere import random_directions, unit
 
-from helpers import brute_force_symmetries
+from helpers import brute_force_symmetries, lloyd_polytope
 
 RNG = np.random.default_rng(707)
 
@@ -69,7 +69,7 @@ def test_hausdorff_reaches_the_facet_normal_peak():
     # a single ascent from the best of 8192 samples stopped 17% below it,
     # and a 400,000-direction sample reads 0.048274
     E = ellipsoid([1.0, 0.9, 0.8, 1.1])
-    P = inscribe_polytope(E, 640, seed=4)
+    P = lloyd_polytope(E, 640, seed=4)
     assert hausdorff_distance(E, P, seed=1004) >= 0.048274
 
 
@@ -79,7 +79,7 @@ def test_hausdorff_climbs_the_arc_where_vertices_tie():
     # the ties instead of along them stops 3% below the sup, and below this
     # dense sample
     E = ellipsoid([1.9, 1.1, 2.0, 0.3])
-    P = inscribe_polytope(E, 24, seed=4)
+    P = lloyd_polytope(E, 24, seed=4)
     dense = random_directions(400_000, np.random.default_rng(1))
     assert hausdorff_distance(E, P) >= np.max(np.abs(E.support(dense) - P.support(dense)))
 
@@ -93,7 +93,7 @@ def test_hausdorff_inscribed_at_least_a_dense_sample(v, seed, semiaxes):
     rng = np.random.default_rng(seed)
     rot = Orthogonal4(np.linalg.qr(rng.standard_normal((4, 4)))[0])
     E = ellipsoid(semiaxes).apply(rot, rng.uniform(-1.0, 1.0, 4))
-    P = inscribe_polytope(E, v, seed=seed)
+    P = lloyd_polytope(E, v, seed=seed)
     got = hausdorff_distance(E, P, seed=seed)
     dense = random_directions(100_000, rng)
     assert got >= np.max(np.abs(E.support(dense) - P.support(dense)))
@@ -147,12 +147,12 @@ def halving_hausdorff_distance(K, L, **kw):
 
 def _facet_normal_peak():
     E = ellipsoid([1.0, 0.9, 0.8, 1.1])
-    return E, inscribe_polytope(E, 640, seed=4)
+    return E, lloyd_polytope(E, 640, seed=4)
 
 
 def _tie_arc():
     E = ellipsoid([1.9, 1.1, 2.0, 0.3])
-    return E, inscribe_polytope(E, 24, seed=4)
+    return E, lloyd_polytope(E, 24, seed=4)
 
 
 @pytest.mark.parametrize("case, kw", [
@@ -174,7 +174,7 @@ def test_hausdorff_inscribed_matches_the_halving_oracle(v, seed, semiaxes):
     rng = np.random.default_rng(seed)
     rot = Orthogonal4(np.linalg.qr(rng.standard_normal((4, 4)))[0])
     E = ellipsoid(semiaxes).apply(rot, rng.uniform(-1.0, 1.0, 4))
-    P = inscribe_polytope(E, v, seed=seed)
+    P = lloyd_polytope(E, v, seed=seed)
     assert hausdorff_distance(E, P, seed=seed) == halving_hausdorff_distance(E, P, seed=seed)
 
 
@@ -215,46 +215,9 @@ def test_sample_count_below_one_is_a_config_error(n_sample):
 # -- inscribed approximation -----------------------------------------------------
 
 
-def dense_spread_directions(count, seed):
-    # the oracle: greedy seeding, then Lloyd steps that form the whole
-    # (pool, count) product and add each cell's rows with np.add.at
-    rng = np.random.default_rng(seed)
-    pool = random_directions(max(4000, 30 * count), rng)
-    chosen = np.empty((count, 4))
-    chosen[0] = pool[0]
-    best_dot = pool @ chosen[0]
-    for k in range(1, count):
-        chosen[k] = pool[int(np.argmin(best_dot))]
-        best_dot = np.maximum(best_dot, pool @ chosen[k])
-    for _ in range(LLOYD_ITERS):
-        sums = np.zeros_like(chosen)
-        np.add.at(sums, np.argmax(pool @ chosen.T, axis=1), pool)
-        n = np.linalg.norm(sums, axis=1)
-        moved = n > 1e-12
-        chosen[moved] = sums[moved] / n[moved, None]
-    return chosen
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, 1000, 1001, 1002, 1003, 1004])
-def test_spread_directions_match_dense_oracle(seed):
-    # a pool of 4000 rows (v <= 133) ends in a partial block
-    assert 4000 % ASSIGN_ROWS
-    for v in (40, 80, 160, 320, 640):
-        got = _spread_directions(v, seed)
-        assert got.tobytes() == dense_spread_directions(v, seed).tobytes()
-
-
-@settings(max_examples=25)
-@given(count=st.integers(5, 200), seed=st.integers(0, 2**32 - 1))
-def test_spread_directions_match_dense_oracle_property(count, seed):
-    got = _spread_directions(count, seed)
-    assert got.shape == (count, 4)
-    assert got.tobytes() == dense_spread_directions(count, seed).tobytes()
-
-
 def test_inscribe_vertices_on_boundary():
     E = ellipsoid([1.5, 1.2, 1.0, 0.8])
-    P = inscribe_polytope(E, 40, seed=3)
+    P = inscribe_polytope(E, 40)
     V = P.shape.vertices
     dirs = V / np.linalg.norm(V, axis=1, keepdims=True)
     # radial check: each vertex radius matches the body's radial value
@@ -262,7 +225,7 @@ def test_inscribe_vertices_on_boundary():
 
 
 def test_inscribe_hull_contains_centroid():
-    P = inscribe_polytope(ball(), 40, seed=0)
+    P = inscribe_polytope(ball(), 40)
     c = P.shape.vertices.mean(axis=0)
     assert P.radial(unit(RNG.standard_normal(4))) > 0   # origin interior
     assert np.linalg.norm(c) < 0.2
@@ -270,9 +233,52 @@ def test_inscribe_hull_contains_centroid():
 
 def test_inscribe_delta_decreases_on_ball():
     B = ball()
-    deltas = [hausdorff_distance(B, inscribe_polytope(B, v, seed=5), n_sample=4096)
+    deltas = [hausdorff_distance(B, inscribe_polytope(B, v), n_sample=4096)
               for v in (40, 80, 160, 320)]
     assert all(d2 < d1 for d1, d2 in zip(deltas, deltas[1:]))
+
+
+@settings(max_examples=20)
+@given(v=st.integers(MIN_VERTICES, 120), extra=st.integers(1, 80),
+       seed=st.integers(0, 2**32 - 1),
+       semiaxes=st.lists(st.floats(0.2, 2.0), min_size=4, max_size=4))
+def test_inscribe_is_a_nested_build_of_support_points(v, extra, seed, semiaxes):
+    # on E = Q (standard ellipsoid of semiaxes a) + b, a boundary point
+    # x = Q y + b has outward normal Q (y / a^2), and E's support point at a
+    # unit u is M u / sqrt(u . M u) + b with M = Q diag(a^2) Q^T
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    b = rng.uniform(-1.0, 1.0, 4)
+    a = np.asarray(semiaxes)
+    E = ellipsoid(a).apply(Orthogonal4(Q), b)
+    V = inscribe_polytope(E, v).shape.vertices
+    assert V.shape == (v, 4)
+    u = unit(((V - b) @ Q) / a ** 2 @ Q.T)
+    Mu = u @ ((Q * a ** 2) @ Q.T)
+    support_points = Mu / np.sqrt(np.sum(Mu * u, axis=1))[:, None] + b
+    assert np.max(np.linalg.norm(support_points - V, axis=1)) <= 1e-10 * 2 * a.max()
+    assert inscribe_polytope(E, v + extra).shape.vertices[:v].tobytes() == V.tobytes()
+    assert inscribe_polytope(E, v).shape.vertices.tobytes() == V.tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_inscribe_reaches_across_a_flat_simplex_start(seed):
+    # these 6-vertex polytopes give 4 (seed 1) and 3 (seed 2) distinct support
+    # points at the simplex directions, which qhull cannot start from
+    P = polytope(np.random.default_rng(seed).standard_normal((6, 4)))
+    V = inscribe_polytope(P, 5).shape.vertices
+    assert np.linalg.matrix_rank(V - V[0]) == 4
+    assert set(map(tuple, V)) <= set(map(tuple, P.shape.vertices))
+    with pytest.raises(InsufficientDataError, match=r"\[40, 80\]"):
+        approximation_rate(P, [40, 80])
+
+
+@pytest.mark.parametrize("v_list", [[4, 40], [40.7, 80]], ids=["below-minimum", "not-integral"])
+def test_bad_vertex_budget_is_a_config_error(v_list):
+    with pytest.raises(ConfigInvalidError, match="vertex budgets"):
+        inscribe_polytope(ball(), v_list[0])
+    with pytest.raises(ConfigInvalidError, match="vertex budgets"):
+        approximation_rate(ball(), v_list)
 
 
 def test_rate_requires_enough_data():

@@ -329,6 +329,20 @@ def test_projection_planted_reflection():
     assert np.linalg.norm(v.translation - b) <= 1e-6 * 2.0
 
 
+@pytest.mark.parametrize("seed", [300, 301])
+def test_projection_reflection_at_small_scale(seed):
+    # scaled by 1e-7, the flip objective's largest value is far below 1; a
+    # flatness floor that is absolute there reads it as flat, and the flip
+    # family tie-breaks to shift 0
+    s, pole = 1e-7, np.eye(4)[0]
+    K = polytope(s * planted_polytope(seed, pole).shape.vertices)
+    b = 0.3 * unit(np.random.default_rng(seed).standard_normal(4))
+    v = verify_projection_theorem(K, K.apply(pole_reflection(pole), s * b), pole,
+                                  VerifyConfig(w_samples=16))
+    assert v.outcome == OUTCOME_REFLECTED
+    assert np.linalg.norm(v.translation / s - b) <= 1e-9
+
+
 BUMP_AXES = ((0.3, 0.5, -0.2, 0.8), (-0.6, 0.1, 0.7, 0.3), (0.2, -0.7, 0.4, -0.5))
 
 
