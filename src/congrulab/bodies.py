@@ -28,7 +28,7 @@ _MAX_CLUSTERS = 64  # more diameter directions than this are not isolated
 _ASCENT_ITERS = 80
 _HESSIAN_SAMPLES = 160
 MAX_BUMP_DEGREE = 64  # an evaluation multiplies degree - 1 times per term
-ORIGIN_MARGIN = 1e-12  # "origin interior": facet offset or ellipsoid gauge slack
+ORIGIN_MARGIN = 1e-12  # "origin interior" slack, relative to max |facet offset| or gauge 1
 CONTACT_TOL = 1e-12  # |s| <= this * max |s|: a vertex or facet normal lies in w-perp
 _PRODUCT_BLOCK = 1 << 18  # rows x points of one facet-kernel product (2 MB); a grid of
                           # 16,384 points over 32-62 rows is 2-4 products
@@ -49,7 +49,8 @@ class PolytopeShape:
     simplex whose four vertices are ``vertices[incidence[f]]``, and a facet
     of the hull with more vertices is several rows with one hyperplane.
     Input points that are not hull vertices, inside the hull or on its
-    boundary, are in no row.
+    boundary, are in no row.  The vertices must span R^4 affinely: the
+    centred vertices' smallest singular value exceeds 1e-12 of their largest.
     """
 
     vertices: np.ndarray
@@ -58,7 +59,8 @@ class PolytopeShape:
         v = np.array(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 4 or len(v) < 5:
             raise ValueError("polytope needs at least 5 vertices in R^4")
-        if np.linalg.matrix_rank(v - v.mean(axis=0), tol=1e-10) < 4:
+        svals = np.linalg.svd(v - v.mean(axis=0), compute_uv=False)
+        if svals[-1] <= 1e-12 * svals[0]:
             raise ValueError("polytope vertices do not span R^4 affinely")
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
@@ -371,12 +373,11 @@ class Body4:
     def _polar_rows(self):
         # world-space polar vertices a_f / rhs_f: the body is {x : rows . x <= 1},
         # so radial(theta) = 1 / max(rows . theta)
+        if not self.contains_origin_interior():
+            raise OriginOutsideError("origin is not interior to the polytope")
         A, off = self.shape.facets
         R, b = self.folded
-        rhs = A @ (R.T @ b) - off
-        if np.min(rhs) <= ORIGIN_MARGIN:
-            raise OriginOutsideError("origin is not interior to the polytope")
-        return (A @ R.T) / rhs[:, None]
+        return (A @ R.T) / (A @ (R.T @ b) - off)[:, None]
 
     def _sphere_rows(self, w):
         """The polar rows that can attain the radial's max on the working
@@ -419,37 +420,37 @@ class Body4:
         theta = np.asarray(theta, dtype=float)
         if isinstance(self.shape, PolytopeShape):
             rho = 1.0 / _facet_major_max(self._polar_rows, theta)
-            return rho if rho.ndim else float(rho)
+        else:
+            rho = self._ellipsoid_radii(theta)[0]
+        return rho if rho.ndim else float(rho)
+
+    def _ellipsoid_radii(self, theta):
+        """(rho(theta), rho(-theta)) of an ellipsoid: the roots c of
+        |c D - E|^2 = 1, D and E being theta and R^T b in its axes over a;
+        -theta negates D and ab.  Other shapes raise UnsupportedKindError."""
+        if not isinstance(self.shape, EllipsoidShape):
+            raise UnsupportedKindError(
+                "radial evaluation is only exact for polytopes and ellipsoids")
+        if not self.contains_origin_interior():
+            raise OriginOutsideError("origin is not interior to the ellipsoid")
         R, b = self.folded
-        d = theta @ R          # R^T theta
-        e = R.T @ b            # local position of the world origin offset
-        if isinstance(self.shape, EllipsoidShape):
-            U = self.shape.axes_matrix
-            inv = 1.0 / self.shape.semiaxes
-            D = (d @ U) * inv
-            E = (e @ U) * inv
-            a2 = np.sum(D * D, axis=-1)
-            ab = D @ E
-            c2 = float(E @ E)
-            if c2 >= 1.0 - ORIGIN_MARGIN:
-                raise OriginOutsideError("origin is not interior to the ellipsoid")
-            disc = ab * ab - a2 * (c2 - 1.0)
-            rho = (ab + np.sqrt(disc)) / a2
-            return rho if rho.ndim else float(rho)
-        raise UnsupportedKindError(
-            "radial evaluation is only exact for polytopes and ellipsoids")
+        U, inv = self.shape.axes_matrix, 1.0 / self.shape.semiaxes
+        D, E = (theta @ R @ U) * inv, (R.T @ b @ U) * inv
+        a2, ab = np.sum(D * D, axis=-1), D @ E
+        root = np.sqrt(ab * ab - a2 * (E @ E - 1.0))
+        return (ab + root) / a2, (root - ab) / a2
 
     def antipodal_values(self, radial: bool, w, theta):
         """(f(theta), f(-theta)) at the rows theta of the working sphere
         orthogonal to w, for f this body's ``support``, or with ``radial``
         its ``radial``, from one product per block: a polytope's kernel takes
-        the max and the min of each (``_facet_major_max``), and a smooth
-        support reuses its forms products (``_forms_support``).  Each value
-        is bitwise the one ``support`` gives.  A polytope's radial reads only
-        the polar rows that can attain its max on that sphere
-        (``_sphere_rows``), and rows of theta off it raise
-        NonOrthogonalError.  An ellipsoid's or bump's radial has no shared
-        product and raises UnsupportedKindError.
+        the max and the min of each (``_facet_major_max``), a smooth support
+        reuses its forms products (``_forms_support``), and an ellipsoid's
+        radial is both roots of one quadratic (``_ellipsoid_radii``, where a
+        bump's radial raises).  Each value is bitwise the one ``support``
+        or ``radial`` gives.  A polytope's radial reads only the polar rows
+        that can attain its max on that sphere (``_sphere_rows``), and rows
+        of theta off it raise NonOrthogonalError.
         """
         theta = np.asarray(theta, dtype=float)
         if not radial:
@@ -457,7 +458,7 @@ class Body4:
                 return _facet_major_max(self._world_vertices, theta, antipodal=True)
             return _forms_support(*self._support_forms, theta, antipodal=True)
         if not isinstance(self.shape, PolytopeShape):
-            raise UnsupportedKindError("only a polytope's radial has antipodal values")
+            return self._ellipsoid_radii(theta)
         w = unit(w)
         if np.size(theta) and np.max(np.abs(theta @ w)) > ORTHO_TOL:
             raise NonOrthogonalError("direction is not on the working sphere")
@@ -483,11 +484,13 @@ class Body4:
         return replace(self, folded=(R, b + a))
 
     def contains_origin_interior(self) -> bool:
+        """The one origin test: inside every facet by ORIGIN_MARGIN times a
+        polytope's max |off|, or at an ellipsoid gauge below 1 - ORIGIN_MARGIN."""
         R, b = self.folded
         e = R.T @ b
         if isinstance(self.shape, PolytopeShape):
             A, off = self.shape.facets
-            return bool(np.min(A @ e - off) > ORIGIN_MARGIN)
+            return bool(np.min(A @ e - off) > ORIGIN_MARGIN * np.max(np.abs(off)))
         if isinstance(self.shape, EllipsoidShape):
             inv = 1.0 / self.shape.semiaxes
             E = (e @ self.shape.axes_matrix) * inv

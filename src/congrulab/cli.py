@@ -79,17 +79,18 @@ def _parse_vector(text: str, length: int):
 def canonicalize_spec(spec: dict):
     """Fold the transform chain and normalize the spec dict.
 
-    Duplicate polytope vertices are dropped (with a warning count returned);
-    folding a canonical spec reproduces it byte-identically.
+    Duplicate polytope vertices, equal within 1e-12 times the largest
+    |coordinate|, are dropped (with a warning count returned); folding a
+    canonical spec reproduces it byte-identically.
     """
     body = body_from_spec(spec)
     warnings = []
     shape = body.shape
     if isinstance(shape, PolytopeShape):
         verts = shape.vertices
-        keep = []
+        keep, tol = [], 1e-12 * np.max(np.abs(verts))
         for v in verts:
-            if not any(np.max(np.abs(v - np.asarray(k))) <= 1e-12 for k in keep):
+            if not any(np.max(np.abs(v - np.asarray(k))) <= tol for k in keep):
                 keep.append(v)
         if len(keep) != len(verts):
             warnings.append(f"dropped {len(verts) - len(keep)} duplicate vertices")

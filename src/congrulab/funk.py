@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bodies import Body4, PolytopeShape
+from .bodies import Body4
 from .orthogonal import pole_reflection
 from .sphere import (SphereGrid, circle_quadrature, evaluate_field,
                      great_circle_nodes, make_frame)
@@ -116,18 +116,17 @@ class GridFunction:
 def sample_on_sphere(f, grid: SphereGrid) -> GridFunction:
     """Evaluate a field at every grid point.
 
-    A body's ``support``, or a polytope's ``radial``, bound to the body (a
-    wrapper installed on ``Body4`` passes this test too) is evaluated on the
-    grid's upper rings only: ``Body4.antipodal_values`` gives f(theta) and
-    f(-theta) from one product, and the grid is antipodal, so the lower
-    rings read the values at -theta (``SphereGrid.lower_rings``).  A
-    polytope's radial reads only the polar rows that can attain its max on
-    the sphere orthogonal to the frame normal.  Any other callable is
-    evaluated at every point (``evaluate_field``).
+    A body's ``support`` or ``radial`` bound to the body (a wrapper installed
+    on ``Body4`` passes this test too) is evaluated on the grid's upper rings
+    only: ``Body4.antipodal_values`` gives f(theta) and f(-theta) from one
+    product, and the grid is antipodal, so the lower rings read the values
+    at -theta (``SphereGrid.lower_rings``).  A polytope's radial reads only
+    the polar rows that can attain its max on the sphere orthogonal to the
+    frame normal.  Any other callable is evaluated at every point
+    (``evaluate_field``).
     """
     body, method = getattr(f, "__self__", None), getattr(f, "__func__", None)
-    if isinstance(body, Body4) and (method is Body4.support or (
-            method is Body4.radial and isinstance(body.shape, PolytopeShape))):
+    if isinstance(body, Body4) and method in (Body4.support, Body4.radial):
         top, bottom = body.antipodal_values(method is Body4.radial, grid.frame.normal,
                                             grid.upper_points)
         values = np.concatenate([top, grid.lower_rings(bottom)])

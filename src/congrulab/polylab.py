@@ -282,7 +282,9 @@ class Polytope3:
 
 
 def project_polytope(P: Body4, basis) -> Polytope3:
-    """Shadow of a 4D polytope on the 3D subspace spanned by the basis rows."""
+    """Shadow of a 4D polytope on the 3D subspace spanned by the basis rows;
+    flat (DegenerateProjectionError) when the centred shadow's third singular
+    value is at most 1e-10 of its first."""
     basis = np.asarray(basis, dtype=float)
     if basis.shape != (3, 4):
         raise ValueError("basis must be 3 orthonormal rows of length 4")
@@ -293,7 +295,7 @@ def project_polytope(P: Body4, basis) -> Polytope3:
     coords = P.effective_vertices() @ basis.T
     centered = coords - coords.mean(axis=0)
     svals = np.linalg.svd(centered, compute_uv=False)
-    if svals[2] < 1e-10 * max(1.0, svals[0]):
+    if svals[2] <= 1e-10 * svals[0]:
         raise DegenerateProjectionError("shadow is flat (rank < 3)")
     hull = ConvexHull(coords)
     return Polytope3(vertices=coords[hull.vertices], basis=basis)
@@ -502,7 +504,8 @@ def perturb_to_asymmetric(P: Body4, h_bases=None, tol: float = 1e-8,
     rng = np.random.default_rng(seed)
     c = V.mean(axis=0)
     radial = V - c
-    radial_unit = radial / np.maximum(np.linalg.norm(radial, axis=1, keepdims=True), 1e-12)
+    norms = np.linalg.norm(radial, axis=1, keepdims=True)
+    radial_unit = radial / np.maximum(norms, 1e-12 * norms.max())
     for round_idx in range(PERTURB_ROUNDS):
         eps = eps0 / 2 ** round_idx
         jitter = eps * rng.uniform(-1.0, 1.0, size=(len(V), 1)) * radial_unit

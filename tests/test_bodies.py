@@ -325,20 +325,29 @@ def test_restricted_field_rejects_directions_off_its_sphere():
     K.antipodal_values(True, w, on)
     with pytest.raises(NonOrthogonalError):
         K.antipodal_values(True, w, off)
-    # a polytope's support has no working sphere to check, and a smooth
-    # body's radial has no antipodal values
+    # a polytope's support has no working sphere to check, nor has an
+    # ellipsoid's radial: its pair is the radial at theta and at -theta, bit
+    # for bit; a bump's radial raises on both paths
     K.antipodal_values(False, w, off)
+    E = ellipsoid([1.0, 0.9, 0.8, 0.7], random_orthogonal(RNG), kind="star")
+    E = E.translate([0.1, -0.2, 0.05, 0.3])
+    theta = random_directions(50, RNG)
+    top, bottom = E.antipodal_values(True, w, theta)
+    assert np.array_equal(top, E.radial(theta)) and np.array_equal(bottom, E.radial(-theta))
+    bump = _bench_like_bump(5)
     with pytest.raises(UnsupportedKindError):
-        ellipsoid([1.0, 0.9, 0.8, 0.7]).antipodal_values(True, w, on)
+        bump.radial(on)
+    with pytest.raises(UnsupportedKindError):
+        bump.antipodal_values(True, w, on)
 
 
 def test_sampler_restricts_a_wrapped_radial(monkeypatch):
     # a wrapper installed on Body4.radial, as a span tracer installs one, is
-    # still the radial: the sampler reads the working sphere's rows, on the
-    # grid's upper rings, without calling it.  (This body's axis-aligned
-    # cross-polytope vertices split hull facets into several rows, which
-    # round apart, so the restriction may differ from the whole radial in
-    # the last bit.)
+    # still the radial: the sampler reads the working sphere's rows, or an
+    # ellipsoid's pair, on the grid's upper rings, without calling it.  (This
+    # star polytope's axis-aligned cross-polytope vertices split hull facets
+    # into several rows, which round apart, so the restriction may differ
+    # from the whole radial in the last bit.)
     radial = Body4.radial
     calls = []
 
@@ -355,6 +364,11 @@ def test_sampler_restricts_a_wrapped_radial(monkeypatch):
     rows = K._sphere_rows(w)
     assert read == [len(rows)] and len(rows) < len(K._polar_rows)
     assert np.array_equal(values, 1.0 / bodies._facet_major_max(rows, grid.points))
+    E = ellipsoid([1.0, 0.9, 0.8, 0.7], kind="star").translate([0.1, -0.2, 0.05, 0.3])
+    top, bottom = E.antipodal_values(True, w, grid.upper_points)
+    assert np.array_equal(sample_on_sphere(E.radial, grid).values,
+                          np.concatenate([top, grid.lower_rings(bottom)]))
+    assert not calls
 
 
 @settings(max_examples=40)
@@ -362,10 +376,11 @@ def test_sampler_restricts_a_wrapped_radial(monkeypatch):
                                                             (64, 256)]),
        shape=st.sampled_from(["polytope", "star", "ellipsoid", "bump"]))
 def test_upper_ring_sampling_equals_every_point(seed, size, shape):
-    # a body's support, and a star polytope's radial, sampled on the upper
-    # rings give the values of the field at every grid point bit for bit,
-    # on grids with an odd n_t and with n_azimuth not a multiple of 8; the
-    # radial also equals its restriction to the working sphere
+    # a body's support, and a star polytope's or star ellipsoid's radial,
+    # sampled on the upper rings give the values of the field at every grid
+    # point bit for bit, on grids with an odd n_t and with n_azimuth not a
+    # multiple of 8; a polytope's radial also equals its restriction to the
+    # working sphere
     rng = np.random.default_rng(seed)
     pole = unit(rng.standard_normal(4))
     if shape in ("polytope", "star"):
@@ -375,7 +390,7 @@ def test_upper_ring_sampling_equals_every_point(seed, size, shape):
         K = K.apply(random_orthogonal(rng),
                     (0.05 if star else 1.0) * unit(rng.standard_normal(4)))
     elif shape == "ellipsoid":
-        K = ellipsoid(rng.uniform(0.5, 2.0, 4), random_orthogonal(rng))
+        K = ellipsoid(rng.uniform(0.5, 2.0, 4), random_orthogonal(rng), kind="star")
         K = K.translate(rng.uniform(-1.0, 1.0, 4))
     else:
         K = _bench_like_bump(seed, degrees=((3, 5, 3), (2, 4, 3))[seed % 2])
@@ -384,9 +399,13 @@ def test_upper_ring_sampling_equals_every_point(seed, size, shape):
     grid = gauss_grid(make_frame(pole, w - (w @ pole) * pole), *size)
     assert np.array_equal(sample_on_sphere(K.support, grid).values,
                           evaluate_field(K.support, grid.points))
-    if shape == "star":
+    if shape == "ellipsoid":
+        # moved to hold the origin: |b| <= 2, so 0.2 b is inside every semiaxis
+        K = K.translate(-0.8 * K.folded[1])
+    if shape in ("star", "ellipsoid"):
         values = sample_on_sphere(K.radial, grid).values
         assert np.array_equal(values, evaluate_field(K.radial, grid.points))
+    if shape == "star":
         rows = K._sphere_rows(grid.frame.normal)
         assert np.array_equal(values, 1.0 / bodies._facet_major_max(rows, grid.points))
 

@@ -70,16 +70,18 @@ def test_gen_body_folds_transform_chain(tmp_path):
 
 
 def test_gen_body_dedupes_vertices(tmp_path, capsys):
-    K = cube()
-    spec = body_to_spec(K)
-    spec["shape"]["vertices"] += [spec["shape"]["vertices"][0]]
-    src = tmp_path / "dup.json"
-    src.write_text(json.dumps(spec))
-    out = str(tmp_path / "out.json")
-    assert main(["gen-body", str(src), "--out", out]) == 0
-    err = capsys.readouterr().err
-    assert "duplicate" in err
-    assert len(json.loads(Path(out).read_text())["shape"]["vertices"]) == 16
+    # duplicates are equal within a fraction of the largest coordinate, so a
+    # cube 2e-14 wide keeps its 16 distinct vertices too
+    for half_width in (1.0, 1e-14):
+        spec = body_to_spec(cube(half_width))
+        spec["shape"]["vertices"] += [spec["shape"]["vertices"][0]]
+        src = tmp_path / "dup.json"
+        src.write_text(json.dumps(spec))
+        out = str(tmp_path / "out.json")
+        assert main(["gen-body", str(src), "--out", out]) == 0
+        err = capsys.readouterr().err
+        assert "dropped 1 duplicate" in err
+        assert len(json.loads(Path(out).read_text())["shape"]["vertices"]) == 16
 
 
 def _random_spec(kind: str, seed: int, chain: list) -> dict:

@@ -480,7 +480,7 @@ def test_match_congruent_mirror_image_needs_improper_map():
     assert np.max(np.linalg.norm(V[list(perm)] @ phi.T + a - W, axis=1)) <= 1e-8
 
 
-@pytest.mark.parametrize("scale", [1e-5, 1e-2, 1.0, 1e3])
+@pytest.mark.parametrize("scale", [1e-12, 1e-5, 1e-2, 1.0, 1e3])
 def test_symmetry_search_is_scale_free(scale):
     # the degeneracy rules are relative to the vertex scale, so a scaled copy
     # keeps its symmetries and congruences at a tolerance scaled with it

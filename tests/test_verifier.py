@@ -13,7 +13,7 @@ from congrulab.errors import (CongruenceHypothesisFailed, ConfigInvalidError,
                               DegenerateBodyError, DiameterHypothesisFailed,
                               EmptyInputError, StarShapednessLost)
 from congrulab.funk import compose_with_matrix, sample_on_sphere
-from congrulab.orthogonal import equator_flip, identity, pole_reflection
+from congrulab.orthogonal import Orthogonal4, equator_flip, identity, pole_reflection
 from congrulab.registration import Classification, register_pole_flip
 from congrulab.sphere import (complement_basis, directions_orthogonal_to, gauss_grid,
                               gauss_latitude_nodes, make_frame, random_directions,
@@ -158,14 +158,18 @@ def test_decide_samples_each_field_once_per_sphere():
 
 
 @pytest.mark.parametrize("case", ["projection-equal", "projection-reflected",
-                                  "section-reflected"])
+                                  "section-reflected", "section-ellipsoid"])
 def test_decide_reads_body_methods_as_their_wrapped_fields(case):
     # a body's support or radial, sampled on the upper rings of each grid,
     # gives the verdict the same fields wrapped in lambdas give, which are
     # evaluated at every grid point: byte-equal JSON, on an odd n_t too
     section = case.startswith("section")
-    K = planted_polytope(141, POLE, through_origin=section,
-                         kind="star" if section else "convex")
+    if case == "section-ellipsoid":
+        Q = Orthogonal4(np.linalg.qr(np.random.default_rng(141).standard_normal((4, 4)))[0])
+        K = ellipsoid([1.0, 0.9, 0.8, 0.7], Q, kind="star").translate([0.1, -0.2, 0.05, 0.3])
+    else:
+        K = planted_polytope(141, POLE, through_origin=section,
+                             kind="star" if section else "convex")
     U = pole_reflection(POLE) if case.endswith("reflected") else identity()
     if section:
         f, g = K.radial, K.apply(U).radial
@@ -341,6 +345,29 @@ def test_projection_reflection_at_small_scale(seed):
                                   VerifyConfig(w_samples=16))
     assert v.outcome == OUTCOME_REFLECTED
     assert np.linalg.norm(v.translation / s - b) <= 1e-9
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), log_s=st.floats(-12.0, 10.0),
+       case=st.sampled_from(["projection-equal", "projection-reflected",
+                             "section-reflected"]))
+def test_verdict_is_scale_and_rotation_equivariant(seed, log_s, case):
+    # a planted pair scaled by s and rotated by Q, with the pole rotated too,
+    # gives the planted outcome and the translation s Q b: no floor of the
+    # verify is a length, and the verdict does not depend on the frame
+    rng = np.random.default_rng(seed)
+    s, Q, pole = 10.0 ** log_s, np.linalg.qr(rng.standard_normal((4, 4)))[0], np.eye(4)[0]
+    section = case.startswith("section")
+    K = planted_polytope(seed % 997, pole, through_origin=section,
+                         kind="star" if section else "convex")
+    b = 0.05 * pole if section else 0.3 * unit(rng.standard_normal(4))
+    reflected = case.endswith("reflected")
+    L = K.apply(pole_reflection(pole) if reflected else identity(), b)
+    K, L = (polytope(s * B.effective_vertices() @ Q.T, kind=B.kind) for B in (K, L))
+    verify = verify_section_theorem if section else verify_projection_theorem
+    v = verify(K, L, Q @ pole, VerifyConfig(w_samples=16))
+    assert v.outcome == (OUTCOME_REFLECTED if reflected else OUTCOME_EQUAL)
+    assert np.linalg.norm(v.translation - s * (Q @ b)) <= 1e-9 * s
 
 
 BUMP_AXES = ((0.3, 0.5, -0.2, 0.8), (-0.6, 0.1, 0.7, 0.3), (0.2, -0.7, 0.4, -0.5))
