@@ -427,7 +427,8 @@ class Body4:
     def _ellipsoid_radii(self, theta):
         """(rho(theta), rho(-theta)) of an ellipsoid: the roots c of
         |c D - E|^2 = 1, D and E being theta and R^T b in its axes over a;
-        -theta negates D and ab.  Other shapes raise UnsupportedKindError."""
+        -theta negates D and ab.  A row's roots do not depend on its batch
+        (``_as_batch``; ab is a row sum).  Other shapes raise UnsupportedKindError."""
         if not isinstance(self.shape, EllipsoidShape):
             raise UnsupportedKindError(
                 "radial evaluation is only exact for polytopes and ellipsoids")
@@ -435,8 +436,9 @@ class Body4:
             raise OriginOutsideError("origin is not interior to the ellipsoid")
         R, b = self.folded
         U, inv = self.shape.axes_matrix, 1.0 / self.shape.semiaxes
-        D, E = (theta @ R @ U) * inv, (R.T @ b @ U) * inv
-        a2, ab = np.sum(D * D, axis=-1), D @ E
+        D = (_as_batch(theta) @ R @ U)[:theta.size // 4].reshape(theta.shape) * inv
+        E = (R.T @ b @ U) * inv
+        a2, ab = np.sum(D * D, axis=-1), np.sum(D * E, axis=-1)
         root = np.sqrt(ab * ab - a2 * (E @ E - 1.0))
         return (ab + root) / a2, (root - ab) / a2
 

@@ -62,7 +62,7 @@ class GridFunction:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @property
+    @cached_property
     def sup(self) -> float:
         return float(np.max(np.abs(self.values)))
 

@@ -208,13 +208,13 @@ def inscribe_polytope(K: Body4, v: int) -> Body4:
                 break
             near = np.cos(min(np.sqrt(2 * g_max / r), np.pi))
             room = min(max(1, hull.npoints // 4), v - hull.npoints)
-            picked = []
-            for f in order:
-                if gap[f] < g_max / 2 or len(picked) == room:
-                    break
-                if not picked or np.max(normals[picked] @ normals[f]) < near:
-                    picked.append(f)
-            hull.add_points(K.support_point(normals[picked]))
+            cand = normals[order[:np.count_nonzero(gap >= g_max / 2)]]
+            free, picked = np.ones(len(cand), dtype=bool), []
+            while len(picked) < room and free.any():
+                picked.append(i := int(np.argmax(free)))
+                free[i] = False
+                free[i + 1:] &= cand[i + 1:] @ cand[i] < near
+            hull.add_points(K.support_point(cand[picked]))
         return polytope(hull.points, kind=K.kind)
     finally:
         hull.close()

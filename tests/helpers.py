@@ -8,8 +8,9 @@ search with an orthogonal Procrustes fit, diameters from brute-force
 vertex-pair enumeration or the plain chord ascent, the even-part
 comparison from great circles sampled apart from the verifier's grid,
 bump convexity from a central-difference Hessian of the per-term power
-formula, and the Hausdorff regressions' polytopes from a frozen Lloyd
-spread of directions (``lloyd_polytope``).  The one exception is
+formula, the Hausdorff regressions' polytopes from a frozen Lloyd
+spread of directions (``lloyd_polytope``), and the greedy inscribed build
+from a per-facet walk (``walked_inscribed_polytope``).  The one exception is
 ``certified_asymmetric``, which picks fixtures that meet the theorem's
 hypotheses through the library's own symmetry detectors, as the acceptance
 suite and the benchmark do.
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import orthogonal_procrustes
+from scipy.spatial import ConvexHull
 
 from congrulab import bodies
 from congrulab.bodies import polytope
@@ -323,6 +325,48 @@ def lloyd_polytope(K, v: int, seed: int):
     so they keep reading them whatever ``polylab.inscribe_polytope`` builds.
     """
     return polytope(K.support_point(dense_spread_directions(v, seed)), kind=K.kind)
+
+
+def walked_inscribed_polytope(K, v: int):
+    """The greedy inscribed build, each round's picks taken by walking the
+    facets in decreasing gap order and testing each against every normal
+    picked before it (one product per visited facet).
+
+    ``polylab.inscribe_polytope`` picks by one mask update per picked facet
+    instead, and must return bitwise these vertices.
+    """
+    simplex = np.vstack([np.eye(4), np.full(4, (1 - np.sqrt(5)) / 4)])
+    start = K.support_point(unit(simplex - simplex.mean(axis=0)))
+    points = start[:1]
+    for x in start[1:]:
+        if np.linalg.matrix_rank(np.vstack([points[1:], x]) - points[0]) == len(points):
+            points = np.vstack([points, x])
+    while len(points) < 5:
+        n = np.linalg.svd(points - points[0])[2][len(points) - 1]
+        ends = K.support_point(np.array([n, -n]))
+        points = np.vstack([points, ends[np.argmax(np.abs((ends - points[0]) @ n))]])
+    r = float(np.max(np.linalg.norm(points - points.mean(axis=0), axis=1)))
+    hull = ConvexHull(points, incremental=True)
+    try:
+        while hull.npoints < v:
+            normals, off = hull.equations[:, :4], hull.equations[:, 4]
+            gap = K.support(normals) + off
+            order = np.argsort(-gap, kind="stable")
+            g_max = gap[order[0]]
+            if g_max <= 1e-12 * r:
+                break
+            near = np.cos(min(np.sqrt(2 * g_max / r), np.pi))
+            room = min(max(1, hull.npoints // 4), v - hull.npoints)
+            picked = []
+            for f in order:
+                if gap[f] < g_max / 2 or len(picked) == room:
+                    break
+                if not picked or np.max(normals[picked] @ normals[f]) < near:
+                    picked.append(f)
+            hull.add_points(K.support_point(normals[picked]))
+        return polytope(hull.points, kind=K.kind)
+    finally:
+        hull.close()
 
 
 def narrow_cone_polytope(rng):

@@ -156,13 +156,16 @@ def test_polytope_field_rows_independent_of_batch_size(seed):
 @given(seed=st.integers(0, 2**32 - 1), bump=st.booleans())
 def test_smooth_field_rows_independent_of_batch_size(seed, bump):
     # a rotated and translated ellipsoid or a bench-like bump: a direction's
-    # support value and support point are the same in every batch, a lone
-    # (4,) direction and a batch of one included
+    # support value and support point, and a star ellipsoid's radial, are the
+    # same in every batch, a lone (4,) direction and a batch of one included
     rng = np.random.default_rng(seed)
-    K = _bench_like_bump(seed) if bump else ellipsoid(rng.uniform(0.5, 2.0, 4))
+    a = rng.uniform(0.5, 2.0, 4)
+    K = _bench_like_bump(seed) if bump else ellipsoid(a)
     K = K.apply(random_orthogonal(rng), rng.uniform(-1.0, 1.0, 4))
+    star = ellipsoid(a, kind="star").apply(random_orthogonal(rng),
+                                           0.5 * a.min() * unit(rng.standard_normal(4)))
     theta = random_directions(64, rng)
-    for field in (K.support, K.support_point):
+    for field in (K.support, K.support_point, star.radial):
         full = field(theta)
         for size in (1, 2, 7, 16):
             for start in (0, int(rng.integers(0, len(theta) - size))):

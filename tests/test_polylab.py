@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from congrulab import polylab
@@ -21,7 +21,7 @@ from congrulab.polylab import (GAP_ITERS, GAP_MIN_STEP, GAP_STEP, MIN_VERTICES,
                                project_polytope, random_subspace_bases)
 from congrulab.sphere import random_directions, unit
 
-from helpers import brute_force_symmetries, lloyd_polytope
+from helpers import brute_force_symmetries, lloyd_polytope, walked_inscribed_polytope
 
 RNG = np.random.default_rng(707)
 
@@ -259,6 +259,26 @@ def test_inscribe_is_a_nested_build_of_support_points(v, extra, seed, semiaxes):
     assert np.max(np.linalg.norm(support_points - V, axis=1)) <= 1e-10 * 2 * a.max()
     assert inscribe_polytope(E, v + extra).shape.vertices[:v].tobytes() == V.tobytes()
     assert inscribe_polytope(E, v).shape.vertices.tobytes() == V.tobytes()
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), points=st.one_of(st.just(0), st.integers(5, 60)),
+       v=st.integers(MIN_VERTICES, 160))
+@example(seed=1, points=6, v=5)
+@example(seed=2, points=6, v=40)
+def test_inscribe_picks_the_facets_the_per_facet_walk_picks(seed, points, v):
+    # a rotated, translated ellipsoid (points = 0) or the hull of Gaussian
+    # points, whose simplex start can repeat or lie flat (seeds 1 and 2 at 6
+    # points): one mask update per picked facet gives bitwise the vertices of
+    # the walk that tests each visited facet against every pick before it
+    rng = np.random.default_rng(seed)
+    if points:
+        K = polytope(rng.standard_normal((points, 4)))
+    else:
+        rot = Orthogonal4(np.linalg.qr(rng.standard_normal((4, 4)))[0])
+        K = ellipsoid(rng.uniform(0.2, 2.0, 4)).apply(rot, rng.uniform(-1.0, 1.0, 4))
+    V = inscribe_polytope(K, v).shape.vertices
+    assert V.tobytes() == walked_inscribed_polytope(K, v).shape.vertices.tobytes()
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -347,26 +347,35 @@ def test_projection_reflection_at_small_scale(seed):
     assert np.linalg.norm(v.translation / s - b) <= 1e-9
 
 
-@settings(max_examples=30)
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), log_s=st.floats(-12.0, 10.0),
        case=st.sampled_from(["projection-equal", "projection-reflected",
-                             "section-reflected"]))
+                             "section-reflected", "projection-ellipsoid",
+                             "section-ellipsoid"]))
 def test_verdict_is_scale_and_rotation_equivariant(seed, log_s, case):
     # a planted pair scaled by s and rotated by Q, with the pole rotated too,
     # gives the planted outcome and the translation s Q b: no floor of the
-    # verify is a length, and the verdict does not depend on the frame
+    # verify is a length, and the verdict does not depend on the frame.  An
+    # ellipsoid whose longest semiaxis lies along the pole is symmetric under
+    # the pole reflection, so it and its translate give both
     rng = np.random.default_rng(seed)
     s, Q, pole = 10.0 ** log_s, np.linalg.qr(rng.standard_normal((4, 4)))[0], np.eye(4)[0]
     section = case.startswith("section")
-    K = planted_polytope(seed % 997, pole, through_origin=section,
-                         kind="star" if section else "convex")
+    kind = "star" if section else "convex"
     b = 0.05 * pole if section else 0.3 * unit(rng.standard_normal(4))
-    reflected = case.endswith("reflected")
-    L = K.apply(pole_reflection(pole) if reflected else identity(), b)
-    K, L = (polytope(s * B.effective_vertices() @ Q.T, kind=B.kind) for B in (K, L))
+    if case.endswith("ellipsoid"):
+        a = np.concatenate([[1.0], rng.uniform(0.5, 0.9, 3)])
+        K = ellipsoid(s * a, Orthogonal4(Q), kind=kind)
+        L, want = K.translate(s * (Q @ b)), OUTCOME_BOTH
+    else:
+        K = planted_polytope(seed % 997, pole, through_origin=section, kind=kind)
+        reflected = case.endswith("reflected")
+        L = K.apply(pole_reflection(pole) if reflected else identity(), b)
+        K, L = (polytope(s * B.effective_vertices() @ Q.T, kind=kind) for B in (K, L))
+        want = OUTCOME_REFLECTED if reflected else OUTCOME_EQUAL
     verify = verify_section_theorem if section else verify_projection_theorem
     v = verify(K, L, Q @ pole, VerifyConfig(w_samples=16))
-    assert v.outcome == (OUTCOME_REFLECTED if reflected else OUTCOME_EQUAL)
+    assert v.outcome == want
     assert np.linalg.norm(v.translation - s * (Q @ b)) <= 1e-9 * s
 
 
