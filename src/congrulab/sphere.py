@@ -43,22 +43,29 @@ def evaluate_field(f, points):
     return vals
 
 
-def complement_basis(pole):
-    """Deterministic orthonormal basis (3 rows) of the hyperplane orthogonal to pole."""
-    pole = unit(pole)
+def _standard_completion(fixed, count: int, floor: float) -> list:
+    """Gram-Schmidt on e_0..e_3 in order: e_k loses its projections on the unit
+    rows ``fixed`` (dots read from e_k), then on the rows kept so far in turn,
+    and a remainder of norm above ``floor`` is kept, normalized, up to ``count``."""
     rows = []
     for k in range(4):
         cand = np.zeros(4)
         cand[k] = 1.0
-        cand = cand - (cand @ pole) * pole
+        for v in fixed:
+            cand = cand - v[k] * v
         for r in rows:
             cand = cand - (cand @ r) * r
         n = np.linalg.norm(cand)
-        if n > 0.5:
+        if n > floor:
             rows.append(cand / n)
-        if len(rows) == 3:
+        if len(rows) == count:
             break
-    return np.array(rows)
+    return rows
+
+
+def complement_basis(pole):
+    """Deterministic orthonormal basis (3 rows) of the hyperplane orthogonal to pole."""
+    return np.array(_standard_completion([unit(pole)], 3, 0.5))
 
 
 @dataclass(frozen=True)
@@ -110,19 +117,7 @@ def make_frame(pole, normal) -> SphereFrame:
     if abs(unit(normal) @ pole) > ORTHO_TOL:
         raise NonOrthogonalError("normal is not orthogonal to pole")
     normal = unit(normal - (normal @ pole) * pole)
-    rows = []
-    for k in range(4):
-        cand = np.zeros(4)
-        cand[k] = 1.0
-        cand = cand - (cand @ pole) * pole - (cand @ normal) * normal
-        for r in rows:
-            cand = cand - (cand @ r) * r
-        n = np.linalg.norm(cand)
-        if n > 0.25:
-            rows.append(cand / n)
-        if len(rows) == 2:
-            break
-    e1, e2 = rows
+    e1, e2 = _standard_completion([pole, normal], 2, 0.25)
     if np.linalg.det(np.column_stack([e1, e2, normal, pole])) < 0:
         e2 = -e2
     return SphereFrame(pole=pole, normal=normal, e1=e1, e2=e2)

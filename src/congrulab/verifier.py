@@ -185,35 +185,33 @@ class _SphereChecks:
 
     sup: float
     even_direct_dev: float
-    congruence: Classification | None
+    congruence: Classification
     odd: Classification | None
     flip_witness: dict | None
 
 
-def _check_sphere(f, g, pole, w, config: VerifyConfig, certify: bool,
-                  odd_sup: float) -> _SphereChecks:
+def _check_sphere(f, g, pole, w, config: VerifyConfig, odd_sup: float) -> _SphereChecks:
     """Every per-sphere check, read from one grid of f and one of g.
 
     The sphere orthogonal to ``w`` gets its Gauss grid, and f and g are
-    sampled on it once (``sample_on_sphere``).  With
-    ``certify``, the full restrictions are registered first and the
-    congruence hypothesis fails here when neither family registers.  The
-    even parts are compared pointwise; the pole reflection is the azimuth
-    half-turn of the grid, so the parity split needs no new samples.
-    The odd parts are registered unless ``odd_sup`` already vanishes at this
-    sphere's data scale, which forces the ``both`` branch (the decision scale
-    is at least this sphere's).  An odd flip label gets a witness from f's
-    grid: the pole half-turn moves f by twice its odd part, and f self-flips.
+    sampled on it once (``sample_on_sphere``).  The full restrictions are
+    registered first: the congruence hypothesis fails here, with
+    CongruenceHypothesisFailed naming ``w`` and the residual, when neither
+    family registers.  The even parts are compared pointwise; the pole
+    reflection is the azimuth half-turn of the grid, so the parity split
+    needs no new samples.  The odd parts are registered unless ``odd_sup``
+    already vanishes at this sphere's data scale, which forces the ``both``
+    branch (the decision scale is at least this sphere's).  An odd flip
+    label gets a witness from f's grid: the pole half-turn moves f by twice
+    its odd part, and f self-flips.
     """
     grid = gauss_grid(make_frame(pole, w), n_t=config.n_t, n_azimuth=config.n_azimuth)
     fg = sample_on_sphere(f, grid)
     gg = sample_on_sphere(g, grid)
     sup = max(fg.sup, gg.sup)
-    congruence = None
-    if certify:
-        congruence = classify_direction(fg, gg, config.tol)
-        if congruence.label == LABEL_NONE:
-            raise CongruenceHypothesisFailed(w, congruence.witness.residual)
+    congruence = classify_direction(fg, gg, config.tol)
+    if congruence.label == LABEL_NONE:
+        raise CongruenceHypothesisFailed(w, congruence.witness.residual)
     fe, fo = fg.parity()
     ge, go = gg.parity()
     odd = witness = None
@@ -230,25 +228,25 @@ def _check_sphere(f, g, pole, w, config: VerifyConfig, certify: bool,
 
 
 def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *,
-                               w_dirs=None, certify_congruence: bool = False) -> Verdict:
+                               w_dirs=None) -> Verdict:
     """Decide between f = g and f = g o reflect on S^3 from per-sphere rotations.
 
-    Steps: (1) compare even parts pointwise; (2) pass to odd parts; when
-    both odd parts vanish the two relations coincide and the outcome is
-    ``both``; (3) classify every sampled working sphere through the pole by
-    two-family registration; (4) aggregate labels; (5) certify the winning
-    relation on an out-of-sample point set.
+    Steps: (1) on every sampled working sphere through the pole, in order,
+    certify the congruence hypothesis by two-family registration of the
+    full restrictions, raising CongruenceHypothesisFailed at the first
+    sphere where neither family registers (the body pipeline reads that to
+    move on to its next placement), and report the worst residual as
+    ``congruence_residual``; (2) compare even parts pointwise; (3) pass to
+    odd parts; when both vanish the two relations coincide and the outcome
+    is ``both``; else classify the odd parts on every sphere; (4) aggregate
+    labels; (5) certify the winning relation on an out-of-sample point set.
 
     The working spheres are those orthogonal to the rows of ``w_dirs``, by
     default ``config.w_samples`` quasi-uniform normals orthogonal to the
     pole.  f and g are sampled once per working sphere and once at the
     out-of-sample probes and their pole reflections; every check reads those
     samples, the ``flip_witnesses`` of the first three flip spheres too.
-    ``certify_congruence`` also registers the full restrictions on each
-    sphere, raising CongruenceHypothesisFailed for the first sphere in
-    order where neither family registers; the worst residual is reported as
-    ``congruence_residual``.  The body pipeline reads that failure to move on
-    to its next placement.  An empty ``w_dirs`` raises EmptyInputError.
+    An empty ``w_dirs`` raises EmptyInputError.
     """
     config = config or VerifyConfig()
     pole = unit(pole)
@@ -258,8 +256,7 @@ def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *
         raise EmptyInputError("w_dirs holds no working-sphere normal")
 
     odd_sup, dev_eq, dev_re = _probe_sups(f, g, pole, config)
-    checks = [_check_sphere(f, g, pole, w, config, certify_congruence, odd_sup)
-              for w in w_dirs]
+    checks = [_check_sphere(f, g, pole, w, config, odd_sup) for w in w_dirs]
 
     scale = max(1e-300, *(c.sup for c in checks))
     tol_abs = config.tol * scale
@@ -268,10 +265,8 @@ def decide_functional_equation(f, g, pole, config: VerifyConfig | None = None, *
     report: dict = {
         "scale": scale,
         "even_direct_dev": direct_dev,
+        "congruence_residual": max(c.congruence.witness.residual for c in checks),
     }
-    if certify_congruence:
-        report["congruence_residual"] = max(c.congruence.witness.residual
-                                            for c in checks)
     if direct_dev > tol_abs:
         return Verdict(OUTCOME_INCONCLUSIVE,
                        reason=f"even parts differ (direct dev {direct_dev:.3e})",
@@ -367,8 +362,7 @@ def _decide_placed(K: Body4, L: Body4, pole, field_of, diams, placements,
         Kp = K if m_k is None else K.translate(-m_k)
         try:
             verdict = decide_functional_equation(field_of(Kp), field_of(L.translate(-m_l)),
-                                                 pole, config, w_dirs=w_dirs,
-                                                 certify_congruence=True)
+                                                 pole, config, w_dirs=w_dirs)
             break
         except CongruenceHypothesisFailed as exc:
             failures.append(exc)

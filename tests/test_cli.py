@@ -292,8 +292,14 @@ def test_verify_json_matches_schema(tmp_path):
                  "--out", out, *small_verify_args()]) == 0
     schema_path = os.path.join(os.path.dirname(congrulab.__file__),
                                "schema", "verdict.schema.json")
-    jsonschema.validate(json.loads(Path(out).read_text()),
-                        json.loads(Path(schema_path).read_text()))
+    verdict = json.loads(Path(out).read_text())
+    schema = json.loads(Path(schema_path).read_text())
+    jsonschema.validate(verdict, schema)
+    # the report carries the decision scale, the even-part deviation, the
+    # congruence certificate and the diameter length
+    del verdict["hypothesis_report"]["congruence_residual"]
+    with pytest.raises(jsonschema.ValidationError, match="congruence_residual"):
+        jsonschema.validate(verdict, schema)
 
 
 def test_verify_csv_format(tmp_path):
@@ -401,6 +407,24 @@ def test_rate_csv_deterministic(tmp_path, capsys):
     lines = b1.decode().strip().splitlines()
     assert lines[0] == "v,delta"
     assert len(lines) == 4
+
+
+def test_rate_json_format(tmp_path, capsys):
+    # the JSON payload holds the fit and the deltas the CSV run prints, and
+    # stderr holds the fit alone
+    pk = write_body(tmp_path, "E.json", ellipsoid([1.0, 0.9, 0.8, 1.1]))
+    out_csv, out_json = tmp_path / "r.csv", tmp_path / "r.json"
+    assert main(["rate", pk, "--v-list", "20,40,80", "--out", str(out_csv)]) == 0
+    capsys.readouterr()
+    assert main(["rate", pk, "--v-list", "20,40,80", "--format", "json",
+                 "--out", str(out_json)]) == 0
+    fit = json.loads(capsys.readouterr().err)
+    payload = json.loads(out_json.read_text())
+    assert set(payload) == {"exponent", "stderr", "v", "delta"}
+    assert {k: payload[k] for k in fit} == fit
+    assert payload["v"] == [20, 40, 80]
+    rows = out_csv.read_text().strip().splitlines()[1:]
+    assert payload["delta"] == [float(row.split(",")[1]) for row in rows]
 
 
 def test_rate_reads_budgets_from_the_simplex_start(tmp_path):

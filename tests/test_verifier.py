@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import replace
 
@@ -13,12 +14,13 @@ from congrulab.errors import (CongruenceHypothesisFailed, ConfigInvalidError,
                               DegenerateBodyError, DiameterHypothesisFailed,
                               EmptyInputError, StarShapednessLost)
 from congrulab.funk import compose_with_matrix, sample_on_sphere
-from congrulab.orthogonal import Orthogonal4, equator_flip, identity, pole_reflection
+from congrulab.orthogonal import (Orthogonal4, equator_flip, identity, pole_reflection,
+                                  pole_rotation)
 from congrulab.registration import Classification, register_pole_flip
 from congrulab.sphere import (complement_basis, directions_orthogonal_to, gauss_grid,
                               gauss_latitude_nodes, make_frame, random_directions,
                               unit)
-from congrulab.verifier import (OUTCOME_BOTH, OUTCOME_EQUAL,
+from congrulab.verifier import (CERTIFICATE_SLACK, OUTCOME_BOTH, OUTCOME_EQUAL,
                                 OUTCOME_INCONCLUSIVE, OUTCOME_REFLECTED,
                                 OUTCOME_ZERO_ODD, Verdict, VerifyConfig,
                                 aggregate_labels, decide_functional_equation,
@@ -65,19 +67,56 @@ def test_decide_both_for_even_data():
 
 
 def test_decide_even_mismatch_inconclusive():
+    # on its one working sphere g is f turned about the pole: the congruence
+    # certificate holds there, and the even parts still differ pointwise
     f = band_limited_field(93)
-    g = lambda x: f(x) + 0.05 * (np.asarray(x) @ POLE) ** 2
-    v = decide_functional_equation(f, g, POLE, FIELD_CFG)
+    w = complement_basis(POLE)[0]
+    g = compose_with_matrix(f, pole_rotation(make_frame(POLE, w), 0.7).matrix)
+    v = decide_functional_equation(f, g, POLE, FIELD_CFG, w_dirs=[w])
     assert v.outcome == OUTCOME_INCONCLUSIVE
     assert "even parts differ" in v.reason
+    assert v.report["congruence_residual"] <= v.tol
 
 
 def test_decide_unrelated_inconclusive():
-    f = odd_field(94, POLE)
-    g = odd_field(95, POLE)
+    # unrelated odd parts at 1e-6 of a shared even part: the full
+    # restrictions register within tol, and the odd parts do not
+    E, O, O2 = even_field(92, POLE), odd_field(94, POLE), odd_field(95, POLE)
+    f = lambda x: E(x) + 1e-6 * O(x)
+    g = lambda x: E(x) + 1e-6 * O2(x)
     v = decide_functional_equation(f, g, POLE, FIELD_CFG)
     assert v.outcome == OUTCOME_INCONCLUSIVE
     assert "no rotation registers" in v.reason
+    assert v.report["congruence_residual"] <= v.tol
+
+
+def test_decide_non_congruent_pair_raises():
+    # every decision certifies the congruence hypothesis first: unrelated
+    # fields fail it already on the first working sphere, which the error names
+    w_dirs = directions_orthogonal_to(POLE, FIELD_CFG.w_samples)
+    with pytest.raises(CongruenceHypothesisFailed) as failure:
+        decide_functional_equation(odd_field(94, POLE), odd_field(95, POLE), POLE, FIELD_CFG)
+    assert np.array_equal(failure.value.w, w_dirs[0])
+    assert failure.value.residual == pytest.approx(0.8878, abs=1e-4)
+
+
+@pytest.mark.parametrize("even, reason, devs", [
+    (False, "classified equal but out-of-sample deviation", ["out_of_sample_dev"]),
+    (True, "odd parts vanish but a full-function certificate failed",
+     ["equal_dev", "reflected_dev"]),
+], ids=["equal", "both"])
+def test_decide_out_of_sample_certificate_rejects(even, reason, devs):
+    # g - f is the product of (x . w)^2 over the working normals: it vanishes
+    # on every working-sphere grid and is even under the pole reflection, so
+    # only the out-of-sample probes see it
+    w_dirs = directions_orthogonal_to(POLE, 6)
+    f = even_field(92, POLE) if even else band_limited_field(90)
+    g = lambda x: f(x) + np.prod((np.asarray(x) @ w_dirs.T) ** 2, axis=-1)
+    v = decide_functional_equation(f, g, POLE, FIELD_CFG, w_dirs=w_dirs)
+    assert v.outcome == OUTCOME_INCONCLUSIVE
+    assert v.reason.startswith(reason)
+    assert v.report["even_direct_dev"] == 0.0
+    assert all(v.report["certificate"][k] > CERTIFICATE_SLACK * v.tol for k in devs)
 
 
 def _flip_fixture():
@@ -234,13 +273,15 @@ def test_flip_witness_reports_self_flip_axis():
 
 
 def test_even_devs_match_reference_check():
+    # L is K turned about the pole by five azimuth steps of the one working
+    # sphere: the certificate holds there, and the even parts differ
     K = planted_polytope(117, POLE)
-    L = planted_polytope(118, POLE)
-    w_dirs = directions_orthogonal_to(POLE, 8)
+    w = complement_basis(POLE)[0]
+    L = K.apply(pole_rotation(make_frame(POLE, w), 2 * np.pi * 5 / 64))
     cfg = VerifyConfig(n_t=16, n_azimuth=64, out_of_sample=256)
-    v = decide_functional_equation(K.support, L.support, POLE, cfg, w_dirs=w_dirs)
+    v = decide_functional_equation(K.support, L.support, POLE, cfg, w_dirs=[w])
     t_nodes = gauss_latitude_nodes(cfg.n_t)
-    ref = even_parts_equal(K.support, L.support, POLE, t_nodes, w_dirs,
+    ref = even_parts_equal(K.support, L.support, POLE, t_nodes, [w],
                            circle_nodes=cfg.n_azimuth)
     assert ref.direct_dev > 0
     assert v.report["even_direct_dev"] == ref.direct_dev
@@ -429,6 +470,10 @@ def test_projection_diameter_hypothesis_failure():
         verify_projection_theorem(ellipsoid([2, 1, 1, 1]),
                                   ellipsoid([3, 1, 1, 1]),
                                   np.array([1.0, 0, 0, 0]), BODY_CFG)
+    # shadows are compared as support functions, so both bodies are convex
+    K = planted_polytope(112, POLE, through_origin=True, kind="star")
+    with pytest.raises(DiameterHypothesisFailed, match="requires convex bodies"):
+        verify_projection_theorem(K, K, POLE, BODY_CFG)
 
 
 def test_projection_pole_not_a_diameter():
@@ -585,6 +630,20 @@ def test_section_off_axis_shift_breaks_congruence():
     # a shift as large as the origin's cross-polytope moves the origin out
     with pytest.raises(StarShapednessLost):
         verify_section_theorem(K, K.translate(0.3 * 2.0 * basis[0]), POLE, BODY_CFG)
+
+
+def test_section_no_alignment_keeps_origin():
+    # a star bipyramid with apexes 1.2 e0 and -0.8 e0 over an equatorial
+    # cube: L = K + 0.5 e1 holds the origin, but its axis chord (0.109,
+    # 0.073) is so short that either alignment moves the origin out of L
+    e0, e1 = np.eye(4)[:2]
+    cube3 = [(0.0, *c) for c in itertools.product((-0.55, 0.55), repeat=3)]
+    K = polytope([1.2 * e0, -0.8 * e0, *cube3], kind="star")
+    L = K.translate(0.5 * e1)
+    assert L.contains_origin_interior()
+    assert np.allclose(L.radial(np.stack([e0, -e0])), [0.6 / 5.5, 0.4 / 5.5])
+    with pytest.raises(StarShapednessLost, match="no diameter alignment"):
+        verify_section_theorem(K, L, e0, BODY_CFG)
 
 
 def test_section_requires_origin_diameter():
