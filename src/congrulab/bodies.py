@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -74,6 +75,14 @@ class PolytopeShape:
             return ConvexHull(self.vertices)
         except Exception as exc:
             raise DegenerateBodyError(f"hull computation failed: {exc}") from exc
+
+    @classmethod
+    def _of_hull(cls, hull) -> "PolytopeShape":
+        """The shape of ``hull.points``, with the facets and incidence ``hull`` holds now."""
+        shape = cls(hull.points)
+        shape.__dict__["_hull"] = SimpleNamespace(equations=hull.equations,
+                                                  simplices=hull.simplices)
+        return shape
 
     @property
     def facets(self):

@@ -144,19 +144,19 @@ def hausdorff_distance(K: Body4, L: Body4, n_sample: int = 8192,
     """sup |h_K - h_L| over the direction sphere, from below.
 
     The candidates are ``n_sample`` seeded random directions plus the world
-    facet normals of each polytope argument: between a polytope and a smooth
-    body the gap often peaks at a facet normal, the sharpest kink of the
-    polytope's support, where an ascent from samples stalls.  The best
+    facet normals of each polytope argument, read from its one hull (for an
+    ``inscribe_polytope`` body, its build's): between a polytope and a
+    smooth body the gap often peaks at a facet normal, the sharpest kink of
+    the polytope's support, where an ascent from samples stalls.  The best
     GAP_STARTS candidates then climb together (``_gap_ascent``).  Every
     value read is the gap at a real direction, so the result is a lower
     bound on the sup, and never below the largest candidate gap.
     """
     if n_sample < 1:
         raise ConfigInvalidError(f"n_sample must be at least 1, got {n_sample!r}")
-    rng = np.random.default_rng(seed)
     normals = [b.shape.facets[0] @ b.folded[0].T for b in (K, L)
                if isinstance(b.shape, PolytopeShape)]
-    dirs = np.concatenate([random_directions(n_sample, rng), *normals])
+    dirs = np.concatenate([random_directions(n_sample, np.random.default_rng(seed)), *normals])
     gaps = np.abs(K.support(dirs) - L.support(dirs))
     best = np.argsort(gaps)[-GAP_STARTS:]
     return _gap_ascent(K, L, dirs[best], gaps[best])
@@ -181,11 +181,20 @@ def inscribe_polytope(K: Body4, v: int) -> Body4:
     to the first gap below g_max / 2, n // 4 picks of n points, or v points.
     A cut round keeps the head of its pick list, so the build to v is the
     first v points of any longer one.  It stops early once g_max <= 1e-12 r,
-    where the hull is K (the 4-cube at 16 points).
+    where the hull is K (the 4-cube at 16 points).  The body's facets are
+    the build's hull, so reading them runs no second qhull.
     """
+    v = _budget(v)
+    return _inscribed(K, [v])[v]
+
+
+def _inscribed(K: Body4, budgets) -> dict:
+    """{v: P_v} for each budget v, from one build to the largest: P_v is the
+    hull at v points, with the facets qhull held there.  A round whose picks
+    cross a budget adds them in two parts split there; no pick changes."""
     from scipy.spatial import ConvexHull
 
-    v = _budget(v)
+    stops = sorted(set(budgets))
     simplex = np.vstack([np.eye(4), np.full(4, (1 - np.sqrt(5)) / 4)])
     start = K.support_point(unit(simplex - simplex.mean(axis=0)))
     points = start[:1]
@@ -197,25 +206,32 @@ def inscribe_polytope(K: Body4, v: int) -> Body4:
         ends = K.support_point(np.array([n, -n]))
         points = np.vstack([points, ends[np.argmax(np.abs((ends - points[0]) @ n))]])
     r = float(np.max(np.linalg.norm(points - points.mean(axis=0), axis=1)))
-    hull = ConvexHull(points, incremental=True)
+    hull, kept, new = ConvexHull(points, incremental=True), {}, points[:0]
     try:
-        while hull.npoints < v:
-            normals, off = hull.equations[:, :4], hull.equations[:, 4]
-            gap = K.support(normals) + off
-            order = np.argsort(-gap, kind="stable")
-            g_max = gap[order[0]]
-            if g_max <= 1e-12 * r:
-                break
-            near = np.cos(min(np.sqrt(2 * g_max / r), np.pi))
-            room = min(max(1, hull.npoints // 4), v - hull.npoints)
-            cand = normals[order[:np.count_nonzero(gap >= g_max / 2)]]
-            free, picked = np.ones(len(cand), dtype=bool), []
-            while len(picked) < room and free.any():
-                picked.append(i := int(np.argmax(free)))
-                free[i] = False
-                free[i + 1:] &= cand[i + 1:] @ cand[i] < near
-            hull.add_points(K.support_point(cand[picked]))
-        return polytope(hull.points, kind=K.kind)
+        while hull.npoints < stops[-1]:
+            if hull.npoints in stops:
+                kept[hull.npoints] = Body4(K.kind, PolytopeShape._of_hull(hull))
+            if not len(new):
+                normals, off = hull.equations[:, :4], hull.equations[:, 4]
+                gap = K.support(normals) + off
+                order = np.argsort(-gap, kind="stable")
+                g_max = gap[order[0]]
+                if g_max <= 1e-12 * r:      # the hull is K: every later budget reads it
+                    break
+                near = np.cos(min(np.sqrt(2 * g_max / r), np.pi))
+                room = min(max(1, hull.npoints // 4), stops[-1] - hull.npoints)
+                cand = normals[order[:np.count_nonzero(gap >= g_max / 2)]]
+                free, picked = np.ones(len(cand), dtype=bool), []
+                while len(picked) < room and free.any():
+                    picked.append(i := int(np.argmax(free)))
+                    free[i] = False
+                    free[i + 1:] &= cand[i + 1:] @ cand[i] < near
+                new = K.support_point(cand[picked])
+            k = min(v for v in stops if v > hull.npoints) - hull.npoints
+            hull.add_points(new[:k])
+            new = new[k:]
+        last = Body4(K.kind, PolytopeShape._of_hull(hull))
+        return {v: kept.get(v, last) for v in stops}
     finally:
         hull.close()
 
@@ -233,14 +249,15 @@ class RateFit:
 def approximation_rate(K: Body4, v_list, seed: int = 0,
                        n_sample: int = 8192) -> RateFit:
     """Fit delta(K, P_v) ~ c * v^exponent over the given vertex budgets, P_v
-    the first v points of one build to the largest (``inscribe_polytope``).
-    ``seed`` seeds the Hausdorff sample directions only."""
+    the first v points of one build to the largest (``inscribe_polytope``)
+    with the facets its qhull held at v points, so a call runs that one qhull
+    and, for a polytope K, K's own.  ``seed`` seeds the Hausdorff sample
+    directions only."""
     v_list = [_budget(v) for v in v_list]
     if len(set(v_list)) < 2:
         raise InsufficientDataError("need at least 2 distinct vertex budgets to fit a rate")
-    V = inscribe_polytope(K, max(v_list)).shape.vertices
-    deltas = [hausdorff_distance(K, polytope(V[:v], kind=K.kind), n_sample=n_sample,
-                                 seed=seed + 1000 + i)
+    P = _inscribed(K, v_list)
+    deltas = [hausdorff_distance(K, P[v], n_sample=n_sample, seed=seed + 1000 + i)
               for i, v in enumerate(v_list)]
     exact = [v for v, d in zip(v_list, deltas) if d == 0.0]
     if exact:
@@ -270,12 +287,10 @@ class Polytope3:
     basis: np.ndarray           # (3, 4) orthonormal rows spanning the subspace
 
     def __post_init__(self):
-        v = np.array(self.vertices, dtype=float)
-        b = np.array(self.basis, dtype=float)
-        v.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "basis", b)
+        for name in ("vertices", "basis"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def support(self, dirs3):
         return np.max(np.asarray(dirs3, dtype=float) @ self.vertices.T, axis=-1)
@@ -293,8 +308,7 @@ def project_polytope(P: Body4, basis) -> Polytope3:
     from scipy.spatial import ConvexHull
 
     coords = P.effective_vertices() @ basis.T
-    centered = coords - coords.mean(axis=0)
-    svals = np.linalg.svd(centered, compute_uv=False)
+    svals = np.linalg.svd(coords - coords.mean(axis=0), compute_uv=False)
     if svals[2] <= 1e-10 * svals[0]:
         raise DegenerateProjectionError("shadow is flat (rank < 3)")
     hull = ConvexHull(coords)
@@ -304,11 +318,7 @@ def project_polytope(P: Body4, basis) -> Polytope3:
 def random_subspace_bases(count: int, seed: int = 0):
     """Deterministic random 3D subspaces of R^4 (orthonormal 3x4 bases)."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        q, _ = np.linalg.qr(rng.standard_normal((4, 3)))
-        out.append(q.T.copy())
-    return out
+    return [np.linalg.qr(rng.standard_normal((4, 3)))[0].T.copy() for _ in range(count)]
 
 
 # -- rigid-motion symmetry detection -------------------------------------------
@@ -331,11 +341,6 @@ class SymmetryRecord:
         return bool(np.max(np.linalg.norm(image - v, axis=1)) <= tol)
 
 
-def _distance_signatures(X: np.ndarray) -> np.ndarray:
-    d = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=-1)
-    return np.sort(d, axis=1)
-
-
 def _rigid_maps(X: np.ndarray, Y: np.ndarray, prune_tol: float):
     """Yield (phi, perm, residual) for linear maps phi sending X onto Y.
 
@@ -350,7 +355,8 @@ def _rigid_maps(X: np.ndarray, Y: np.ndarray, prune_tol: float):
     """
     m = len(X)
     normsX, normsY = np.linalg.norm(X, axis=1), np.linalg.norm(Y, axis=1)
-    sigX, sigY = _distance_signatures(X), _distance_signatures(Y)
+    # each vertex's sorted distances to all vertices
+    sigX, sigY = (np.sort(np.linalg.norm(Z[:, None] - Z[None], axis=-1), axis=1) for Z in (X, Y))
     floor = 1e-12 * float(normsY.max()) ** 3
     i1 = int(np.argmax(normsY))
     i2 = int(np.argmax(np.linalg.norm(np.cross(Y[i1][None, :], Y), axis=1)))
@@ -368,9 +374,8 @@ def _rigid_maps(X: np.ndarray, Y: np.ndarray, prune_tol: float):
     d12, d13, d23 = (np.linalg.norm(Y[i1] - Y[i2]), np.linalg.norm(Y[i1] - Y[i3]),
                      np.linalg.norm(Y[i2] - Y[i3]))
     for p1, p2, p3 in product(compatible(i1), compatible(i2), compatible(i3)):
-        if len({p1, p2, p3}) < 3:
-            continue
-        if (abs(np.linalg.norm(X[p1] - X[p2]) - d12) > 8 * prune_tol
+        if (len({p1, p2, p3}) < 3
+                or abs(np.linalg.norm(X[p1] - X[p2]) - d12) > 8 * prune_tol
                 or abs(np.linalg.norm(X[p1] - X[p3]) - d13) > 8 * prune_tol
                 or abs(np.linalg.norm(X[p2] - X[p3]) - d23) > 8 * prune_tol):
             continue
@@ -434,8 +439,7 @@ def match_congruent(Q1: Polytope3, Q2: Polytope3, tol: float = 1e-8,
     """Rigid motion (phi, shift, perm) with phi Q1 + shift = Q2 within tol, a
     length, or None."""
     _require_tol(tol)
-    A = np.asarray(Q1.vertices, dtype=float)
-    B = np.asarray(Q2.vertices, dtype=float)
+    A, B = Q1.vertices, Q2.vertices
     if len(A) != len(B) or len(A) < 4:
         return None
     ca, cb = A.mean(axis=0), B.mean(axis=0)
@@ -497,13 +501,11 @@ def perturb_to_asymmetric(P: Body4, h_bases=None, tol: float = 1e-8,
 
     state = _sampled_symmetry_state(P, h_bases, tol)
     if all(s["symmetries"] == 0 for s in state):
-        cert = AsymmetryCertificate(delta=0.0, epsilon_final=0.0, rounds=0,
-                                    subspaces=tuple(state))
-        return P, cert
+        return P, AsymmetryCertificate(delta=0.0, epsilon_final=0.0, rounds=0,
+                                       subspaces=tuple(state))
 
     rng = np.random.default_rng(seed)
-    c = V.mean(axis=0)
-    radial = V - c
+    radial = V - V.mean(axis=0)
     norms = np.linalg.norm(radial, axis=1, keepdims=True)
     radial_unit = radial / np.maximum(norms, 1e-12 * norms.max())
     for round_idx in range(PERTURB_ROUNDS):
@@ -516,9 +518,7 @@ def perturb_to_asymmetric(P: Body4, h_bases=None, tol: float = 1e-8,
         state = _sampled_symmetry_state(cand, h_bases, tol)
         if all(s["symmetries"] == 0 for s in state):
             delta = float(np.max(np.linalg.norm(jitter, axis=1)))
-            cert = AsymmetryCertificate(delta=delta, epsilon_final=eps,
-                                        rounds=round_idx + 1,
-                                        subspaces=tuple(state))
-            return cand, cert
+            return cand, AsymmetryCertificate(delta=delta, epsilon_final=eps,
+                                              rounds=round_idx + 1, subspaces=tuple(state))
     raise BudgetExhaustedError(
         f"no symmetry-free perturbation found in {PERTURB_ROUNDS} rounds")

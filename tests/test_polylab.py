@@ -2,8 +2,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, cKDTree
 
 from congrulab import polylab
 from congrulab.bodies import (Body4, BumpShape, BumpTerm, EllipsoidShape, ball,
@@ -13,7 +15,8 @@ from congrulab.errors import (BudgetExhaustedError, ConfigInvalidError,
                               TooFewVerticesError)
 from congrulab.orthogonal import Orthogonal4
 from congrulab.polylab import (GAP_ITERS, GAP_MIN_STEP, GAP_STEP, MIN_VERTICES,
-                               Polytope3, _ranked_points, _symmetry_scan,
+                               PERTURB_ROUNDS, Polytope3, _inscribed, _ranked_points,
+                               _symmetry_scan,
                                approximation_rate,
                                detect_rigid_symmetries,
                                hausdorff_distance, inscribe_polytope,
@@ -261,6 +264,15 @@ def test_inscribe_is_a_nested_build_of_support_points(v, extra, seed, semiaxes):
     assert inscribe_polytope(E, v).shape.vertices.tobytes() == V.tobytes()
 
 
+def _greedy_test_body(seed, points):
+    # a rotated, translated ellipsoid (points = 0) or the hull of Gaussian points
+    rng = np.random.default_rng(seed)
+    if points:
+        return polytope(rng.standard_normal((points, 4)))
+    rot = Orthogonal4(np.linalg.qr(rng.standard_normal((4, 4)))[0])
+    return ellipsoid(rng.uniform(0.2, 2.0, 4)).apply(rot, rng.uniform(-1.0, 1.0, 4))
+
+
 @settings(max_examples=20)
 @given(seed=st.integers(0, 2**32 - 1), points=st.one_of(st.just(0), st.integers(5, 60)),
        v=st.integers(MIN_VERTICES, 160))
@@ -271,14 +283,56 @@ def test_inscribe_picks_the_facets_the_per_facet_walk_picks(seed, points, v):
     # points, whose simplex start can repeat or lie flat (seeds 1 and 2 at 6
     # points): one mask update per picked facet gives bitwise the vertices of
     # the walk that tests each visited facet against every pick before it
-    rng = np.random.default_rng(seed)
-    if points:
-        K = polytope(rng.standard_normal((points, 4)))
-    else:
-        rot = Orthogonal4(np.linalg.qr(rng.standard_normal((4, 4)))[0])
-        K = ellipsoid(rng.uniform(0.2, 2.0, 4)).apply(rot, rng.uniform(-1.0, 1.0, 4))
+    K = _greedy_test_body(seed, points)
     V = inscribe_polytope(K, v).shape.vertices
     assert V.tobytes() == walked_inscribed_polytope(K, v).shape.vertices.tobytes()
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), points=st.one_of(st.just(0), st.integers(6, 60)),
+       budgets=st.lists(st.integers(MIN_VERTICES, 160), min_size=1, max_size=5))
+@example(seed=1, points=6, budgets=[40, 5, 5])
+@example(seed=2, points=6, budgets=[9, 5, 40, 9])
+@example(seed=3, points=0, budgets=[160, 40, 80, 41, 40])
+def test_split_build_keeps_each_budgets_hull(seed, points, budgets):
+    # one build that stops at every budget (unsorted, repeated) gives each
+    # budget bitwise the vertices of the build to it alone, so a round split
+    # at a budget changes no pick; each P_v's facet rows, read from the
+    # build's hull, are a fresh qhull's of the same vertices up to row order,
+    # and each row's simplex lies on its hyperplane
+    K = _greedy_test_body(seed, points)
+    built = _inscribed(K, budgets)
+    assert sorted(built) == sorted(set(budgets))
+    for v, P in built.items():
+        V = P.shape.vertices
+        assert V.tobytes() == inscribe_polytope(K, v).shape.vertices.tobytes()
+        rows = np.column_stack(P.shape.facets)
+        fresh = ConvexHull(V).equations
+        assert rows.shape == fresh.shape
+        gap, match = cKDTree(fresh).query(rows, p=np.inf)
+        assert np.all(gap <= 1e-12 * np.max(np.abs(rows), axis=1))
+        assert len(set(match.tolist())) == len(rows)
+        on_plane = np.einsum("fk,fjk->fj", rows[:, :4], V[P.shape.incidence]) + rows[:, 4:]
+        assert np.max(np.abs(on_plane)) <= 1e-12 * np.max(np.abs(V))
+
+
+@pytest.mark.parametrize("points, hulls", [(0, 1), (200, 2)], ids=["ellipsoid", "polytope"])
+def test_rate_runs_one_qhull_per_build(monkeypatch, points, hulls):
+    # the budgets' facets are the build's hull at each budget; only a polytope
+    # K adds its own hull, whose normals the Hausdorff candidates include
+    rng = np.random.default_rng(5)
+    K = (polytope(unit(rng.standard_normal((points, 4)))) if points
+         else ellipsoid([1.0, 0.9, 0.8, 1.1]))
+    sizes = []
+
+    class CountingHull(ConvexHull):
+        def __init__(self, pts, *args, **kwargs):
+            sizes.append(len(pts))
+            super().__init__(pts, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", CountingHull)
+    approximation_rate(K, [20, 40, 80], n_sample=512)
+    assert sizes == [5, points][:hulls]
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -486,6 +540,14 @@ def test_match_congruent_recovers_motion():
                            1e-8) is None
 
 
+def test_match_congruent_none_without_a_motion():
+    # equal vertex counts but different edge lengths (TETRA is regular), and
+    # unequal vertex counts, admit no rigid motion
+    Q = Polytope3(vertices=skew_tetra(), basis=ID_BASIS)
+    assert match_congruent(Q, Polytope3(vertices=TETRA, basis=ID_BASIS)) is None
+    assert match_congruent(Q, Polytope3(vertices=BOX, basis=ID_BASIS)) is None
+
+
 def test_match_congruent_mirror_image_needs_improper_map():
     rng = np.random.default_rng(13)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
@@ -549,6 +611,45 @@ def test_perturb_already_asymmetric_returns_unchanged():
     P2, cert = perturb_to_asymmetric(P, bases, tol=1e-8, seed=2)
     assert cert.rounds == 0 and cert.delta == 0.0
     assert P2 is P
+
+
+def test_perturb_default_bases_are_the_seeded_sample():
+    got = perturb_to_asymmetric(cube(), seed=4)
+    want = perturb_to_asymmetric(cube(), random_subspace_bases(50, seed=4 + 17), seed=4)
+    assert got[0].shape.vertices.tobytes() == want[0].shape.vertices.tobytes()
+    assert got[1].to_json_dict() == want[1].to_json_dict()
+
+
+def test_perturb_budget_exhausted_when_no_round_clears(monkeypatch):
+    # a wide tol does not keep a jittered shadow symmetric: _rigid_maps admits
+    # only maps orthogonal to 1e-6, far below the smallest jitter, 1e-2 / 2^7
+    # of the diameter (at tol = 1 this cube clears in round 1).  So the scan
+    # is stubbed to read a symmetry on every shadow, and every round fails
+    scans = []
+
+    def always_symmetric(Q, tol, prune_tol):
+        scans.append(Q)
+        return [None], 0.0
+
+    monkeypatch.setattr(polylab, "_symmetry_scan", always_symmetric)
+    with pytest.raises(BudgetExhaustedError, match=f"in {PERTURB_ROUNDS} rounds"):
+        perturb_to_asymmetric(cube(), random_subspace_bases(1, seed=3), seed=1)
+    assert len(scans) == 1 + PERTURB_ROUNDS
+
+
+def test_perturb_budget_exhausted_when_every_jitter_is_rejected(monkeypatch):
+    # the cube's shadow keeps its point reflection, and no jittered vertex
+    # set makes a polytope, so every round is skipped
+    rejected = []
+
+    def reject(vertices, kind):
+        rejected.append(vertices)
+        raise ValueError("polytope vertices do not span R^4 affinely")
+
+    monkeypatch.setattr(polylab, "polytope", reject)
+    with pytest.raises(BudgetExhaustedError, match=f"in {PERTURB_ROUNDS} rounds"):
+        perturb_to_asymmetric(cube(), random_subspace_bases(1, seed=3), seed=1)
+    assert len(rejected) == PERTURB_ROUNDS
 
 
 def test_perturb_degenerate_input():
