@@ -232,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--subspace", help="12 numbers: three basis rows")
     group.add_argument("--sample", type=int, help="number of random subspaces")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-8, help="a length: the largest "
+                   "vertex residual of a kept symmetry")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_symmetry)

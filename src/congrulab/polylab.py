@@ -12,12 +12,12 @@ for bit.
 
 One generator, ``_rigid_maps``, answers every symmetry and congruence
 question.  It prunes candidate vertex triples by centroid distance and
-pairwise-distance signatures, solves for the unique map from each triple
-onto a fixed well-conditioned base triple, keeps the near-orthogonal ones,
-and yields each map's nearest-image vertex permutation with its residual.
-Symmetry detection, the perturbation's symmetry scan and congruence
-matching are filters over those maps.  An exhaustive permutation search
-stays available in the tests as the oracle for small vertex counts.
+pairwise-distance signatures, fits each triple onto a fixed base triple,
+then all vertices onto their nearest images (orthogonal Procrustes fits).
+Symmetry detection, the perturbation's scan and congruence matching keep
+the maps whose largest vertex residual is at most their tol, a length.
+An exhaustive permutation search stays available in the tests as the
+oracle for small vertex counts.
 """
 
 from __future__ import annotations
@@ -341,55 +341,51 @@ class SymmetryRecord:
         return bool(np.max(np.linalg.norm(image - v, axis=1)) <= tol)
 
 
-def _rigid_maps(X: np.ndarray, Y: np.ndarray, prune_tol: float):
-    """Yield (phi, perm, residual) for linear maps phi sending X onto Y.
+def _procrustes(A, B):
+    """Orthogonal phi with phi A[i] ~= B[i] in least squares, from one SVD."""
+    u, _, vt = np.linalg.svd(B.T @ A)
+    return u @ vt
 
-    X and Y are centred vertex arrays of equal length.  Each phi maps a
-    vertex triple of X exactly onto a fixed well-conditioned base triple of
-    Y; preimage candidates are pruned by centroid distance (4 prune_tol),
-    distance signature and pairwise distances (8 prune_tol), and phi must be
-    orthogonal to 1e-6.  perm is the nearest-image assignment,
-    phi X[perm[i]] ~= Y[i], yielded only when it is a bijection; residual is
-    its largest distance.  A triple is ill-conditioned when its determinant
-    is below 1e-12 scale^3, scale the largest vertex norm of Y.
+
+def _rigid_maps(X: np.ndarray, Y: np.ndarray, prune_tol: float):
+    """Yield (phi, perm, residual) for orthogonal maps phi sending X onto Y.
+
+    X and Y are centred vertex arrays of equal length.  Each vertex triple
+    of X that survives the prunes by centroid distance (4 prune_tol),
+    distance signature and pairwise distances (8 prune_tol) is fit onto a
+    fixed well-conditioned base triple of Y.  perm, the nearest-image
+    assignment of that fit, is kept when it is a bijection; phi is refit on
+    all vertices, phi X[perm[i]] ~= Y[i], and residual is its largest
+    vertex distance.  The set is flat when the base triple's determinant is
+    at most 1e-12 scale^3, scale the largest vertex norm of Y.
     """
     m = len(X)
     normsX, normsY = np.linalg.norm(X, axis=1), np.linalg.norm(Y, axis=1)
-    # each vertex's sorted distances to all vertices
-    sigX, sigY = (np.sort(np.linalg.norm(Z[:, None] - Z[None], axis=-1), axis=1) for Z in (X, Y))
-    floor = 1e-12 * float(normsY.max()) ** 3
+    DX, DY = (np.linalg.norm(Z[:, None] - Z[None], axis=-1) for Z in (X, Y))
+    sigX, sigY = np.sort(DX, axis=1), np.sort(DY, axis=1)  # each vertex's sorted distances
     i1 = int(np.argmax(normsY))
     i2 = int(np.argmax(np.linalg.norm(np.cross(Y[i1][None, :], Y), axis=1)))
     vols = np.abs(Y @ np.cross(Y[i1], Y[i2]))
     i3 = int(np.argmax(vols))
-    if vols[i3] <= floor:
+    if vols[i3] <= 1e-12 * float(normsY.max()) ** 3:
         raise DegenerateProjectionError("vertex set is flat")
-    base = np.column_stack([Y[i1], Y[i2], Y[i3]])
 
     def compatible(i):
         return [j for j in range(m)
                 if abs(normsX[j] - normsY[i]) <= 4 * prune_tol
                 and np.max(np.abs(sigX[j] - sigY[i])) <= 8 * prune_tol]
 
-    d12, d13, d23 = (np.linalg.norm(Y[i1] - Y[i2]), np.linalg.norm(Y[i1] - Y[i3]),
-                     np.linalg.norm(Y[i2] - Y[i3]))
+    sides = DY[[i1, i1, i2], [i2, i3, i3]]
     for p1, p2, p3 in product(compatible(i1), compatible(i2), compatible(i3)):
         if (len({p1, p2, p3}) < 3
-                or abs(np.linalg.norm(X[p1] - X[p2]) - d12) > 8 * prune_tol
-                or abs(np.linalg.norm(X[p1] - X[p3]) - d13) > 8 * prune_tol
-                or abs(np.linalg.norm(X[p2] - X[p3]) - d23) > 8 * prune_tol):
+                or np.max(np.abs(DX[[p1, p1, p2], [p2, p3, p3]] - sides)) > 8 * prune_tol):
             continue
-        T = np.column_stack([X[p1], X[p2], X[p3]])
-        if abs(np.linalg.det(T)) < floor:
-            continue
-        phi = base @ np.linalg.inv(T)
-        if np.max(np.abs(phi.T @ phi - np.eye(3))) > 1e-6:
-            continue
-        d = np.linalg.norm(Y[:, None, :] - (X @ phi.T)[None, :, :], axis=-1)
-        perm = np.argmin(d, axis=1)
+        phi = _procrustes(X[[p1, p2, p3]], Y[[i1, i2, i3]])
+        perm = np.argmin(np.linalg.norm(Y[:, None, :] - (X @ phi.T)[None, :, :], axis=-1), axis=1)
         if len(set(perm.tolist())) != m:
             continue
-        yield phi, tuple(int(p) for p in perm), float(np.max(d[np.arange(m), perm]))
+        phi = _procrustes(X[perm], Y)
+        yield phi, tuple(perm.tolist()), float(np.max(np.linalg.norm(X[perm] @ phi.T - Y, axis=1)))
 
 
 def _require_tol(tol: float):
@@ -402,8 +398,8 @@ def _require_tol(tol: float):
 def _symmetry_scan(Q: Polytope3, tol: float, prune_tol: float):
     """(symmetries within tol, smallest nonidentity residual) from one scan.
 
-    Centers at the vertex centroid (any symmetry preserves it).  Maps within
-    1e-8 of the identity are skipped, symmetries are deduplicated by
+    Centers at the vertex centroid (any symmetry preserves it).  The
+    identity permutation is skipped, symmetries are deduplicated by
     permutation, and each record is re-verified on the raw vertices.
     """
     _require_tol(tol)
@@ -414,7 +410,7 @@ def _symmetry_scan(Q: Polytope3, tol: float, prune_tol: float):
     X = V - c
     found, margin = {}, np.inf
     for phi, perm, residual in _rigid_maps(X, X, prune_tol):
-        if np.max(np.abs(phi - np.eye(3))) <= 1e-8:
+        if perm == tuple(range(len(V))):
             continue
         margin = min(margin, residual)
         if residual <= tol and perm not in found:
@@ -427,9 +423,9 @@ def _symmetry_scan(Q: Polytope3, tol: float, prune_tol: float):
 def detect_rigid_symmetries(Q: Polytope3, tol: float = 1e-8):
     """All nonidentity rigid motions mapping the shadow onto itself.
 
-    Candidate maps come from vertex triples pruned at tol, a length, and are
-    kept when they realize a full vertex permutation within tol.  Every
-    returned record is re-verified on the raw vertices.
+    Candidate maps come from vertex triples pruned at tol, a length; one is
+    kept when its Procrustes fit to a vertex permutation has every vertex
+    residual at most tol.  Each record is re-verified on the raw vertices.
     """
     return _symmetry_scan(Q, tol, tol)[0]
 
@@ -473,9 +469,10 @@ class AsymmetryCertificate:
 def _sampled_symmetry_state(P: Body4, bases, tol: float):
     records = []
     for basis in bases:
-        # the margin's wider prune admits every candidate that pruning at tol
-        # admits, so no symmetry within tol is missed
-        syms, margin = _symmetry_scan(project_polytope(P, basis), tol, max(tol, 1e-6))
+        Q = project_polytope(P, basis)
+        # a prune wider than tol, relative to the shadow's size, misses no symmetry
+        size = np.max(np.linalg.norm(Q.vertices - Q.vertices.mean(axis=0), axis=1))
+        syms, margin = _symmetry_scan(Q, tol, max(tol, 1e-6 * size))
         records.append({"basis": basis, "symmetries": len(syms),
                         "min_symmetry_residual": margin})
     return records
@@ -487,8 +484,9 @@ def perturb_to_asymmetric(P: Body4, h_bases=None, tol: float = 1e-8,
 
     Random radial vertex jitters of magnitude eps (halved each round from
     1e-2 times the diameter) until every sampled shadow is symmetry-free;
-    the Hausdorff move is bounded by the largest vertex displacement, and
-    symmetries are read within tol, a length.
+    the Hausdorff move is bounded by the largest vertex displacement.  A
+    symmetry is kept within tol, a length (``detect_rigid_symmetries``), so
+    a tol above the jitter exhausts the rounds.
     Returns (body, certificate); the input is returned unchanged when it is
     already asymmetric on all sampled subspaces.
     """

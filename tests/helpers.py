@@ -23,7 +23,6 @@ from itertools import permutations
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import orthogonal_procrustes
 from scipy.spatial import ConvexHull
 
 from congrulab import bodies
@@ -112,17 +111,21 @@ def brute_force_symmetries(vertices, tol: float = 1e-8):
     """All nonidentity rigid motions of a 3D vertex set, by exhaustive search.
 
     For every permutation, fit the best orthogonal map (Procrustes, allowing
-    reflections) between the centered sets and keep exact matches.
+    reflections) between the centered sets and keep exact matches.  The fits
+    of all permutations are one batch: R = U Vt from the SVD of A^T X, as
+    ``scipy.linalg.orthogonal_procrustes(A, X)`` computes it.
     """
     V = np.asarray(vertices, dtype=float)
     c = V.mean(axis=0)
     X = V - c
+    perms = list(permutations(range(len(V))))
+    A = X[np.array(perms)]
+    u, _, vt = np.linalg.svd(np.swapaxes(A, 1, 2) @ X)
+    R = u @ vt                                      # A @ R ~= X
+    residuals = np.max(np.linalg.norm(A @ R - X, axis=2), axis=1)
     found = []
-    for perm in permutations(range(len(V))):
-        A = X[list(perm)]
-        R, _ = orthogonal_procrustes(A, X)   # A @ R ~= X
-        phi = R.T
-        if np.max(np.linalg.norm(A @ R - X, axis=1)) > tol:
+    for perm, phi, residual in zip(perms, np.swapaxes(R, 1, 2), residuals):
+        if residual > tol:
             continue
         if np.max(np.abs(phi - np.eye(3))) <= 1e-10 and perm == tuple(range(len(V))):
             continue

@@ -6,6 +6,7 @@ import scipy.spatial
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, cKDTree
+from scipy.spatial.distance import pdist
 
 from congrulab import polylab
 from congrulab.bodies import (Body4, BumpShape, BumpTerm, EllipsoidShape, ball,
@@ -507,6 +508,86 @@ def test_symmetries_match_brute_force_on_random_sets(seed, size, kind):
     assert bool(got) == (kind != "none")
 
 
+PRISM = np.array([[np.cos(a), np.sin(a), z] for z in (-1.0, 1.0)
+                  for a in (0.0, 2 * np.pi / 3, 4 * np.pi / 3)])
+
+
+def _jittered_set(seed, kind, log_tol, log_gap):
+    """(V, J, tol): a symmetric set V, randomly scaled, turned and moved, with
+    tol = 10^log_tol of its size, and its copy J with each vertex moved by at
+    most tol * 10^log_gap.  A mirror-pair set is drawn again until its
+    vertices lie at least half its size apart."""
+    rng = np.random.default_rng(seed)
+    V = {"prism": PRISM, "cube": CUBE3, "box": BOX}.get(kind)
+    while V is None:
+        # pairs (p, R p) for a reflection R and up to one point on its plane;
+        # two pairs alone lie in one plane, so they take the point
+        n = unit(rng.standard_normal(3))
+        R = np.eye(3) - 2 * np.outer(n, n)
+        k = int(rng.integers(2, 4))
+        pairs = rng.standard_normal((k, 3))
+        on_plane = rng.standard_normal((int(rng.integers(3 - k, 2)), 3)) @ (np.eye(3) + R) / 2
+        V = np.vstack([pairs, pairs @ R.T, on_plane])
+        if np.min(pdist(V)) < 0.5 * np.max(np.linalg.norm(V - V.mean(axis=0), axis=1)):
+            V = None
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    V = np.exp(rng.uniform(np.log(1e-3), np.log(1e3))) * V @ q.T + rng.standard_normal(3)
+    tol = 10.0 ** log_tol * np.max(np.linalg.norm(V - V.mean(axis=0), axis=1))
+    moves = unit(rng.standard_normal(V.shape)) * rng.uniform(0, tol * 10.0 ** log_gap, (len(V), 1))
+    return V, V + moves, tol
+
+
+_KINDS = st.sampled_from(["prism", "cube", "box", "mirror"])
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), kind=_KINDS, log_tol=st.floats(-8, -1),
+       log_gap=st.one_of(st.floats(-3, -1), st.floats(1, 3)))
+def test_symmetries_within_tol_match_brute_force_on_jittered_sets(seed, kind, log_tol, log_gap):
+    # a map is kept by its vertex residual against tol alone, so a set that is
+    # symmetric up to a jitter well below tol keeps its symmetries, whatever the
+    # jitter is relative to the set's size, and one jittered well above tol loses them
+    V, J, tol = _jittered_set(seed, kind, log_tol, log_gap)
+    got = {rec.permutation for rec in
+           detect_rigid_symmetries(Polytope3(vertices=J, basis=ID_BASIS), tol)}
+    assert got == {perm for perm, _ in brute_force_symmetries(J, tol)}
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), kind=_KINDS, log_tol=st.floats(-8, -1),
+       log_gap=st.floats(-3, -1))
+def test_match_congruent_keeps_a_jittered_moved_copy_within_tol(seed, kind, log_tol, log_gap):
+    V, J, tol = _jittered_set(seed, kind, log_tol, log_gap)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] *= -1
+    W = J @ q.T + np.array([0.4, -0.2, 0.9])
+    got = match_congruent(Polytope3(vertices=V, basis=ID_BASIS),
+                          Polytope3(vertices=W, basis=ID_BASIS), tol)
+    assert got is not None
+    phi, a, perm = got
+    assert np.max(np.abs(phi.T @ phi - np.eye(3))) <= 1e-12
+    assert np.max(np.linalg.norm(V[list(perm)] @ phi.T + a - W, axis=1)) <= tol
+
+
+def test_rigid_maps_drop_a_triple_whose_nearest_images_collide(monkeypatch):
+    # at a prune this wide every ordered triple is a candidate; most of their
+    # fits send two vertices nearest to one image, and those are dropped
+    fits, procrustes = [], polylab._procrustes
+
+    def counted(A, B):
+        fits.append(A)
+        return procrustes(A, B)
+
+    monkeypatch.setattr(polylab, "_procrustes", counted)
+    X = np.random.default_rng(1).standard_normal((6, 3))
+    X -= X.mean(axis=0)
+    maps = list(polylab._rigid_maps(X, X, 10.0))
+    assert maps and all(sorted(perm) == list(range(6)) for _, perm, _ in maps)
+    # a kept candidate is fit twice (its triple, then all vertices), a dropped one once
+    assert len(fits) - 2 * len(maps) > 0
+
+
 def test_too_few_vertices():
     with pytest.raises(TooFewVerticesError):
         detect_rigid_symmetries(Polytope3(vertices=TETRA[:3], basis=ID_BASIS), 1e-8)
@@ -596,11 +677,13 @@ def test_perturb_cube_to_asymmetric():
             assert len(brute_force_symmetries(Q.vertices, 1e-8)) == 0
         assert detect_rigid_symmetries(Q, 1e-8) == []
     # the certificate's single scan agrees with the public search and the
-    # smallest residual of the scan at the default tolerance
+    # smallest residual of the scan at the default tolerance, pruned at 1e-6
+    # of the shadow's size
     for s in cert.subspaces:
         Q = project_polytope(P2, s["basis"])
+        size = np.max(np.linalg.norm(Q.vertices - Q.vertices.mean(axis=0), axis=1))
         assert s["symmetries"] == len(detect_rigid_symmetries(Q, 1e-8))
-        assert s["min_symmetry_residual"] == _symmetry_scan(Q, 1e-8, 1e-6)[1]
+        assert s["min_symmetry_residual"] == _symmetry_scan(Q, 1e-8, max(1e-8, 1e-6 * size))[1]
     d = hausdorff_distance(cube(), P2, n_sample=4096)
     assert d <= 1e-2 * diam + 1e-12
 
@@ -620,21 +703,11 @@ def test_perturb_default_bases_are_the_seeded_sample():
     assert got[1].to_json_dict() == want[1].to_json_dict()
 
 
-def test_perturb_budget_exhausted_when_no_round_clears(monkeypatch):
-    # a wide tol does not keep a jittered shadow symmetric: _rigid_maps admits
-    # only maps orthogonal to 1e-6, far below the smallest jitter, 1e-2 / 2^7
-    # of the diameter (at tol = 1 this cube clears in round 1).  So the scan
-    # is stubbed to read a symmetry on every shadow, and every round fails
-    scans = []
-
-    def always_symmetric(Q, tol, prune_tol):
-        scans.append(Q)
-        return [None], 0.0
-
-    monkeypatch.setattr(polylab, "_symmetry_scan", always_symmetric)
+def test_perturb_budget_exhausted_when_no_round_clears():
+    # a tol above the largest jitter, 1e-2 of the cube's diameter (0.04),
+    # keeps a symmetry of the jittered shadow in every round
     with pytest.raises(BudgetExhaustedError, match=f"in {PERTURB_ROUNDS} rounds"):
-        perturb_to_asymmetric(cube(), random_subspace_bases(1, seed=3), seed=1)
-    assert len(scans) == 1 + PERTURB_ROUNDS
+        perturb_to_asymmetric(cube(), random_subspace_bases(1, seed=3), tol=0.1, seed=1)
 
 
 def test_perturb_budget_exhausted_when_every_jitter_is_rejected(monkeypatch):
